@@ -415,134 +415,6 @@ let batch () =
         scenario.W.Scenario.databases)
     [ transclosure (); andersen () ]
 
-(* --- Enum: intra-tuple parallel enumeration ------------------------------ *)
-
-(* The two hardest recursive workloads (galen's per-member solves run
-   8–160 ms where transclosure's stay near 1 ms; andersen D5 carries
-   the biggest closures), one row per (scenario, db): the hardest
-   answer tuple — the one whose sequential exhaustive (capped)
-   enumeration takes longest among the usual picked tuples —
-   re-enumerated by the two Enumerate.Par modes at config.jobs
-   workers. Wall times cover the whole per-mode pipeline (encoding
-   construction included: the probing solve, the replica clause loads,
-   the portfolio panel), so the speedup column is end-to-end honest.
-   Member families are compared order-normalized
-   across all three modes when the sequential pass exhausts below the
-   member cap; capped rows instead check equal counts and genuine
-   membership of every parallel member ("yes (prefix)"), since capped
-   modes legitimately surface different prefixes. "NO — BUG" in the
-   identical column is a correctness failure, not a slow row. The
-   speedup field is skipped by the
-   regression gate (machine-dependent); the *_s fields are
-   ratio-checked and the member counts exact-matched. *)
-let enum_cube_vars = 2
-
-let enum () =
-  header
-    (Printf.sprintf
-       "Enum — intra-tuple parallel enumeration (seq vs cube vs portfolio, %d \
-        jobs, k=%d)"
-       config.jobs enum_cube_vars);
-  row "  %-14s %-8s %-22s %7s | %9s %9s %9s | %7s %s\n" "scenario" "db" "tuple"
-    "members" "seq" "cube" "portfolio" "speedup" "identical";
-  let bench_one scenario db_name db =
-    let program = scenario.W.Scenario.program in
-    let model = D.Eval.seminaive program db in
-    (* Sequential pass over every picked tuple; the slowest one is the
-       straggler the parallel modes are for. *)
-    let measured =
-      List.filter_map
-        (fun goal ->
-          let closure = P.Closure.build_with_model program ~model db goal in
-          match
-            time (fun () ->
-                try
-                  let e =
-                    P.Enumerate.of_closure ~max_fill:config.max_fill closure
-                  in
-                  Some (P.Enumerate.to_list ~limit:config.member_limit e)
-                with P.Encode.Too_large _ -> None)
-          with
-          | Some members, t -> Some (goal, closure, members, t)
-          | None, _ -> None)
-        (pick_tuples scenario db)
-    in
-    match
-      List.fold_left
-        (fun acc ((_, _, _, t) as m) ->
-          match acc with
-          | Some (_, _, _, best) when best >= t -> acc
-          | _ -> Some m)
-        None measured
-    with
-    | None -> row "  %-14s %-8s (every tuple blew up)\n" scenario.W.Scenario.name db_name
-    | Some (goal, closure, seq_members, seq_s) ->
-      stats_begin ();
-      let seq_sorted = List.sort D.Fact.Set.compare seq_members in
-      let measure_par mode =
-        time (fun () ->
-            let e =
-              P.Enumerate.Par.of_closure ~max_fill:config.max_fill ~mode
-                ~cube_vars:enum_cube_vars ~jobs:config.jobs closure
-            in
-            P.Enumerate.Par.to_list ~limit:config.member_limit e)
-      in
-      let cube_members, cube_s = measure_par P.Enumerate.Par.Cube in
-      let port_members, port_s = measure_par P.Enumerate.Par.Portfolio in
-      let exhausted = List.length seq_members < config.member_limit in
-      let same l =
-        let l = List.sort D.Fact.Set.compare l in
-        List.length l = List.length seq_sorted
-        && List.for_all2 D.Fact.Set.equal l seq_sorted
-      in
-      (* Capped runs surface mode-dependent (equally valid) prefixes of
-         the member family, so set equality only applies when the
-         sequential pass exhausted below the cap; otherwise check counts
-         plus genuine membership of every parallel member. *)
-      let prefix_ok =
-        lazy
-          (let checker =
-             P.Enumerate.of_closure ~max_fill:config.max_fill closure
-           in
-           List.for_all (fun l ->
-               List.length l = List.length seq_sorted
-               && List.for_all (P.Enumerate.member checker) l))
-      in
-      let identical =
-        if exhausted then same cube_members && same port_members
-        else Lazy.force prefix_ok [ cube_members; port_members ]
-      in
-      let speedup = seq_s /. Float.min cube_s port_s in
-      emit_stats_row "enum"
-        Metrics.Json.
-          [
-            ("scenario", Str scenario.W.Scenario.name);
-            ("db", Str db_name);
-            ("goal", Str (D.Fact.to_string goal));
-            ("members", Num (float_of_int (List.length seq_sorted)));
-            ("cube_vars", Num (float_of_int enum_cube_vars));
-            ("jobs", Num (float_of_int config.jobs));
-            ("seq_s", Num seq_s);
-            ("cube_s", Num cube_s);
-            ("portfolio_s", Num port_s);
-            ("speedup", Num speedup);
-            ("identical", Bool identical);
-          ];
-      row "  %-14s %-8s %-22s %7d | %9s %9s %9s | %6.2fx %s\n"
-        scenario.W.Scenario.name db_name (D.Fact.to_string goal)
-        (List.length seq_sorted) (time_str seq_s) (time_str cube_s)
-        (time_str port_s) speedup
-        (if not identical then "NO — BUG"
-         else if exhausted then "yes"
-         else "yes (prefix)")
-  in
-  List.iter
-    (fun scenario ->
-      List.iter
-        (fun (db_name, db) -> bench_one scenario db_name (Lazy.force db))
-        scenario.W.Scenario.databases)
-    [ galen (); andersen () ]
-
 (* --- Engine: structural vs interned flat-tuple semi-naive ---------------- *)
 
 (* One row per (workload, size): the same program and database evaluated

@@ -58,7 +58,9 @@ let config =
    Every row carries the common envelope (EXPERIMENTS.md, "The row
    envelope"): "schema" = whyprov.bench/1, "workload" (the experiment
    being run, unless the stage already names one), "seed", "elapsed_s"
-   since harness start, and the optional --rev label. The envelope is
+   since harness start, "cpus" (the recommended domain count) and
+   "ocaml" (the compiler version) of the machine that ran it, and the
+   optional --rev label. The envelope is
    what makes BENCH_*.json files comparable across revisions — the
    regression gate ([--check], {!Regress}) matches rows by (kind,
    ordinal) and compares field by field. *)
@@ -85,6 +87,8 @@ let emit_stats_row kind fields =
         @ [
             ("seed", Num (float_of_int config.seed));
             ("elapsed_s", Num (Unix.gettimeofday () -. run_start));
+            ("cpus", Num (float_of_int (Domain.recommended_domain_count ())));
+            ("ocaml", Str Sys.ocaml_version);
           ]
         @ (match config.rev with Some r -> [ ("rev", Str r) ] | None -> []))
     in

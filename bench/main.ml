@@ -16,7 +16,7 @@ let usage () =
      [--budget N] [--seed N] [--jobs N] [--stats-out FILE.json] \
      [--trace-out FILE.json] [--rev LABEL] [--check BASELINE.json] \
      [--check-tol R] \
-     [table1|fig1|fig2|fig3|fig4|fig5|hardness|ablation|combined|batch|analysis|engine|planner|preprocess|enum|tracing|corpus|micro|all]...";
+     [table1|fig1|fig2|fig3|fig4|fig5|hardness|ablation|combined|batch|analysis|engine|planner|preprocess|tracing|corpus|micro|all]...";
   exit 1
 
 let () =
@@ -106,7 +106,6 @@ let () =
     | "engine" -> Experiments.engine ()
     | "planner" -> Experiments.planner ()
     | "preprocess" -> Experiments.preprocess ()
-    | "enum" -> Experiments.enum ()
     | "tracing" -> Experiments.tracing ()
     | "corpus" -> Experiments.corpus ()
     | "micro" -> Micro.run ()
@@ -123,7 +122,6 @@ let () =
       Experiments.engine ();
       Experiments.planner ();
       Experiments.preprocess ();
-      Experiments.enum ();
       Experiments.tracing ();
       Experiments.corpus ();
       Micro.run ()

@@ -14,7 +14,8 @@
      not exceed [tol] x baseline, unless both sides are below the noise
      floor (5 ms) where ratios mean nothing;
    - "speedup", "*_per_s", "*peak*" and "elapsed_s" are derived or
-     machine-dependent and are skipped;
+     machine-dependent and are skipped, as are the "cpus" and "ocaml"
+     machine stamps (a differing "cpus" is reported as a note);
    - every other numeric field (facts, model sizes, rounds, member
      counts…) is deterministic and must match exactly.
 
@@ -26,9 +27,10 @@ module Json = Util.Metrics.Json
 
 let noise_floor_s = 0.005
 
-(* Fields never compared: run bookkeeping and per-stage registry dumps
-   ("metrics" snapshots change schema as instrumentation grows). *)
-let skip_fields = [ "metrics"; "elapsed_s"; "rev"; "schema" ]
+(* Fields never compared: run bookkeeping, machine stamps and per-stage
+   registry dumps ("metrics" snapshots change schema as instrumentation
+   grows). *)
+let skip_fields = [ "metrics"; "elapsed_s"; "rev"; "schema"; "cpus"; "ocaml" ]
 
 let skipped_numeric key =
   let has_suffix s suf =
@@ -117,8 +119,23 @@ let by_kind rows =
     rows;
   List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
 
+let cpus_of rows =
+  List.find_map
+    (fun row ->
+      match Json.member "cpus" row with
+      | Some (Json.Num n) -> Some (int_of_float n)
+      | _ -> None)
+    rows
+
 let check ~tol ~baseline rows =
   let base_rows = load_jsonl baseline in
+  (* Wall times from a machine with another CPU count are still gated,
+     but the reader should know the comparison is across machines. *)
+  (match (cpus_of base_rows, cpus_of rows) with
+  | Some b, Some f when b <> f ->
+    Printf.printf "note: baseline %s was recorded with %d cpu(s), this run has %d\n"
+      baseline b f
+  | _ -> ());
   let problems = ref [] in
   let add ps = problems := !problems @ ps in
   let fresh_kinds = by_kind rows in

@@ -171,13 +171,13 @@ let cmd_gen family out seed nvars ratio k pigeons holes length sat width
 (* whyfuzz fuzz                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let cmd_fuzz mode seed iters out quiet =
+let cmd_fuzz seed iters out quiet =
   let progress =
     if quiet then fun _ -> ()
     else fun i ->
       if i > 0 && i mod 10 = 0 then Printf.eprintf "whyfuzz: iteration %d/%d\n%!" i iters
   in
-  let summary = Harden.Fuzz.run ~mode ~progress ~seed ~iters () in
+  let summary = Harden.Fuzz.run ~progress ~seed ~iters () in
   Format.printf "%a@." Harden.Fuzz.pp_summary summary;
   let bugs = summary.Harden.Fuzz.s_bugs in
   if bugs <> [] then begin
@@ -270,17 +270,6 @@ let gen_cmd =
       $ Arg.(value & opt int 0 & info [ "givens" ] ~docv:"G" ~doc:"Cells pinned to a fixed valid solution (sudoku family).")
       $ Arg.(value & flag & info [ "conflict" ] ~doc:"Pin cell (0,0) to two values — unsatisfiable (sudoku family)."))
 
-let fuzz_mode_arg =
-  Arg.(
-    value
-    & pos 0 (enum [ ("all", `All); ("par-enum", `Par_enum) ]) `All
-    & info [] ~docv:"MODE"
-        ~doc:
-          "Differentials to run: $(b,all) (default), or $(b,par-enum) to \
-           focus on the parallel enumerators vs the powerset oracle. The \
-           random streams are drawn identically either way, so a (seed, \
-           iter) reproducer transfers between modes.")
-
 let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
@@ -288,12 +277,10 @@ let fuzz_cmd =
          "Seeded differential fuzzing: random CNFs across solver \
           configurations vs the truth-table oracle, random Datalog \
           programs across engines and against the powerset provenance \
-          oracle, and the parallel why-set enumerators (cube-and-conquer \
-          and portfolio) against the same oracle. Disagreements are \
-          shrunk and written as reproducer files; exits 1 if any were \
-          found.")
+          oracle. Disagreements are shrunk and written as reproducer \
+          files; exits 1 if any were found.")
     Term.(
-      const cmd_fuzz $ fuzz_mode_arg $ seed_arg ~default:42
+      const cmd_fuzz $ seed_arg ~default:42
       $ Arg.(value & opt int 100 & info [ "iters" ] ~docv:"N" ~doc:"Fuzzing iterations.")
       $ Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR" ~doc:"Directory for reproducer files (default: current directory).")
       $ Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress progress lines."))

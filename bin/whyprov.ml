@@ -222,7 +222,7 @@ let check_derivable closure fact =
   end
 
 let cmd_explain () path query_pred tuple limit use_tc smallest witness
-    no_preprocess minimize plan slice enum cube_vars jobs =
+    no_preprocess minimize plan slice =
   let program, db = load_checked ~query:query_pred path in
   let program, db, stats = prepare ~plan ~slice query_pred program db in
   let q = P.Explain.query program query_pred in
@@ -230,32 +230,6 @@ let cmd_explain () path query_pred tuple limit use_tc smallest witness
   let closure = P.Closure.build ?stats program db fact in
   check_derivable closure fact;
   let preprocess = not no_preprocess in
-  let par_mode =
-    match enum with
-    | `Seq -> None
-    | `Cube -> Some P.Enumerate.Par.Cube
-    | `Portfolio -> Some P.Enumerate.Par.Portfolio
-  in
-  (match par_mode with
-  | None -> ()
-  | Some _ ->
-    let reject opt =
-      Format.eprintf "whyprov: %s requires --enum=seq@." opt;
-      exit 1
-    in
-    if witness then reject "--witness";
-    if smallest then reject "--smallest";
-    if minimize then reject "--minimize-blocking");
-  match par_mode with
-  | Some mode ->
-    let par =
-      P.Enumerate.Par.of_closure ~preprocess ~mode ~cube_vars ~jobs closure
-    in
-    let members = P.Enumerate.Par.to_list ~limit par in
-    List.iteri
-      (fun i m -> Format.printf "%2d. %a@." (i + 1) D.Fact.pp_set m)
-      members
-  | None ->
   if witness then begin
     let enumeration =
       P.Enumerate.of_closure ~preprocess ~minimize_blocking:minimize closure
@@ -292,7 +266,7 @@ let cmd_explain () path query_pred tuple limit use_tc smallest witness
   end
 
 let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
-    minimize plan slice enum cube_vars =
+    minimize plan slice =
   let program, db = load_checked ~query:query_pred path in
   let program, db, stats = prepare ~plan ~slice query_pred program db in
   let q = P.Explain.query program query_pred in
@@ -303,19 +277,9 @@ let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
     else P.Batch.All_answers q.P.Explain.answer_pred
   in
   let conflict_budget = if budget > 0 then Some budget else None in
-  let enum_mode =
-    match enum with
-    | `Seq -> None
-    | `Cube -> Some P.Enumerate.Par.Cube
-    | `Portfolio -> Some P.Enumerate.Par.Portfolio
-  in
-  if enum_mode <> None && minimize then begin
-    Format.eprintf "whyprov: --minimize-blocking requires --enum=seq@.";
-    exit 1
-  end;
   let outcome =
     P.Batch.run ~jobs ~limit ?conflict_budget ~preprocess:(not no_preprocess)
-      ~minimize_blocking:minimize ?enum_mode ~cube_vars ?stats program db spec
+      ~minimize_blocking:minimize ?stats program db spec
   in
   (* Stdout is tuple-ordered and independent of --jobs: the paired
      smoke tests diff a --jobs 1 run against a --jobs 2 run. *)
@@ -685,32 +649,6 @@ let budget_arg =
         ~doc:"Per-tuple solver conflict budget; 0 (default) means \
               unbounded solving.")
 
-let enum_arg =
-  let modes =
-    Arg.enum [ ("seq", `Seq); ("cube", `Cube); ("portfolio", `Portfolio) ]
-  in
-  Arg.(
-    value
-    & opt modes `Seq
-    & info [ "enum" ] ~docv:"MODE"
-        ~doc:
-          "Enumeration mode: $(b,seq) (default; one solver per tuple), \
-           $(b,cube) (cube-and-conquer: split the search over 2^K cubes \
-           of high-activity db-fact selectors, members streamed through \
-           a deduplicating coordinator) or $(b,portfolio) (race a panel \
-           of solver configurations per member). The member $(i,set) is \
-           identical in every mode; cube/portfolio output is \
-           order-normalized.")
-
-let cube_vars_arg =
-  Arg.(
-    value
-    & opt int 2
-    & info [ "cube-vars" ] ~docv:"K"
-        ~doc:
-          "Selector variables per cube split for $(b,--enum=cube): 2^K \
-           sub-enumerations (default 2, clamped to 6).")
-
 let subset_arg =
   Arg.(required & opt (some string) None & info [ "s"; "subset" ] ~docv:"FACTS" ~doc:"Candidate subset, as 'f(a). g(b).'.")
 
@@ -848,7 +786,7 @@ let answers_cmd =
 
 let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc:"Enumerate the why-provenance (unambiguous proof trees) of an answer")
-    Term.(const cmd_explain $ stats_term $ file_arg $ query_arg $ tuple_arg $ limit_arg $ tc_arg $ smallest_arg $ witness_arg $ no_preprocess_arg $ minimize_arg $ plan_arg $ slice_arg $ enum_arg $ cube_vars_arg $ jobs_arg)
+    Term.(const cmd_explain $ stats_term $ file_arg $ query_arg $ tuple_arg $ limit_arg $ tc_arg $ smallest_arg $ witness_arg $ no_preprocess_arg $ minimize_arg $ plan_arg $ slice_arg)
 
 let batch_cmd =
   Cmd.v
@@ -860,7 +798,7 @@ let batch_cmd =
     Term.(
       const cmd_batch $ stats_term $ file_arg $ query_arg $ tuples_arg
       $ all_arg $ jobs_arg $ limit_arg $ budget_arg $ no_preprocess_arg
-      $ minimize_arg $ plan_arg $ slice_arg $ enum_arg $ cube_vars_arg)
+      $ minimize_arg $ plan_arg $ slice_arg)
 
 let check_cmd =
   Cmd.v

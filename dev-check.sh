@@ -122,24 +122,6 @@ for cnf in examples/cnf/chain.cnf examples/cnf/php43.cnf; do
   fi
 done
 
-echo "== par-enum smoke (--enum=cube/portfolio member sets = sequential)"
-# The parallel enumerators must produce the same member SET as the
-# sequential solver; production order is mode- and search-dependent, so
-# strip the " N." index prefixes, keep only the member lines (the
-# default sequential path also prints an explanation envelope) and
-# compare sorted (docs: README enumeration modes).
-members() { sed 's/^ *[0-9]*\. //' | grep '^{' | sort; }
-dune exec --no-build bin/whyprov.exe -- \
-  explain examples/reach.dl -q tc -t a,c | members > "$p1"
-dune exec --no-build bin/whyprov.exe -- \
-  explain examples/reach.dl -q tc -t a,c --enum=cube --cube-vars 2 --jobs 4 \
-  | members > "$p2"
-diff "$p1" "$p2"
-dune exec --no-build bin/whyprov.exe -- \
-  explain examples/reach.dl -q tc -t a,c --enum=portfolio --jobs 4 \
-  | members > "$p2"
-diff "$p1" "$p2"
-
 echo "== analyzer smoke (whyprov check on examples/)"
 # Clean program: exit 0; lint-y program: warnings but exit 0, and exit 1
 # under --deny-warnings; broken program: errors and exit 1 (and

@@ -23,8 +23,6 @@ let m_budget_exhausted = Metrics.counter "batch.budget_exhausted"
 let m_too_large = Metrics.counter "batch.too_large"
 let m_not_derivable = Metrics.counter "batch.not_derivable"
 let m_task_us = Metrics.histogram "batch.task_us"
-let m_stragglers = Metrics.counter "batch.stragglers"
-let m_straggler_time = Metrics.timer "batch.stragglers_time"
 
 type spec =
   | Facts of Fact.t list
@@ -53,7 +51,6 @@ type outcome = {
   materialize_s : float;
   closures_s : float;
   fanout_s : float;
-  stragglers : int;
 }
 
 let pp_status ppf status =
@@ -104,56 +101,8 @@ let enumerate_task ?acyclicity ?max_fill ?preprocess ?minimize_blocking ~limit
       let status = loop 0 in
       (List.rev !members, status)
 
-(* Conflict budget used to {e classify} tuples when a parallel mode is
-   on but the caller gave no budget of their own: phase 1 runs every
-   tuple under this probe budget, and whoever gives up is a straggler
-   that phase 2 re-enumerates with the whole pool. Classification is
-   by conflicts, not wall time, so it is deterministic. *)
-let straggler_probe_budget = 20_000
-
-(* Phase 2 of the two-level scheduler: one straggler at a time, the
-   whole domain pool inside its cubes / racers. The tuple is
-   re-enumerated from scratch (phase 1's partial members are
-   discarded — the Par enumerator owns its own blocking state), and
-   the member list is order-normalized. *)
-let straggler_task ?acyclicity ?max_fill ?preprocess ~mode ~cube_vars ~jobs
-    ~limit ~conflict_budget closure =
-  match
-    Enumerate.Par.of_closure ?acyclicity ?max_fill ?preprocess ~mode ~cube_vars
-      ~jobs closure
-  with
-  | exception Encode.Too_large _ -> ([], Too_large)
-  | par ->
-    let members = ref [] in
-    let rec loop produced =
-      if produced >= limit then Limit_reached
-      else
-        match conflict_budget with
-        | None -> (
-          match Enumerate.Par.next par with
-          | None -> Complete
-          | Some m ->
-            members := m :: !members;
-            loop (produced + 1))
-        | Some budget -> (
-          match Enumerate.Par.next_limited ~conflict_budget:budget par with
-          | `Exhausted -> Complete
-          | `Gave_up -> Budget_exhausted
-          | `Member m ->
-            members := m :: !members;
-            loop (produced + 1))
-    in
-    let status = loop 0 in
-    (List.sort Fact.Set.compare !members, status)
-
 let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
-    ?preprocess ?minimize_blocking ?enum_mode ?(cube_vars = 2) ?stats program
-    db spec =
-  (match (enum_mode, minimize_blocking) with
-  | Some _, Some true ->
-    invalid_arg "Batch.run: minimize_blocking is not supported with a \
-                 parallel enumeration mode"
-  | _ -> ());
+    ?preprocess ?minimize_blocking ?stats program db spec =
   Tracing.with_span "batch.run" @@ fun () ->
   Metrics.time m_run_time @@ fun () ->
   Metrics.incr m_runs;
@@ -181,16 +130,6 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
   let n = Array.length facts in
   let workers = if n = 0 then 0 else min (max 1 jobs) n in
   let results : result option array = Array.make n None in
-  (* With a parallel mode on, phase 1 is a classifier as much as a
-     solver: every tuple runs under a conflict budget (the caller's, or
-     the probe default) and the ones that give up are retried in
-     phase 2. *)
-  let phase1_budget =
-    match enum_mode with
-    | None -> conflict_budget
-    | Some _ ->
-      Some (Option.value conflict_budget ~default:straggler_probe_budget)
-  in
   let run_task i =
     (* Per-tuple worker span, recorded on whichever domain claimed the
        index — the trace's per-tid rows show the actual interleaving. *)
@@ -206,7 +145,7 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
     let (members, status), task_s =
       timed (fun () ->
           enumerate_task ?acyclicity ?max_fill ?preprocess ?minimize_blocking
-            ~limit ~conflict_budget:phase1_budget closures.(i))
+            ~limit ~conflict_budget closures.(i))
     in
     results.(i) <-
       Some { fact = facts.(i); members; status; rank = fact_ranks.(i); task_s }
@@ -238,44 +177,6 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
     end
   in
   let (), fanout_s = Metrics.time m_fanout_time fanout in
-  (* Phase 2: the stragglers — tuples whose phase-1 enumeration ran out
-     of budget — get the pool to themselves, one at a time, inside
-     their cubes / racers. *)
-  let stragglers = ref 0 in
-  (match enum_mode with
-  | None -> ()
-  | Some mode ->
-    Metrics.time m_straggler_time @@ fun () ->
-    for i = 0 to n - 1 do
-      match results.(i) with
-      | Some r when r.status = Budget_exhausted ->
-        incr stragglers;
-        Metrics.incr m_stragglers;
-        let targs =
-          if Tracing.is_enabled () then
-            [
-              ("fact", Metrics.Json.Str (Fact.to_string facts.(i)));
-              ("index", Metrics.Json.Num (float_of_int i));
-            ]
-          else []
-        in
-        Tracing.with_span ~args:targs "batch.straggler" @@ fun () ->
-        let (members, status), task_s =
-          timed (fun () ->
-              straggler_task ?acyclicity ?max_fill ?preprocess ~mode
-                ~cube_vars ~jobs:workers ~limit ~conflict_budget closures.(i))
-        in
-        results.(i) <-
-          Some
-            {
-              fact = facts.(i);
-              members;
-              status;
-              rank = fact_ranks.(i);
-              task_s = r.task_s +. task_s;
-            }
-      | _ -> ()
-    done);
   let results =
     Array.to_list
       (Array.map
@@ -304,5 +205,4 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
     materialize_s;
     closures_s;
     fanout_s;
-    stragglers = !stragglers;
   }

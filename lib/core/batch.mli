@@ -39,9 +39,7 @@ type status =
 type result = {
   fact : Fact.t;
   members : Fact.Set.t list;
-      (** in production order; order-normalized (sorted by
-          {!Fact.Set.compare}) for tuples re-enumerated by the
-          parallel phase-2 scheduler *)
+      (** in production order *)
   status : status;
   rank : int option;
       (** first-derivation round = min-dag-depth (Proposition 28);
@@ -57,9 +55,6 @@ type outcome = {
   materialize_s : float;
   closures_s : float;
   fanout_s : float;  (** wall seconds of the parallel encode/enumerate phase *)
-  stragglers : int;
-      (** tuples re-enumerated by the phase-2 intra-tuple scheduler
-          (always 0 without [enum_mode]) *)
 }
 
 val run :
@@ -70,8 +65,6 @@ val run :
   ?max_fill:int ->
   ?preprocess:bool ->
   ?minimize_blocking:bool ->
-  ?enum_mode:Enumerate.Par.mode ->
-  ?cube_vars:int ->
   ?stats:Stats.t ->
   Program.t ->
   Database.t ->
@@ -90,20 +83,6 @@ val run :
     either way, though member production order within a tuple may
     differ with the model's iteration order. The materialization
     honours {!Datalog.Profile} when enabled — [whyprov batch
-    --profile] reaches the profiler through this call.
-
-    [enum_mode] turns on the two-level scheduler: phase 1 fans the
-    tuples across the pool as usual, but under a conflict budget (the
-    caller's, or a fixed probe budget when none was given) that
-    classifies the hard ones; phase 2 then re-enumerates each
-    straggler from scratch, one at a time, with the whole pool inside
-    its {!Enumerate.Par} cubes or portfolio racers, [cube_vars]
-    (default 2) selectors per cube split. Straggler member lists are
-    order-normalized; statuses keep their meaning — with an explicit
-    [conflict_budget] a straggler that still gives up (now measured
-    against the {e total} cross-cube work per call) stays
-    [Budget_exhausted], without one phase 2 runs to completion.
-    [minimize_blocking] cannot be combined with [enum_mode]
-    ([Invalid_argument]). *)
+    --profile] reaches the profiler through this call. *)
 
 val pp_status : Format.formatter -> status -> unit

@@ -10,7 +10,6 @@ module Metrics = Util.Metrics
 
 let m_encode_time = Metrics.timer "encode.build"
 let m_encodes = Metrics.counter "encode.builds"
-let m_replicas = Metrics.counter "encode.replicas"
 let m_hyperedges = Metrics.counter "encode.hyperedges"
 let m_vars_node = Metrics.counter "encode.vars.node"
 let m_vars_edge = Metrics.counter "encode.vars.edge"
@@ -63,10 +62,6 @@ type t = {
   y_witness : (int, Closure.hyperedge) Hashtbl.t;
   root_fact : Fact.t;
   pre : Sat.Preprocess.t option;
-  loaded : Sat.Lit.t list list;
-      (* exactly the clauses the solver was loaded with (simplified when
-         [pre] is [Some _], the raw formula otherwise) — what
-         [replicate] feeds a fresh solver, skipping the rebuild *)
 }
 
 (* Pairs of node ids, hashed as a single int (node counts stay well below
@@ -79,7 +74,7 @@ type elimination_order =
 
 let make ?acyclicity ?(elimination_order = Min_degree)
     ?(max_fill = max_int) ?(capture = false) ?(proof_logging = false)
-    ?(preprocess = true) ?solver_config closure =
+    ?(preprocess = true) closure =
   Util.Tracing.with_span "encode.build" @@ fun () ->
   Metrics.time m_encode_time @@ fun () ->
   Metrics.incr m_encodes;
@@ -91,7 +86,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
   (match acyclicity with
   | No_acyclicity -> Metrics.incr m_acyclic_skipped
   | Transitive_closure | Vertex_elimination -> Metrics.incr m_acyclic_emitted);
-  let solver = Sat.Solver.create ?config:solver_config () in
+  let solver = Sat.Solver.create () in
   if proof_logging then Sat.Solver.enable_proof_logging solver;
   let nclauses = ref 0 in
   let captured = ref [] in
@@ -423,7 +418,6 @@ let make ?acyclicity ?(elimination_order = Min_degree)
   Metrics.observe_int m_elim_width !elimination_width;
   let db_facts_arr = Array.of_list (Closure.db_facts closure) in
   let built = List.rev !built in
-  let loaded = ref built in
   let pre =
     if not preprocess then begin
       List.iter (Sat.Solver.add_clause solver) built;
@@ -454,8 +448,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
          in the trace, keeping the DRAT proof checkable against the
          original formula. *)
       if proof_logging then Sat.Solver.append_proof solver (Sat.Preprocess.proof p);
-      loaded := Sat.Preprocess.clauses p;
-      List.iter (Sat.Solver.add_clause solver) !loaded;
+      List.iter (Sat.Solver.add_clause solver) (Sat.Preprocess.clauses p);
       Some p
     end
   in
@@ -463,7 +456,6 @@ let make ?acyclicity ?(elimination_order = Min_degree)
     solver;
     node_var;
     db_facts_arr;
-    loaded = !loaded;
     captured = (if capture then Some !captured else None);
     y_witness;
     root_fact = Closure.root closure;
@@ -480,14 +472,6 @@ let make ?acyclicity ?(elimination_order = Min_degree)
         preprocess = Option.map Sat.Preprocess.stats pre;
       };
   }
-
-let replicate ?solver_config t =
-  Util.Tracing.with_span "encode.replicate" @@ fun () ->
-  Metrics.incr m_replicas;
-  let solver = Sat.Solver.create ?config:solver_config () in
-  Sat.Solver.ensure_vars solver t.stats.variables;
-  List.iter (Sat.Solver.add_clause solver) t.loaded;
-  { t with solver }
 
 let solver t = t.solver
 let db_facts t = t.db_facts_arr

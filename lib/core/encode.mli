@@ -47,7 +47,6 @@ val make :
   ?capture:bool ->
   ?proof_logging:bool ->
   ?preprocess:bool ->
-  ?solver_config:Sat.Solver.config ->
   Closure.t ->
   t
 (** Builds the formula and loads it into a fresh solver.
@@ -71,22 +70,7 @@ val make :
     formula instead. [captured_clauses], {!stats}[.clauses] and the
     per-component clause counters always describe the original formula
     (the DRAT checker and the DIMACS export need it); the simplified
-    size is in {!stats}[.preprocess].
-
-    [solver_config] tunes the fresh solver's search parameters
-    (restarts, decays, inprocessing — see {!Sat.Solver.config});
-    the portfolio enumerator builds one encoding per configuration. *)
-
-val replicate : ?solver_config:Sat.Solver.config -> t -> t
-(** A copy of the encoding over a fresh solver, loaded with exactly the
-    clause set the original solver started from (the simplified formula
-    when the original was preprocessed, the raw formula otherwise) —
-    variable maps, statistics and model-reconstruction state are
-    shared. This is how the parallel enumerators instantiate their
-    sub-solvers: vertex elimination and preprocessing are paid once on
-    the original, and each replica costs only a clause load. Clauses
-    added to the original {e after} [make] (blocking clauses) are not
-    carried over, and the replica does no DRAT proof logging. *)
+    size is in {!stats}[.preprocess]. *)
 
 val captured_clauses : t -> Sat.Lit.t list list option
 (** The clause list when built with [~capture:true]. *)

@@ -36,7 +36,6 @@ type t = {
   closure : Closure.t;
   encoding : Encode.t;
   mutable exhausted : bool;
-  mutable produced_list : Fact.Set.t list; (* newest first *)
   mutable produced_set : Set_of_sets.t;
   (* Smallest-first mode: totalizer outputs over the x variables of the
      database facts, and the current cardinality bound. *)
@@ -71,7 +70,6 @@ let of_parts ?(smallest_first = false) ?(minimize_blocking = false) closure
     closure;
     encoding;
     exhausted = not (Closure.derivable closure);
-    produced_list = [];
     produced_set = Set_of_sets.empty;
     card_outputs;
     card_bound = 0;
@@ -202,7 +200,6 @@ let record_member ?(want_witness = false) t solver =
           ("support_size", Metrics.Json.Num (float_of_int (Fact.Set.cardinal member)));
           ("blocking_literals", Metrics.Json.Num (float_of_int (List.length blocking)));
         ];
-  t.produced_list <- member :: t.produced_list;
   t.produced_set <- Set_of_sets.add member t.produced_set;
   (member, witness)
 
@@ -280,7 +277,6 @@ let count ?limit t = List.length (to_list ?limit t)
 
 let closure t = t.closure
 let encoding t = t.encoding
-let produced t = List.length t.produced_list
 
 let member t candidate =
   Metrics.incr m_membership_checks;
@@ -309,491 +305,3 @@ let next_with_witness t =
       match record_member ~want_witness:true t solver with
       | member, Some dag -> Some (member, dag)
       | _, None -> assert false)
-
-(* ------------------------------------------------------------------ *)
-(* Intra-tuple parallel enumeration.
-
-   Two ways to put several solver instances on one tuple's formula:
-
-   - {b Cube-and-conquer} (Heule et al.): pick the k highest-activity
-     db-fact selector variables from a short probing solve, build 2^k
-     copies of the encoding, and assert one cube (one of the 2^k
-     polarity assignments of those variables) as top-level units in
-     each copy. The cubes partition the member space — a member fixes
-     the selectors' truth values, so it satisfies exactly one cube —
-     and each sub-solver searches a strictly smaller space, propagated
-     and specialized at level 0. Rounds are barrier-synchronous: every
-     live cube does one descent, the coordinator collects the results
-     in cube-index order, dedups, and broadcasts each fresh member's
-     blocking clause to all live cubes. The member {e sequence} is
-     therefore a pure function of the formula and k, independent of
-     [jobs] and of scheduling.
-
-   - {b Portfolio}: the same formula under [n_racers] solver
-     configurations (restart cadence, activity decay, default phase,
-     inprocessing). An unbudgeted [next] races them in growing
-     [solve_limited] slices until the first racer finishes; a budgeted
-     [next_limited] walks racers in index order with an equal share of
-     the conflict budget (deterministic). Every blocking clause goes to
-     every racer, so the clause sets stay synchronized and any racer's
-     Unsat soundly proves exhaustion. The member {e set} is the model
-     set of the shared formula — deterministic even when the racing
-     order is not.
-
-   Neither mode supports [smallest_first] (the totalizer bound raises
-   are per-solver state that cannot be kept coherent across
-   sub-enumerations without serializing them) or [minimize_blocking]
-   (core reduction's UNSAT answers would be cube-relative: a clause
-   minimized under cube assumptions excludes assignments outside the
-   cube that were never proven member-free). Both are rejected with
-   [Invalid_argument]. *)
-
-module Par = struct
-  let m_cube_probe_us = Metrics.histogram "enum.cube.probe_us"
-  let m_cube_cubes = Metrics.counter "enum.cube.cubes"
-  let m_cube_rounds = Metrics.counter "enum.cube.rounds"
-  let m_cube_members = Metrics.counter "enum.cube.members"
-  let m_cube_dead = Metrics.counter "enum.cube.dead"
-  let m_cube_broadcasts = Metrics.counter "enum.cube.broadcast_clauses"
-  let m_cube_solve_us = Metrics.histogram "enum.cube.solve_us"
-  let m_port_races = Metrics.counter "enum.portfolio.races"
-  let m_port_members = Metrics.counter "enum.portfolio.members"
-  let m_port_slices = Metrics.counter "enum.portfolio.slices"
-  let m_port_race_us = Metrics.histogram "enum.portfolio.race_us"
-  let m_par_exhausted = Metrics.counter "enum.par.exhausted"
-  let m_par_gave_up = Metrics.counter "enum.par.gave_up"
-
-  type mode =
-    | Cube
-    | Portfolio
-
-  type sub = {
-    enc : Encode.t;
-    cube : (Fact.t * bool) list;
-        (* the cube's selector assignment ([] for portfolio racers):
-           fact [f] forced in ([true]) or out ([false]) of the member.
-           Cubes partition the member space along these facts, so a
-           member belongs to exactly the sub whose assignment it
-           satisfies — blocking clauses only ever need to reach that
-           one sub. *)
-    mutable alive : bool;
-  }
-
-  type t = {
-    closure : Closure.t;
-    mode : mode;
-    jobs : int;
-    subs : sub array;
-    mutable exhausted : bool;
-    mutable queue : Fact.Set.t list; (* ready members, oldest first *)
-    mutable produced_set : Set_of_sets.t;
-    mutable produced : int;
-  }
-
-  let probe_budget = 2000
-  let max_cube_vars = 6
-
-  (* The racing configurations: a baseline, a rapid restarter with
-     positive default phase (larger supports first), an aggressive
-     VSIDS decay, and a no-inprocessing run. The panel size is fixed
-     regardless of [jobs], so the budget split — and with it [Batch]'s
-     Budget_exhausted classification — does not depend on the pool
-     size. *)
-  let portfolio_configs () =
-    let d = Sat.Solver.default_config in
-    [
-      (d, false);
-      ({ d with restart_base = 32; restart_factor = 1.5 }, true);
-      ({ d with var_decay = 0.85 }, false);
-      ({ d with vivify_interval = 0; otf_subsume = false }, true);
-    ]
-
-  (* Rank the db-fact selector variables by VSIDS activity after a
-     short probing descent; ties (including the no-conflict case, where
-     every activity is zero) fall back to variable order, keeping the
-     choice deterministic. The probed encoding is returned alongside so
-     the sub-solvers can be {!Encode.replicate}d from it — vertex
-     elimination and preprocessing run once per tuple, not once per
-     cube. Returns [None] when the probe refutes the formula
-     outright. *)
-  let pick_cube_vars ?acyclicity ?max_fill ?preprocess ~cube_vars closure =
-    Tracing.with_span "enum.cube.probe" @@ fun () ->
-    Metrics.observe_span_us m_cube_probe_us @@ fun () ->
-    let enc = Encode.make ?acyclicity ?max_fill ?preprocess closure in
-    let solver = Encode.solver enc in
-    match Sat.Solver.solve_limited ~conflict_budget:probe_budget solver with
-    | Some Sat.Solver.Unsat -> None
-    | Some Sat.Solver.Sat | None ->
-      let activity = Sat.Solver.var_activity solver in
-      let vars =
-        Array.to_list (Encode.db_facts enc)
-        |> List.filter_map (Encode.fact_var enc)
-        |> List.sort_uniq compare
-      in
-      let ranked =
-        List.sort
-          (fun a b ->
-            let c = compare activity.(b) activity.(a) in
-            if c <> 0 then c else compare a b)
-          vars
-      in
-      let k = min cube_vars (List.length ranked) in
-      Some (List.filteri (fun i _ -> i < k) ranked, enc)
-
-  let of_closure ?acyclicity ?max_fill ?(smallest_first = false)
-      ?preprocess ?(minimize_blocking = false) ?(mode = Cube)
-      ?(cube_vars = 2) ?(jobs = 1) closure =
-    if smallest_first then
-      invalid_arg "Enumerate.Par: smallest_first is not supported";
-    if minimize_blocking then
-      invalid_arg "Enumerate.Par: minimize_blocking is not supported";
-    let base =
-      {
-        closure;
-        mode;
-        jobs = max 1 jobs;
-        subs = [||];
-        exhausted = true;
-        queue = [];
-        produced_set = Set_of_sets.empty;
-        produced = 0;
-      }
-    in
-    if not (Closure.derivable closure) then base
-    else
-      match mode with
-      | Cube -> (
-        let cube_vars = max 0 (min cube_vars max_cube_vars) in
-        match
-          pick_cube_vars ?acyclicity ?max_fill ?preprocess ~cube_vars closure
-        with
-        | None -> base (* probe refuted the formula: empty why-set *)
-        | Some (vars, probe_enc) ->
-          let k = List.length vars in
-          let fact_of_var =
-            let table = Hashtbl.create 16 in
-            Array.iter
-              (fun f ->
-                match Encode.fact_var probe_enc f with
-                | Some v -> Hashtbl.replace table v f
-                | None -> ())
-              (Encode.db_facts probe_enc);
-            Hashtbl.find table
-          in
-          let subs =
-            Array.init (1 lsl k) (fun c ->
-                let enc = Encode.replicate probe_enc in
-                let solver = Encode.solver enc in
-                (* Bit j of the cube index gives variable j's polarity;
-                   asserted as units so the sub-solver specializes at
-                   level 0 (propagation, learnt clauses). *)
-                List.iteri
-                  (fun j v ->
-                    let l =
-                      if (c lsr j) land 1 = 1 then Sat.Lit.neg v
-                      else Sat.Lit.pos v
-                    in
-                    Sat.Solver.add_clause solver [ l ])
-                  vars;
-                let cube =
-                  List.mapi
-                    (fun j v -> (fact_of_var v, (c lsr j) land 1 = 0))
-                    vars
-                in
-                { enc; cube; alive = true })
-          in
-          Metrics.add m_cube_cubes (Array.length subs);
-          { base with subs; exhausted = false })
-      | Portfolio ->
-        let base_enc = Encode.make ?acyclicity ?max_fill ?preprocess closure in
-        let subs =
-          portfolio_configs ()
-          |> List.map (fun (cfg, polarity) ->
-                 let enc = Encode.replicate ~solver_config:cfg base_enc in
-                 Sat.Solver.set_default_polarity (Encode.solver enc) polarity;
-                 { enc; cube = []; alive = true })
-          |> Array.of_list
-        in
-        { base with subs; exhausted = false }
-
-  let create ?acyclicity ?max_fill ?smallest_first ?preprocess
-      ?minimize_blocking ?mode ?cube_vars ?jobs program db fact =
-    of_closure ?acyclicity ?max_fill ?smallest_first ?preprocess
-      ?minimize_blocking ?mode ?cube_vars ?jobs
-      (Closure.build program db fact)
-
-  type round_result =
-    | R_member of bool array
-    | R_unsat
-    | R_gave_up
-
-  let live_indices t =
-    let acc = ref [] in
-    Array.iteri (fun i s -> if s.alive then acc := i :: !acc) t.subs;
-    List.rev !acc
-
-  let note_exhausted t =
-    t.exhausted <- true;
-    Metrics.incr m_par_exhausted;
-    Tracing.instant "enum.exhausted"
-
-  (* Send a freshly produced member's blocking clause to every live
-     sub-solver that could rediscover it. For portfolio racers that is
-     everyone (they share one clause set, so any racer's Unsat proves
-     exhaustion for all). For cubes it is exactly {e one} sub: the cube
-     variables are db-fact selectors, so a member fixes their
-     polarities and belongs to the unique cube whose assignment it
-     satisfies — every other cube's units already exclude it. Skipping
-     the foreign cubes keeps each sub-solver's blocking-clause load at
-     roughly [members / 2^k] clauses instead of [members], which is
-     where cube-and-conquer beats the sequential solver even without
-     parallel hardware: late-enumeration descents re-propagate every
-     accumulated blocking clause, and each cube carries only its own
-     share. *)
-  let owns sub member =
-    List.for_all (fun (f, pos) -> Fact.Set.mem f member = pos) sub.cube
-
-  let broadcast t member =
-    Array.iter
-      (fun s ->
-        if s.alive && owns s member then begin
-          Sat.Solver.add_clause (Encode.solver s.enc)
-            (Encode.blocking_clause s.enc member);
-          Metrics.incr m_cube_broadcasts
-        end)
-      t.subs
-
-  (* One barrier-synchronous round: every live cube does one descent
-     (in parallel, [min jobs live] domains, statically strided so slot
-     ownership is unique), then the coordinator folds the result slots
-     in cube-index order. Returns [true] if any cube exceeded its
-     conflict share. *)
-  let cube_round ?budget t =
-    Metrics.incr m_cube_rounds;
-    Tracing.with_span "enum.cube.round" @@ fun () ->
-    let live = live_indices t in
-    let nlive = List.length live in
-    let per_cube = Option.map (fun b -> max 1 (b / max 1 nlive)) budget in
-    let results : round_result option array =
-      Array.make (Array.length t.subs) None
-    in
-    let solve_one i =
-      let sub = t.subs.(i) in
-      let solver = Encode.solver sub.enc in
-      let targs =
-        if Tracing.is_enabled () then
-          [ ("cube", Metrics.Json.Num (float_of_int i)) ]
-        else []
-      in
-      Tracing.with_span ~args:targs "enum.cube.solve" @@ fun () ->
-      Metrics.observe_span_us m_cube_solve_us @@ fun () ->
-      let r =
-        match per_cube with
-        | Some b -> Sat.Solver.solve_limited ~conflict_budget:b solver
-        | None -> Some (Sat.Solver.solve solver)
-      in
-      results.(i) <-
-        Some
-          (match r with
-          | None -> R_gave_up
-          | Some Sat.Solver.Unsat -> R_unsat
-          | Some Sat.Solver.Sat -> R_member (Sat.Solver.model solver))
-    in
-    let workers = max 1 (min t.jobs nlive) in
-    (if workers <= 1 then List.iter solve_one live
-     else begin
-       let arr = Array.of_list live in
-       let domains =
-         List.init workers (fun w ->
-             Domain.spawn (fun () ->
-                 let i = ref w in
-                 while !i < nlive do
-                   solve_one arr.(!i);
-                   i := !i + workers
-                 done))
-       in
-       List.iter Domain.join domains
-     end);
-    let fresh = ref [] in
-    let gave_up = ref false in
-    List.iter
-      (fun i ->
-        let sub = t.subs.(i) in
-        match results.(i) with
-        | None -> ()
-        | Some R_gave_up -> gave_up := true
-        | Some R_unsat ->
-          sub.alive <- false;
-          Metrics.incr m_cube_dead;
-          Tracing.instant "enum.cube.dead"
-        | Some (R_member model) ->
-          let member = Encode.db_of_model sub.enc model in
-          if not (Set_of_sets.mem member t.produced_set) then begin
-            t.produced_set <- Set_of_sets.add member t.produced_set;
-            fresh := member :: !fresh;
-            Metrics.incr m_cube_members;
-            broadcast t member
-          end)
-      live;
-    t.queue <- t.queue @ List.rev !fresh;
-    if Array.for_all (fun s -> not s.alive) t.subs then note_exhausted t;
-    !gave_up
-
-  (* Unbudgeted portfolio race: [min jobs n_racers] domains interleave
-     growing solve_limited slices over their racers until the first
-     racer finishes; the compare-and-set picks the winner. All racers
-     share one clause set (every blocking clause is broadcast), so a
-     Sat winner's model is a fresh member and an Unsat winner proves
-     exhaustion for everyone. *)
-  let portfolio_race t =
-    Metrics.incr m_port_races;
-    Tracing.with_span "enum.portfolio.race" @@ fun () ->
-    Metrics.observe_span_us m_port_race_us @@ fun () ->
-    let n = Array.length t.subs in
-    let winner = Atomic.make (-1) in
-    let results : round_result option array = Array.make n None in
-    let run_slices mine =
-      let k = Array.length mine in
-      let slice = Array.make k 128 in
-      let done_ = Array.make k false in
-      let remaining = ref k in
-      while !remaining > 0 && Atomic.get winner < 0 do
-        Array.iteri
-          (fun j i ->
-            if (not done_.(j)) && Atomic.get winner < 0 then begin
-              Metrics.incr m_port_slices;
-              let solver = Encode.solver t.subs.(i).enc in
-              match
-                Sat.Solver.solve_limited ~conflict_budget:slice.(j) solver
-              with
-              | None -> slice.(j) <- min (slice.(j) * 2) 1_048_576
-              | Some r ->
-                done_.(j) <- true;
-                decr remaining;
-                results.(i) <-
-                  Some
-                    (match r with
-                    | Sat.Solver.Sat -> R_member (Sat.Solver.model solver)
-                    | Sat.Solver.Unsat -> R_unsat);
-                ignore (Atomic.compare_and_set winner (-1) i)
-            end)
-          mine
-      done
-    in
-    let workers = max 1 (min t.jobs n) in
-    (if workers <= 1 then run_slices (Array.init n Fun.id)
-     else begin
-       let domains =
-         List.init workers (fun w ->
-             let mine =
-               List.init n Fun.id
-               |> List.filter (fun i -> i mod workers = w)
-               |> Array.of_list
-             in
-             Domain.spawn (fun () -> run_slices mine))
-       in
-       List.iter Domain.join domains
-     end);
-    let w = Atomic.get winner in
-    match results.(w) with
-    | Some (R_member model) ->
-      let member = Encode.db_of_model t.subs.(w).enc model in
-      if not (Set_of_sets.mem member t.produced_set) then begin
-        t.produced_set <- Set_of_sets.add member t.produced_set;
-        Metrics.incr m_port_members;
-        broadcast t member;
-        t.queue <- t.queue @ [ member ]
-      end
-    | Some R_unsat -> note_exhausted t
-    | Some R_gave_up | None -> assert false
-
-  (* Budgeted portfolio round: racers in index order, each with an
-     equal share of the call's conflict budget; the first Sat wins.
-     Wholly deterministic — no racing — which is what keeps a
-     Budget_exhausted classification reproducible. *)
-  let portfolio_limited ~conflict_budget t =
-    Metrics.incr m_port_races;
-    let n = Array.length t.subs in
-    let per = max 1 (conflict_budget / n) in
-    let rec attempt i =
-      if i >= n then true (* every racer out of budget *)
-      else begin
-        Metrics.incr m_port_slices;
-        let solver = Encode.solver t.subs.(i).enc in
-        match Sat.Solver.solve_limited ~conflict_budget:per solver with
-        | None -> attempt (i + 1)
-        | Some Sat.Solver.Unsat ->
-          note_exhausted t;
-          false
-        | Some Sat.Solver.Sat ->
-          let member = Encode.db_of_model t.subs.(i).enc (Sat.Solver.model solver) in
-          if not (Set_of_sets.mem member t.produced_set) then begin
-            t.produced_set <- Set_of_sets.add member t.produced_set;
-            Metrics.incr m_port_members;
-            broadcast t member;
-            t.queue <- t.queue @ [ member ]
-          end;
-          false
-      end
-    in
-    attempt 0
-
-  let pop t =
-    match t.queue with
-    | [] -> None
-    | m :: rest ->
-      t.queue <- rest;
-      t.produced <- t.produced + 1;
-      Some m
-
-  let rec next t =
-    match pop t with
-    | Some m -> Some m
-    | None ->
-      if t.exhausted then None
-      else begin
-        (match t.mode with
-        | Cube -> ignore (cube_round t : bool)
-        | Portfolio -> portfolio_race t);
-        next t
-      end
-
-  let next_limited ~conflict_budget t =
-    match pop t with
-    | Some m -> `Member m
-    | None ->
-      if t.exhausted then `Exhausted
-      else begin
-        let gave_up =
-          match t.mode with
-          | Cube -> cube_round ~budget:conflict_budget t
-          | Portfolio -> portfolio_limited ~conflict_budget t
-        in
-        match pop t with
-        | Some m -> `Member m
-        | None ->
-          if t.exhausted then `Exhausted
-          else begin
-            ignore (gave_up : bool);
-            Metrics.incr m_par_gave_up;
-            `Gave_up
-          end
-      end
-
-  let to_list ?limit t =
-    let rec loop acc k =
-      match limit with
-      | Some l when k >= l -> acc
-      | _ -> (
-        match next t with
-        | None -> acc
-        | Some m -> loop (m :: acc) (k + 1))
-    in
-    List.sort Fact.Set.compare (loop [] 0)
-
-  let count ?limit t = List.length (to_list ?limit t)
-  let closure t = t.closure
-  let produced t = t.produced
-  let mode t = t.mode
-  let n_subs t = Array.length t.subs
-end

@@ -71,8 +71,6 @@ val count : ?limit:int -> t -> int
 
 val closure : t -> Closure.t
 val encoding : t -> Encode.t
-val produced : t -> int
-(** Number of members produced so far. *)
 
 val member : t -> Fact.Set.t -> bool
 (** Decision procedure for Why-Provenance_UN[Q]: does the candidate
@@ -80,99 +78,3 @@ val member : t -> Fact.Set.t -> bool
     assumptions that fix [db(τ)] to the candidate; does not interfere
     with the enumeration state (blocking clauses added by {!next} are
     respected, so call it on a fresh [t] or account for that). *)
-
-(** Intra-tuple parallel enumeration: several solver instances on one
-    tuple's formula.
-
-    {b Cube-and-conquer} picks the [k] highest-activity db-fact
-    selector variables (VSIDS activity from a short probing solve) and
-    builds [2^k] copies of the encoding, each with one polarity
-    assignment of those variables asserted as top-level units. The
-    cubes partition the member space, rounds are barrier-synchronous
-    (one descent per live cube, coordinator folds results in
-    cube-index order, blocking clauses broadcast at the barrier), so
-    the member {e sequence} is deterministic — independent of [jobs]
-    and scheduling.
-
-    {b Portfolio} races a fixed panel of solver configurations
-    (restarts, decay, default phase, inprocessing) on the same
-    formula; first finished racer wins, blocking clauses go to every
-    racer. The member {e set} is deterministic (it is the model set);
-    the unbudgeted production {e order} may vary with timing, which is
-    why {!Par.to_list} order-normalizes.
-
-    [smallest_first] and [minimize_blocking] are rejected with
-    [Invalid_argument]: the totalizer bound and assumption-based core
-    reduction are per-solver state whose soundness arguments do not
-    survive splitting (a clause minimized inside one cube would
-    exclude assignments outside the cube that were never proven
-    member-free). *)
-module Par : sig
-  type mode =
-    | Cube       (** cube-and-conquer over [2^k] selector cubes *)
-    | Portfolio  (** fixed panel of racing solver configurations *)
-
-  type t
-
-  val create :
-    ?acyclicity:Encode.acyclicity ->
-    ?max_fill:int ->
-    ?smallest_first:bool ->
-    ?preprocess:bool ->
-    ?minimize_blocking:bool ->
-    ?mode:mode ->
-    ?cube_vars:int ->
-    ?jobs:int ->
-    Program.t ->
-    Database.t ->
-    Fact.t ->
-    t
-  (** Like {!Enumerate.create} with a parallel mode. [mode] defaults to
-      [Cube]; [cube_vars] (default 2, clamped to 6) is the [k] of
-      [2^k] cubes; [jobs] (default 1) caps the domains used per round
-      or race. [smallest_first] / [minimize_blocking] raise
-      [Invalid_argument] when [true]. *)
-
-  val of_closure :
-    ?acyclicity:Encode.acyclicity ->
-    ?max_fill:int ->
-    ?smallest_first:bool ->
-    ?preprocess:bool ->
-    ?minimize_blocking:bool ->
-    ?mode:mode ->
-    ?cube_vars:int ->
-    ?jobs:int ->
-    Closure.t ->
-    t
-  (** Same, reusing a downward closure built by the caller. May raise
-      {!Encode.Too_large} (one encoding is built per cube / racer). *)
-
-  val next : t -> Fact.Set.t option
-  (** The next member, or [None] when exhausted. Cube mode: rounds are
-      buffered, so one call may run a round that yields several members
-      (drained one per call). Cube order is deterministic; portfolio
-      order may vary with timing (the set never does). *)
-
-  val next_limited :
-    conflict_budget:int ->
-    t ->
-    [ `Member of Datalog.Fact.Set.t | `Exhausted | `Gave_up ]
-  (** Like {!next} with the conflict budget applying to the {e total}
-      work of the call: a cube round splits it equally over the live
-      cubes, a portfolio round walks the racers in index order with an
-      equal share each (no racing — deterministic). Buffered members
-      from an earlier round are handed out without spending budget. *)
-
-  val to_list : ?limit:int -> t -> Fact.Set.t list
-  (** Drains the enumeration (up to [limit] members) and returns the
-      members order-normalized (sorted by {!Fact.Set.compare}) — the
-      canonical form the differential tests compare across modes. *)
-
-  val count : ?limit:int -> t -> int
-  val closure : t -> Closure.t
-  val produced : t -> int
-  val mode : t -> mode
-
-  val n_subs : t -> int
-  (** Number of sub-enumerations (cubes or racers) actually built. *)
-end

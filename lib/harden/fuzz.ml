@@ -34,7 +34,6 @@ let m_engine_checks = Metrics.counter "harden.fuzz.engine_checks"
 let m_planner_checks = Metrics.counter "harden.fuzz.planner_checks"
 let m_slice_checks = Metrics.counter "harden.fuzz.slice_checks"
 let m_prov_checks = Metrics.counter "harden.fuzz.prov_checks"
-let m_par_checks = Metrics.counter "harden.fuzz.par_checks"
 let m_bugs = Metrics.counter "harden.fuzz.bugs"
 let m_shrink_tests = Metrics.counter "harden.fuzz.shrink_tests"
 
@@ -341,62 +340,6 @@ let check_provenance (t : W.Randprog.t) =
     first_error goals
   end
 
-(* Parallel enumeration (Enumerate.Par, cube-and-conquer and
-   portfolio) against the powerset oracle, on every derived IDB fact —
-   the determinism-and-soundness contract of the intra-tuple scheduler:
-   order-normalized member sets identical to the definition whatever
-   the mode, the cube count or the jobs count. *)
-let check_par_enum (t : W.Randprog.t) =
-  let program = W.Randprog.program t in
-  let db = W.Randprog.database t in
-  if D.Database.size db > 9 then
-    invalid_arg "Fuzz.check_par_enum: database too large for the oracle";
-  let model = D.Eval.seminaive program db in
-  let goals =
-    D.Database.to_list model
-    |> List.filter (fun f ->
-           D.Program.is_idb program (D.Fact.pred f)
-           && not (D.Database.mem db f))
-    |> List.sort D.Fact.compare
-  in
-  if goals = [] then Ok ()
-  else begin
-    Metrics.incr m_par_checks;
-    let variants =
-      [
-        ("cube k=2 jobs=2", P.Enumerate.Par.Cube, 2, 2);
-        ("cube k=1 jobs=1", P.Enumerate.Par.Cube, 1, 1);
-        ("portfolio jobs=2", P.Enumerate.Par.Portfolio, 0, 2);
-      ]
-    in
-    let check_goal goal =
-      let oracle = Oracle.why_un_powerset program db goal in
-      let rec go = function
-        | [] -> Ok ()
-        | (label, mode, cube_vars, jobs) :: rest ->
-          let members =
-            P.Enumerate.Par.to_list
-              (P.Enumerate.Par.create ~mode ~cube_vars ~jobs program db goal)
-          in
-          if not (List.equal D.Fact.Set.equal members oracle) then
-            Error
-              (Printf.sprintf
-                 "why_UN(%s) with %s: %d member(s) vs %d from the powerset \
-                  oracle"
-                 (D.Fact.to_string goal) label (List.length members)
-                 (List.length oracle))
-          else go rest
-      in
-      go variants
-    in
-    let rec first_error = function
-      | [] -> Ok ()
-      | g :: rest -> (
-        match check_goal g with Ok () -> first_error rest | e -> e)
-    in
-    first_error goals
-  end
-
 (* --- The fuzz loop ----------------------------------------------------- *)
 
 type bug = {
@@ -417,7 +360,6 @@ type summary = {
   s_planner_checks : int;
   s_slice_checks : int;
   s_prov_checks : int;
-  s_par_checks : int;
   s_bugs : bug list;
 }
 
@@ -449,9 +391,7 @@ let gen_cnf_instance rng =
     let colors = Util.Rng.int_in rng 1 2 in
     ("grid-coloring", Gen.grid_coloring ~width ~height ~colors)
 
-let run ?(solvers = default_cnf_solvers ()) ?(mode = `All) ?progress ~seed
-    ~iters () =
-  let all = mode = `All in
+let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
   let bugs = ref [] in
   let push b =
     Metrics.incr m_bugs;
@@ -462,107 +402,79 @@ let run ?(solvers = default_cnf_solvers ()) ?(mode = `All) ?progress ~seed
      top-level checks only. *)
   let cnf_checks = ref 0 and engine_checks = ref 0 and prov_checks = ref 0 in
   let planner_checks = ref 0 and slice_checks = ref 0 in
-  let par_checks = ref 0 in
   for i = 0 to iters - 1 do
     Metrics.incr m_iters;
     (match progress with Some f -> f i | None -> ());
     let rng = iter_rng seed i in
-    (* The per-iteration rng splits happen in a fixed order whatever
-       [mode], so instance streams — and therefore reproducers — are
-       identical between an `All run and a focused `Par_enum run. *)
     (* CNF differential. *)
-    let rng_cnf = Util.Rng.split rng in
-    if all then begin
-      let family, cnf = gen_cnf_instance rng_cnf in
-      incr cnf_checks;
-      match check_cnf_with solvers cnf with
-      | Ok () -> ()
-      | Error message ->
-        let failing clauses =
-          check_cnf_with solvers { cnf with Gen.clauses } |> Result.is_error
-        in
-        let clauses = shrink_cnf ~failing cnf.Gen.clauses in
-        push
-          {
-            seed; iter = i; kind = "cnf"; detail = family; message;
-            cnf = Some { cnf with Gen.clauses }; prog = None;
-          }
-    end;
+    let family, cnf = gen_cnf_instance (Util.Rng.split rng) in
+    incr cnf_checks;
+    (match check_cnf_with solvers cnf with
+    | Ok () -> ()
+    | Error message ->
+      let failing clauses =
+        check_cnf_with solvers { cnf with Gen.clauses } |> Result.is_error
+      in
+      let clauses = shrink_cnf ~failing cnf.Gen.clauses in
+      push
+        {
+          seed; iter = i; kind = "cnf"; detail = family; message;
+          cnf = Some { cnf with Gen.clauses }; prog = None;
+        });
     (* Flat-vs-structural engine differential. *)
-    let rng_engine = Util.Rng.split rng in
-    if all then begin
-      let t = W.Randprog.generate rng_engine in
-      incr engine_checks;
-      (match check_engine t with
-      | Ok () -> ()
-      | Error message ->
-        let still_failing t' = Result.is_error (check_engine t') in
-        let t' = W.Randprog.shrink ~still_failing t in
-        push
-          {
-            seed; iter = i; kind = "engine"; detail = "randprog"; message;
-            cnf = None; prog = Some t';
-          });
-      (* Cost-based vs heuristic join plans, on the same instance. *)
-      incr planner_checks;
-      match check_planner t with
-      | Ok () -> ()
-      | Error message ->
-        let still_failing t' = Result.is_error (check_planner t') in
-        let t' = W.Randprog.shrink ~still_failing t in
-        push
-          {
-            seed; iter = i; kind = "planner"; detail = "randprog"; message;
-            cnf = None; prog = Some t';
-          }
-    end;
+    let t = W.Randprog.generate (Util.Rng.split rng) in
+    incr engine_checks;
+    (match check_engine t with
+    | Ok () -> ()
+    | Error message ->
+      let still_failing t' = Result.is_error (check_engine t') in
+      let t' = W.Randprog.shrink ~still_failing t in
+      push
+        {
+          seed; iter = i; kind = "engine"; detail = "randprog"; message;
+          cnf = None; prog = Some t';
+        });
+    (* Cost-based vs heuristic join plans, on the same instance. *)
+    incr planner_checks;
+    (match check_planner t with
+    | Ok () -> ()
+    | Error message ->
+      let still_failing t' = Result.is_error (check_planner t') in
+      let t' = W.Randprog.shrink ~still_failing t in
+      push
+        {
+          seed; iter = i; kind = "planner"; detail = "randprog"; message;
+          cnf = None; prog = Some t';
+        });
     (* why_UN against the powerset oracle, on a tiny database. *)
-    let rng_prov = Util.Rng.split rng in
     let t =
       W.Randprog.generate ~min_rules:1 ~max_rules:4 ~min_facts:2 ~max_facts:8
-        rng_prov
+        (Util.Rng.split rng)
     in
-    if all then begin
-      incr prov_checks;
-      (match check_provenance t with
-      | Ok () -> ()
-      | Error message ->
-        let still_failing t' =
-          D.Database.size (W.Randprog.database t') <= 9
-          && Result.is_error (check_provenance t')
-        in
-        let t' = W.Randprog.shrink ~still_failing t in
-        push
-          {
-            seed; iter = i; kind = "provenance"; detail = "randprog"; message;
-            cnf = None; prog = Some t';
-          });
-      (* Slice certificate + sliced-vs-unsliced why-sets, same instance. *)
-      incr slice_checks;
-      match check_slice t with
-      | Ok () -> ()
-      | Error message ->
-        let still_failing t' = Result.is_error (check_slice t') in
-        let t' = W.Randprog.shrink ~still_failing t in
-        push
-          {
-            seed; iter = i; kind = "slice"; detail = "randprog"; message;
-            cnf = None; prog = Some t';
-          }
-    end;
-    (* Parallel enumeration vs the powerset oracle, same tiny instance. *)
-    incr par_checks;
-    match check_par_enum t with
+    incr prov_checks;
+    (match check_provenance t with
     | Ok () -> ()
     | Error message ->
       let still_failing t' =
         D.Database.size (W.Randprog.database t') <= 9
-        && Result.is_error (check_par_enum t')
+        && Result.is_error (check_provenance t')
       in
       let t' = W.Randprog.shrink ~still_failing t in
       push
         {
-          seed; iter = i; kind = "par-enum"; detail = "randprog"; message;
+          seed; iter = i; kind = "provenance"; detail = "randprog"; message;
+          cnf = None; prog = Some t';
+        });
+    (* Slice certificate + sliced-vs-unsliced why-sets, same instance. *)
+    incr slice_checks;
+    match check_slice t with
+    | Ok () -> ()
+    | Error message ->
+      let still_failing t' = Result.is_error (check_slice t') in
+      let t' = W.Randprog.shrink ~still_failing t in
+      push
+        {
+          seed; iter = i; kind = "slice"; detail = "randprog"; message;
           cnf = None; prog = Some t';
         }
   done;
@@ -574,7 +486,6 @@ let run ?(solvers = default_cnf_solvers ()) ?(mode = `All) ?progress ~seed
     s_planner_checks = !planner_checks;
     s_slice_checks = !slice_checks;
     s_prov_checks = !prov_checks;
-    s_par_checks = !par_checks;
     s_bugs = List.rev !bugs;
   }
 
@@ -622,9 +533,9 @@ let write_reproducers ~dir summary =
 let pp_summary ppf s =
   Format.fprintf ppf
     "fuzz seed %d: %d iteration(s), %d cnf / %d engine / %d planner / %d \
-     slice / %d provenance / %d par-enum check(s), %d bug(s)"
+     slice / %d provenance check(s), %d bug(s)"
     s.s_seed s.s_iters s.s_cnf_checks s.s_engine_checks s.s_planner_checks
-    s.s_slice_checks s.s_prov_checks s.s_par_checks
+    s.s_slice_checks s.s_prov_checks
     (List.length s.s_bugs);
   List.iter
     (fun b ->

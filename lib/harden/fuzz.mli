@@ -1,6 +1,6 @@
 (** Differential fuzzing with shrinking (docs/HARDENING.md).
 
-    One seeded loop, six differentials per iteration:
+    One seeded loop, five differentials per iteration:
 
     - {b CNF}: a random or structured formula ({!Gen}) solved by a
       portfolio of pipeline configurations (preprocessing on/off,
@@ -20,10 +20,6 @@
       every IDB predicate — {!Whyprov_analysis.Absint.certify} must
       hold, and the why-sets of every derived query fact must agree
       between the sliced and unsliced pipelines.
-    - {b par-enum}: the intra-tuple parallel enumerators
-      ({!Provenance.Enumerate.Par} — cube-and-conquer at two split
-      widths and the portfolio racer, at more than one jobs count) vs
-      the powerset oracle on the same tiny instance.
 
     A disagreement is greedily minimized (clauses/literals, or
     rules/facts) and rendered as a reproducer whose header records
@@ -73,19 +69,17 @@ val check_engine : Workloads.Randprog.t -> (unit, string) result
 val check_planner : Workloads.Randprog.t -> (unit, string) result
 val check_slice : Workloads.Randprog.t -> (unit, string) result
 val check_provenance : Workloads.Randprog.t -> (unit, string) result
-val check_par_enum : Workloads.Randprog.t -> (unit, string) result
-(** The Datalog differentials. [check_provenance] and [check_par_enum]
-    expect the (deduplicated) database within the powerset oracle's
-    reach ([check_slice] silently skips its why-set comparison beyond
-    that, but always checks the certificate).
-    @raise Invalid_argument beyond 9 facts ([check_provenance] and
-    [check_par_enum] only). *)
+(** The Datalog differentials. [check_provenance] expects the
+    (deduplicated) database within the powerset oracle's reach
+    ([check_slice] silently skips its why-set comparison beyond that,
+    but always checks the certificate).
+    @raise Invalid_argument beyond 9 facts ([check_provenance] only). *)
 
 type bug = {
   seed : int;
   iter : int;
   kind : string;
-      (** "cnf", "engine", "planner", "slice", "provenance", "par-enum" *)
+      (** "cnf", "engine", "planner", "slice", "provenance" *)
   detail : string;                    (** instance family / solver label *)
   message : string;
   cnf : Gen.cnf option;               (** shrunk, for [kind = "cnf"] *)
@@ -100,23 +94,18 @@ type summary = {
   s_planner_checks : int;
   s_slice_checks : int;
   s_prov_checks : int;
-  s_par_checks : int;
   s_bugs : bug list;  (** in discovery order *)
 }
 
 val run :
   ?solvers:cnf_solver list ->
-  ?mode:[ `All | `Par_enum ] ->
   ?progress:(int -> unit) ->
   seed:int ->
   iters:int ->
   unit ->
   summary
 (** The fuzz loop. [progress] is called with the iteration index before
-    each iteration. [mode] (default [`All]) selects the differentials:
-    [`Par_enum] runs only the par-enum check, but draws the random
-    streams in the same order, so any [(seed, iter)] reproducer found
-    in a focused run regenerates identically under [`All]. *)
+    each iteration. *)
 
 val reproducer : bug -> string * string
 (** [(filename, contents)]: a [.cnf] or [.dl] file whose comment header

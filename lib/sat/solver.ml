@@ -316,15 +316,6 @@ let bump_var t v =
   end;
   Heap.decrease t.order v
 
-(* VSIDS score snapshot, rescaled to [0, 1] so callers can compare
-   scores across solver instances (each instance rescales its raw
-   activities at its own 1e100 overflow points). *)
-let var_activity t =
-  let a = Array.sub t.activity 0 t.nvars in
-  let max_a = Array.fold_left Float.max 0.0 a in
-  if max_a > 0.0 then Array.iteri (fun i x -> a.(i) <- x /. max_a) a;
-  a
-
 let bump_clause t c =
   c.act <- c.act +. t.cla_inc;
   if c.act > 1e20 then begin

@@ -115,12 +115,6 @@ type stats = {
 
 val stats : t -> stats
 
-val var_activity : t -> float array
-(** Snapshot of the VSIDS variable activities, normalized to [[0, 1]]
-    (1 = the currently most active variable; all zero before the first
-    conflict). The cube-and-conquer enumerator reads this after a short
-    probing solve to pick its cube variables. *)
-
 (** {1 Progress telemetry}
 
     A periodic sample of the search's vital signs in the MiniSat /

@@ -197,6 +197,49 @@ let test_next_limited_resume () =
   Alcotest.(check bool) "same members in same order" true
     (List.for_all2 D.Fact.Set.equal expected got)
 
+(* --- Budget path ------------------------------------------------------------ *)
+
+let test_batch_budget_exhausted () =
+  (* The same conflicting 3SAT reduction through Batch.run: a 1-conflict
+     budget must stop each tuple with Budget_exhausted, keeping the
+     members found so far — a prefix of the unbudgeted sequential
+     order — and the worker count must not change any of it. The goal
+     is listed twice so that ~jobs:2 really runs two workers. *)
+  let cnf = [ [ 1; 2; 3 ]; [ -1; -2; 3 ]; [ 1; -2; -3 ]; [ -1; 2; -3 ] ] in
+  let inst = P.Reductions.of_3sat ~nvars:3 cnf in
+  let program = inst.P.Reductions.program in
+  let db = inst.P.Reductions.database in
+  let goal = inst.P.Reductions.goal in
+  let sequential =
+    P.Enumerate.to_list (P.Enumerate.create ~preprocess:false program db goal)
+  in
+  let rec is_prefix prefix full =
+    match (prefix, full) with
+    | [], _ -> true
+    | p :: ps, f :: fs -> D.Fact.Set.equal p f && is_prefix ps fs
+    | _ :: _, [] -> false
+  in
+  let run jobs =
+    P.Batch.run ~jobs ~conflict_budget:1 ~preprocess:false program db
+      (P.Batch.Facts [ goal; goal ])
+  in
+  let one = run 1 and two = run 2 in
+  Alcotest.(check int) "two workers used" 2 two.P.Batch.jobs;
+  List.iter
+    (fun (r : P.Batch.result) ->
+      Alcotest.(check bool) "status is Budget_exhausted" true
+        (r.P.Batch.status = P.Batch.Budget_exhausted);
+      Alcotest.(check bool) "members are a sequential prefix" true
+        (is_prefix r.P.Batch.members sequential))
+    (one.P.Batch.results @ two.P.Batch.results);
+  List.iter2
+    (fun (a : P.Batch.result) (b : P.Batch.result) ->
+      Alcotest.(check bool) "jobs 1 = jobs 2" true
+        (D.Fact.equal a.P.Batch.fact b.P.Batch.fact
+        && a.P.Batch.status = b.P.Batch.status
+        && List.equal D.Fact.Set.equal a.P.Batch.members b.P.Batch.members))
+    one.P.Batch.results two.P.Batch.results
+
 (* --- Shared instance cache ----------------------------------------------- *)
 
 let closure_fingerprint c =
@@ -280,6 +323,8 @@ let suite =
     @ [
         tc "terminal unsat certified" `Quick test_batch_terminal_unsat_certified;
         tc "next_limited resume" `Quick test_next_limited_resume;
+        tc "budget exhausted = sequential prefix" `Quick
+          test_batch_budget_exhausted;
         tc "cached closure = standalone" `Quick test_cached_closure_equals_standalone;
         tc "statuses and ranks" `Quick test_batch_statuses;
         tc "all-answers ordering" `Quick test_all_answers_sorted;
