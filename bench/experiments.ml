@@ -550,132 +550,6 @@ let engine () =
       doctors.W.Scenario.program
       (fun n -> W.Doctors.database ~facts:n ~seed:(config.seed + 5) ())
 
-(* --- Planner: heuristic vs cost-based join ordering ---------------------- *)
-
-(* One row per workload at its largest size: materialization wall time
-   under the built-in heuristic join order vs under cost-based ordering
-   fed by the abstract interpreter's cardinality estimates
-   (Whyprov_analysis.Absint), plus the analysis time itself. Join order
-   never changes a per-round result set, so model and ranks must be
-   identical — the row says so. The skewed-join workload is the
-   motivating case: its chain rule reads mid, big, small left to right,
-   so the heuristic builds a mid-x-big intermediate that the final
-   5-row probe throws away, while the cost-based plan opens with the
-   small relation and walks the chain backwards. *)
-let planner () =
-  header "Planner — heuristic vs cost-based join ordering (Absint estimates)";
-  row "  %-14s %9s %9s | %9s %9s %9s %8s | %s\n" "workload" "facts" "model"
-    "analyze" "heuristic" "cost" "speedup" "identical";
-  let module A = Whyprov_analysis in
-  let measure run =
-    Gc.compact ();
-    let ranks : int D.Fact.Table.t = D.Fact.Table.create 1024 in
-    let (model : D.Database.t), seconds = time (fun () -> run ranks) in
-    let best = ref seconds in
-    let reps = ref 1 in
-    while !reps < 3 && !best *. float_of_int (!reps + 1) < 2.0 do
-      let throwaway : int D.Fact.Table.t = D.Fact.Table.create 1024 in
-      let _, t = time (fun () -> run throwaway) in
-      best := min !best t;
-      incr reps
-    done;
-    (model, ranks, !best)
-  in
-  let bench name program db =
-    stats_begin ();
-    let facts = D.Database.size db in
-    let analysis, analyze_s = time (fun () -> A.Absint.analyze program db) in
-    let stats = A.Absint.stats analysis in
-    let m_heur, r_heur, heur_s =
-      measure (fun ranks -> D.Eval.seminaive ~ranks program db)
-    in
-    let m_cost, r_cost, cost_s =
-      measure (fun ranks -> D.Eval.seminaive ~ranks ~stats program db)
-    in
-    let identical =
-      D.Fact.Set.equal (D.Database.to_set m_heur) (D.Database.to_set m_cost)
-      && D.Fact.Table.length r_heur = D.Fact.Table.length r_cost
-      && D.Fact.Table.fold
-           (fun f r acc -> acc && D.Fact.Table.find_opt r_cost f = Some r)
-           r_heur true
-    in
-    let speedup = heur_s /. cost_s in
-    emit_stats_row "planner"
-      Metrics.Json.
-        [
-          ("workload", Str name);
-          ("facts", Num (float_of_int facts));
-          ("model", Num (float_of_int (D.Database.size m_heur)));
-          ("analyze_s", Num analyze_s);
-          ("heuristic_s", Num heur_s);
-          ("cost_s", Num cost_s);
-          ("speedup", Num speedup);
-          ("identical", Str (if identical then "yes" else "NO"));
-        ];
-    row "  %-14s %9d %9d | %9s %9s %9s %7.2fx | %s\n" name facts
-      (D.Database.size m_heur) (time_str analyze_s) (time_str heur_s)
-      (time_str cost_s) speedup
-      (if identical then "yes" else "NO — BUG")
-  in
-  let at_most cap n = min cap (max 10 (int_of_float (float_of_int n *. config.scale))) in
-  let tc = W.Transclosure.scenario () in
-  bench "TransClosure" tc.W.Scenario.program
-    (W.Transclosure.bitcoin_like ~facts:(at_most 100_000 100_000)
-       ~seed:(config.seed + 1) ());
-  let csda = W.Csda.scenario () in
-  bench "CSDA" csda.W.Scenario.program
-    (W.Csda.dataflow_graph ~facts:(at_most 100_000 100_000)
-       ~seed:(config.seed + 2) ~points:0 ());
-  let andersen = W.Andersen.scenario () in
-  bench "Andersen" andersen.W.Scenario.program
-    (W.Andersen.statements ~facts:(at_most 100_000 100_000)
-       ~seed:(config.seed + 3) ~vars:0 ());
-  let galen = W.Galen.scenario () in
-  bench "Galen" galen.W.Scenario.program
-    (W.Galen.ontology ~facts:(at_most 10_000 10_000) ~seed:(config.seed + 4)
-       ~classes:0 ());
-  (match W.Doctors.scenarios () with
-  | [] -> ()
-  | doctors :: _ ->
-    bench "Doctors-1" doctors.W.Scenario.program
-      (W.Doctors.database ~facts:(at_most 100_000 100_000)
-         ~seed:(config.seed + 5) ()));
-  (* Skewed-cardinality chain join: the rule names the relations in
-     left-to-right order mid, big, small, so the connectivity heuristic
-     (score tie on the opening atom, broken by body position) starts
-     from mid and joins big next — a huge intermediate of
-     |mid| x fanout(big) bindings of which almost none survive the
-     final small probe. The cost-based plan opens with the 5-row small
-     relation and walks the chain backwards, touching a few hundred
-     rows. The EDB is kept small so join work, not fact
-     materialization, dominates the measurement. *)
-  let skew_program =
-    fst
-      (D.Parser.program_of_string
-         "q(X,Z) :- mid(X,Y), big(Y,W), small(W,Z).")
-  in
-  let n_mid = at_most 4_000 4_000 in
-  let n_keys = 50 in
-  let n_fan = 100 in
-  let skew_db =
-    D.Database.of_list
-      (List.init n_mid (fun i ->
-           D.Fact.of_strings "mid"
-             [ Printf.sprintf "x%d" i; Printf.sprintf "y%d" (i mod n_keys) ])
-      @ List.concat
-          (List.init n_keys (fun j ->
-               List.init n_fan (fun f ->
-                   D.Fact.of_strings "big"
-                     [
-                       Printf.sprintf "y%d" j;
-                       Printf.sprintf "w%d" ((j * n_fan) + f);
-                     ])))
-      @ List.init 5 (fun k ->
-            D.Fact.of_strings "small"
-              [ Printf.sprintf "w%d" (k * n_fan); Printf.sprintf "z%d" k ]))
-  in
-  bench "skewed-join" skew_program skew_db
-
 (* --- Preprocessing: SatELite-style simplification payoff ----------------- *)
 
 (* One row per (scenario, db, tuple): the formula size before and after

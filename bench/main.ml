@@ -16,7 +16,7 @@ let usage () =
      [--budget N] [--seed N] [--jobs N] [--stats-out FILE.json] \
      [--trace-out FILE.json] [--rev LABEL] [--check BASELINE.json] \
      [--check-tol R] \
-     [table1|fig1|fig2|fig3|fig4|fig5|hardness|ablation|combined|batch|analysis|engine|planner|preprocess|tracing|corpus|micro|all]...";
+     [table1|fig1|fig2|fig3|fig4|fig5|hardness|ablation|combined|batch|analysis|engine|preprocess|tracing|corpus|micro|all]...";
   exit 1
 
 let () =
@@ -104,7 +104,6 @@ let () =
     | "batch" -> Experiments.batch ()
     | "analysis" -> Experiments.analysis ()
     | "engine" -> Experiments.engine ()
-    | "planner" -> Experiments.planner ()
     | "preprocess" -> Experiments.preprocess ()
     | "tracing" -> Experiments.tracing ()
     | "corpus" -> Experiments.corpus ()
@@ -120,7 +119,6 @@ let () =
       Experiments.batch ();
       Experiments.analysis ();
       Experiments.engine ();
-      Experiments.planner ();
       Experiments.preprocess ();
       Experiments.tracing ();
       Experiments.corpus ();

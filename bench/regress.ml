@@ -7,7 +7,7 @@
    row of the baseline is the nth "engine" row of the re-run. Fields
    are then compared one by one, driven by the baseline row:
 
-   - strings and booleans (workloads, statuses, the engine/planner
+   - strings and booleans (workloads, statuses, the engine
      "identical" verdicts, model-size invariants encoded as strings)
      must match exactly;
    - numeric fields ending in "_s" are wall times: the fresh value may

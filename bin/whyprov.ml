@@ -116,7 +116,7 @@ let setup_progress progress =
 
 (* Enable the rule-level profiler and register the report for process
    exit: bare [--profile] prints the human tree to stderr (stdout stays
-   diffable), [--profile=FILE] writes the whyprov.profile/1 JSON
+   diffable), [--profile=FILE] writes the whyprov.profile/2 JSON
    document to FILE. The accumulated profile covers every fixpoint the
    command ran (explain/batch materializations included). *)
 let setup_profile profile =
@@ -180,24 +180,17 @@ let parse_subset s =
       | D.Parser.Clause_rule _ -> failwith "subset must contain only facts")
     D.Fact.Set.empty clauses
 
-(* Analysis-driven preparation shared by explain/batch: runs the
-   abstract-interpretation layer when cost planning or slicing is
-   requested, applies the slice, and returns the (possibly sliced)
-   program and database plus the planner statistics. The slice report
-   goes to stderr, keeping stdout diffable against an unsliced run. *)
-let prepare ~plan ~slice query_pred program db =
-  if plan = `Heuristic && not slice then (program, db, None)
+(* Query-relevance slicing shared by explain/batch: with [slice], runs
+   the abstract-interpretation layer and returns the sliced program and
+   database. The slice report goes to stderr, keeping stdout diffable
+   against an unsliced run. *)
+let prepare ~slice query_pred program db =
+  if not slice then (program, db)
   else begin
     let analysis = A.Absint.analyze program db in
-    let stats =
-      if plan = `Cost then Some (A.Absint.stats analysis) else None
-    in
-    if slice then begin
-      let s = A.Absint.slice analysis ~query:(D.Symbol.intern query_pred) in
-      Format.eprintf "%a@." A.Absint.pp_slice s;
-      (s.A.Absint.s_program, A.Absint.relevant_db s db, stats)
-    end
-    else (program, db, stats)
+    let s = A.Absint.slice analysis ~query:(D.Symbol.intern query_pred) in
+    Format.eprintf "%a@." A.Absint.pp_slice s;
+    (s.A.Absint.s_program, A.Absint.relevant_db s db)
   end
 
 (* --- Commands --------------------------------------------------------- *)
@@ -222,12 +215,12 @@ let check_derivable closure fact =
   end
 
 let cmd_explain () path query_pred tuple limit use_tc smallest witness
-    no_preprocess minimize plan slice =
+    no_preprocess minimize slice =
   let program, db = load_checked ~query:query_pred path in
-  let program, db, stats = prepare ~plan ~slice query_pred program db in
+  let program, db = prepare ~slice query_pred program db in
   let q = P.Explain.query program query_pred in
   let fact = P.Explain.goal q (parse_tuple tuple) in
-  let closure = P.Closure.build ?stats program db fact in
+  let closure = P.Closure.build program db fact in
   check_derivable closure fact;
   let preprocess = not no_preprocess in
   if witness then begin
@@ -266,9 +259,9 @@ let cmd_explain () path query_pred tuple limit use_tc smallest witness
   end
 
 let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
-    minimize plan slice =
+    minimize slice =
   let program, db = load_checked ~query:query_pred path in
-  let program, db, stats = prepare ~plan ~slice query_pred program db in
+  let program, db = prepare ~slice query_pred program db in
   let q = P.Explain.query program query_pred in
   let explicit = tuples <> [] && not all in
   let spec =
@@ -279,7 +272,7 @@ let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
   let conflict_budget = if budget > 0 then Some budget else None in
   let outcome =
     P.Batch.run ~jobs ~limit ?conflict_budget ~preprocess:(not no_preprocess)
-      ~minimize_blocking:minimize ?stats program db spec
+      ~minimize_blocking:minimize program db spec
   in
   (* Stdout is tuple-ordered and independent of --jobs: the paired
      smoke tests diff a --jobs 1 run against a --jobs 2 run. *)
@@ -329,27 +322,24 @@ let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
       exit 1
   end
 
-(* The rule-level profiler: whyprov profile FILE [-q PRED] [--plan=MODE]
-   [--jobs N]. Materializes the model once with profiling enabled and
-   prints per-rule / per-atom / per-SCC attribution plus the
-   estimate-vs-actual plan audit (estimates from the
-   abstract-interpretation layer, actuals from the profile and the
-   materialized model). Human output is the SCC → rule → atom tree;
-   --format=json emits the whyprov.profile/1 document with an "audit"
-   member. --no-times drops the (nondeterministic) wall-time fields, so
-   two runs of the same instance are byte-identical whatever --jobs. *)
-let cmd_profile () path query jobs plan format top no_times out =
+(* The rule-level profiler: whyprov profile FILE [-q PRED] [--jobs N].
+   Materializes the model once with profiling enabled and prints
+   per-rule / per-atom / per-SCC attribution plus the estimate-vs-actual
+   audit (row estimates from the abstract-interpretation layer, actual
+   row counts from the materialized model). Human output is the
+   SCC → rule → atom tree; --format=json emits the whyprov.profile/2
+   document with an "audit" member. --no-times drops the
+   (nondeterministic) wall-time fields, so two runs of the same
+   instance are byte-identical whatever --jobs. *)
+let cmd_profile () path query jobs format top no_times out =
   let program, db = load_checked ?query path in
-  let analysis = A.Absint.analyze program db in
-  let est = A.Absint.stats analysis in
-  let stats = if plan = `Cost then Some est else None in
+  let est = A.Absint.stats (A.Absint.analyze program db) in
   D.Profile.reset ();
   D.Profile.set_enabled true;
-  let model = D.Eval.seminaive ~jobs ?stats program db in
+  let model = D.Eval.seminaive ~jobs program db in
   D.Profile.set_enabled false;
   let prof = D.Profile.snapshot () in
-  let actual = D.Stats.of_database model in
-  let audit = D.Profile.audit ~est ~actual program prof in
+  let audit = D.Profile.audit ~est ~actual:(D.Stats.of_database model) in
   match format with
   | `Human ->
     Format.printf "%a" (D.Profile.pp ~top) prof;
@@ -414,15 +404,12 @@ let cmd_absint_report () path query plans format =
         ads);
     Format.printf "%a@." A.Absint.pp_slice (A.Absint.slice analysis ~query:qsym));
   if plans then begin
-    let stats = A.Absint.stats analysis in
-    Format.printf "join plans (full-evaluation tasks, heuristic vs cost):@.";
+    Format.printf "join plans (full-evaluation tasks):@.";
     List.iter
       (fun r ->
         Format.printf "rule %d: %a@." r.D.Rule.id D.Rule.pp r;
         Format.printf "  heuristic: %a@." D.Plan.pp
-          (D.Plan.compile program r ~delta:(-1));
-        Format.printf "  cost:      %a@." D.Plan.pp
-          (D.Plan.compile ~stats program r ~delta:(-1)))
+          (D.Plan.compile program r ~delta:(-1)))
       (D.Program.rules program)
   end
 
@@ -634,12 +621,23 @@ let all_arg =
               $(b,--tuple) is given).")
 
 let jobs_arg =
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   Arg.(
     value
-    & opt int 1
+    & opt positive_int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains for the encode/enumerate fan-out (default 1: \
-              run sequentially on the calling domain).")
+        ~doc:"Worker domains, at least 1 (default 1: run sequentially on \
+              the calling domain). $(b,batch) fans the per-tuple \
+              encode/enumerate work over them; $(b,profile) evaluates each \
+              fixpoint round's rule tasks on them.")
 
 let budget_arg =
   Arg.(
@@ -678,19 +676,6 @@ let deny_warnings_arg =
     & info [ "deny-warnings" ]
         ~doc:"Exit 1 when any warning is reported (CI gate).")
 
-let plan_arg =
-  let modes = Arg.enum [ ("heuristic", `Heuristic); ("cost", `Cost) ] in
-  Arg.(
-    value
-    & opt modes `Heuristic
-    & info [ "plan" ] ~docv:"MODE"
-        ~doc:
-          "Join-order mode for the fixpoint: $(b,heuristic) (default; \
-           bound-prefix scoring) or $(b,cost) (cardinality estimates from \
-           the abstract-interpretation layer, docs/ABSINT.md). The model, \
-           the answers and every why-provenance set are identical in \
-           either mode.")
-
 let slice_arg =
   Arg.(
     value
@@ -708,7 +693,7 @@ let plans_arg =
     & flag
     & info [ "plans" ]
         ~doc:
-          "Also print each rule's compiled join order in both plan modes.")
+          "Also print each rule's compiled join order.")
 
 let variant_arg =
   Arg.(value & opt string "any" & info [ "variant" ] ~docv:"V" ~doc:"Proof-tree class: any, un, nr or md.")
@@ -772,7 +757,7 @@ let profile_opt_arg =
           "Record the rule-level execution profile (docs/OBSERVABILITY.md) \
            across every fixpoint the command runs: bare $(b,--profile) \
            prints the SCC → rule → atom tree to stderr on exit, \
-           $(b,--profile=FILE) writes the whyprov.profile/1 JSON document \
+           $(b,--profile=FILE) writes the whyprov.profile/2 JSON document \
            to $(docv).")
 
 let stats_term =
@@ -786,7 +771,7 @@ let answers_cmd =
 
 let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc:"Enumerate the why-provenance (unambiguous proof trees) of an answer")
-    Term.(const cmd_explain $ stats_term $ file_arg $ query_arg $ tuple_arg $ limit_arg $ tc_arg $ smallest_arg $ witness_arg $ no_preprocess_arg $ minimize_arg $ plan_arg $ slice_arg)
+    Term.(const cmd_explain $ stats_term $ file_arg $ query_arg $ tuple_arg $ limit_arg $ tc_arg $ smallest_arg $ witness_arg $ no_preprocess_arg $ minimize_arg $ slice_arg)
 
 let batch_cmd =
   Cmd.v
@@ -798,7 +783,7 @@ let batch_cmd =
     Term.(
       const cmd_batch $ stats_term $ file_arg $ query_arg $ tuples_arg
       $ all_arg $ jobs_arg $ limit_arg $ budget_arg $ no_preprocess_arg
-      $ minimize_arg $ plan_arg $ slice_arg)
+      $ minimize_arg $ slice_arg)
 
 let check_cmd =
   Cmd.v
@@ -843,8 +828,8 @@ let profile_format_arg =
     & info [ "format" ] ~docv:"FORMAT"
         ~doc:
           "Report format: $(b,human) (hot rules, the SCC → rule → atom tree \
-           and the plan audit) or $(b,json) (the whyprov.profile/1 document \
-           with an $(b,audit) member, docs/OBSERVABILITY.md).")
+           and the estimate audit) or $(b,json) (the whyprov.profile/2 \
+           document with an $(b,audit) member, docs/OBSERVABILITY.md).")
 
 let top_arg =
   Arg.(
@@ -876,13 +861,11 @@ let profile_cmd =
          "Materialize the model with the rule-level profiler enabled and \
           print per-rule / per-join-atom / per-SCC attribution (wall time, \
           firings, tuples, duplicates, probes, fan-out, rounds) plus the \
-          estimate-vs-actual plan audit: per-predicate and per-join-step \
-          q-errors against the abstract-interpretation estimates, and the \
-          rules whose mis-estimates would flip the $(b,--plan=cost) join \
-          order.")
+          estimate-vs-actual audit: per-predicate q-errors of the \
+          abstract-interpretation row estimates against the model.")
     Term.(
       const cmd_profile $ stats_term $ file_arg $ opt_query_arg $ jobs_arg
-      $ plan_arg $ profile_format_arg $ top_arg $ no_times_arg
+      $ profile_format_arg $ top_arg $ no_times_arg
       $ profile_out_arg)
 
 let member_cmd =

@@ -148,13 +148,13 @@ fi
 # Analyzer over every bundled workload program (zero errors, classified).
 dune exec --no-build test/cli/check_workloads.exe > /dev/null
 
-echo "== absint smoke (analyze report, --plan=cost, --slice, docs/ABSINT.md)"
+echo "== absint smoke (analyze report, --slice, docs/ABSINT.md)"
 a1=$(mktemp -t whyprov-absint1.XXXXXX)
 a2=$(mktemp -t whyprov-absint2.XXXXXX)
 trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$a2"' EXIT
 
 # The abstract-interpretation report (derivability, constants,
-# cardinality estimates, adorned plans, slice) is golden-diffed, same
+# cardinality estimates, join plans, slice) is golden-diffed, same
 # files as the dune test rules.
 dune exec --no-build bin/whyprov.exe -- \
   analyze examples/mutual.dl -q even --plans > "$a1"
@@ -162,15 +162,6 @@ diff test/cli/expected_analyze_mutual.txt "$a1"
 dune exec --no-build bin/whyprov.exe -- \
   analyze examples/sliceable.dl -q tc > "$a1"
 diff test/cli/expected_analyze_sliceable.txt "$a1"
-
-# Plan mode is cost-transparent: under --smallest the member order is
-# cardinality-sorted with deterministic refinement, so cost-based and
-# heuristic join orders must produce byte-identical explains.
-dune exec --no-build bin/whyprov.exe -- \
-  explain examples/reach.dl -q tc -t a,c --smallest > "$a1"
-dune exec --no-build bin/whyprov.exe -- \
-  explain examples/reach.dl -q tc -t a,c --smallest --plan=cost > "$a2"
-diff "$a1" "$a2"
 
 # Slicing is semantics-preserving: the q-cone slice drops only rules
 # that cannot contribute, so explain output is unchanged (the slice
@@ -206,7 +197,7 @@ elif command -v jq > /dev/null 2>&1; then
     "$out" > /dev/null
 fi
 
-echo "== profile smoke (rule-level profiler + plan audit, docs/OBSERVABILITY.md)"
+echo "== profile smoke (rule-level profiler + estimate audit, docs/OBSERVABILITY.md)"
 pr1=$(mktemp -t whyprov-prof1.XXXXXX)
 pr2=$(mktemp -t whyprov-prof2.XXXXXX)
 trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$a2" "$pr1" "$pr2"' EXIT
@@ -233,15 +224,15 @@ dune exec --no-build bin/whyprov.exe -- \
 diff "$pr1" "$pr2"
 
 echo "== bench regression gate (--check, EXPERIMENTS.md)"
-# Record a fresh baseline over two small workloads, then gate against
+# Record a fresh baseline over the engine workloads, then gate against
 # it: the same run must pass, and an injected 2x slowdown must fail.
 bb=$(mktemp -t whyprov-bench-base.XXXXXX)
 bslow=$(mktemp -t whyprov-bench-slow.XXXXXX)
 trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$a2" "$pr1" "$pr2" "$bb" "$bslow"' EXIT
 dune exec --no-build bench/main.exe -- \
-  --scale 0.05 --stats-out "$bb" engine planner > /dev/null
+  --scale 0.05 --stats-out "$bb" engine > /dev/null
 dune exec --no-build bench/main.exe -- \
-  --scale 0.05 --check "$bb" engine planner > /dev/null
+  --scale 0.05 --check "$bb" engine > /dev/null
 
 # Halve every *_s time in the baseline: the (unchanged) fresh run now
 # looks 2x slower than "recorded" and the gate must exit non-zero.
@@ -257,7 +248,7 @@ with open(sys.argv[1]) as f, open(sys.argv[2], "w") as g:
         g.write(json.dumps(row) + "\n")
 PY
   if dune exec --no-build bench/main.exe -- \
-       --scale 0.05 --check "$bslow" engine planner > /dev/null; then
+       --scale 0.05 --check "$bslow" engine > /dev/null; then
     echo "dev-check: bench --check should fail against a 2x-faster baseline" >&2
     exit 1
   fi

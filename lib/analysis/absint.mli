@@ -1,7 +1,8 @@
 (** Abstract interpretation of Datalog programs over an extensional
     database: three monotone analyses computed in one pass and consumed
-    downstream by the cost-based join planner ({!Datalog.Plan}), the
-    why-provenance pipeline, and the [whyprov analyze] report.
+    downstream by query-relevance slicing ([whyprov explain|batch
+    --slice]), the why-provenance pipeline, and the [whyprov analyze]
+    report.
 
     {ol
     {- {b Binding/constant analysis.} Every predicate argument gets a
@@ -23,8 +24,8 @@
        each with a machine-checkable {!reason}; {!certify} re-validates
        a slice against the reference structural engine.}}
 
-    All three are over-approximations: they may only make the planner
-    slower or the slice larger than optimal, never change a model, a
+    All three are over-approximations: they may only make an estimate
+    loose or the slice larger than optimal, never change a model, a
     rank, or a why-provenance set. The differential tests and the
     [whyfuzz] harness enforce exactly that. *)
 
@@ -66,11 +67,11 @@ val derivable : t -> Symbol.t -> bool
     model ([true] is an over-approximation: it may still be empty). *)
 
 val stats : t -> Stats.t
-(** Cardinality estimates for every schema predicate, suitable for
-    [Eval.seminaive ~stats] / [Plan.compile ~stats]. Estimates under
-    the usual independence assumptions — exact on stored facts, but not
-    guaranteed bounds on derived ones; they only steer join ordering,
-    never semantics. *)
+(** Cardinality estimates for every schema predicate, as printed by
+    [whyprov analyze] and audited by [whyprov profile]
+    ({!Datalog.Profile.audit}). Estimates under the usual independence
+    assumptions — exact on stored facts, but not guaranteed bounds on
+    derived ones; they are a report, never an input to evaluation. *)
 
 val adornments : t -> query:Symbol.t -> (Symbol.t * string) list
 (** Adorned binding patterns reachable from an all-bound query, with

@@ -102,7 +102,7 @@ let enumerate_task ?acyclicity ?max_fill ?preprocess ?minimize_blocking ~limit
       (List.rev !members, status)
 
 let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
-    ?preprocess ?minimize_blocking ?stats program db spec =
+    ?preprocess ?minimize_blocking program db spec =
   Tracing.with_span "batch.run" @@ fun () ->
   Metrics.time m_run_time @@ fun () ->
   Metrics.incr m_runs;
@@ -110,7 +110,7 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
   let model, materialize_s =
     Tracing.with_span "batch.materialize" @@ fun () ->
     Metrics.time m_materialize_time @@ fun () ->
-    timed (fun () -> Eval.seminaive ~ranks ?stats program db)
+    timed (fun () -> Eval.seminaive ~ranks program db)
   in
   let facts =
     match spec with

@@ -65,7 +65,6 @@ val run :
   ?max_fill:int ->
   ?preprocess:bool ->
   ?minimize_blocking:bool ->
-  ?stats:Stats.t ->
   Program.t ->
   Database.t ->
   spec ->
@@ -77,11 +76,10 @@ val run :
     solver descent of a tuple, turning budget overruns into
     [Budget_exhausted] instead of unbounded solving. [acyclicity],
     [max_fill] and [preprocess] are passed to {!Encode.make};
-    [minimize_blocking] to {!Enumerate.of_parts}; [stats] switches the
-    materialization to cost-based join ordering
-    ({!Datalog.Eval.seminaive}) — per-tuple results are identical
-    either way, though member production order within a tuple may
-    differ with the model's iteration order. The materialization
+    [minimize_blocking] to {!Enumerate.of_parts}. The model's iteration
+    order depends only on [(program, db)] ({!Datalog.Eval.seminaive}),
+    so every tuple's members come out in the same order on every run,
+    whatever [jobs] is. The materialization
     honours {!Datalog.Profile} when enabled — [whyprov batch
     --profile] reaches the profiler through this call. *)
 

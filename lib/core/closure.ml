@@ -99,8 +99,8 @@ let build_with_model program ~model db root_fact =
     program db root_fact
     ~derivable:(Database.mem model root_fact)
 
-let build ?stats program db root_fact =
-  let model = Eval.seminaive ?stats program db in
+let build program db root_fact =
+  let model = Eval.seminaive program db in
   build_with_model program ~model db root_fact
 
 (* --- Shared grounded-instance cache ------------------------------------ *)

@@ -23,12 +23,10 @@ type hyperedge = {
 
 type t
 
-val build : ?stats:Stats.t -> Program.t -> Database.t -> Fact.t -> t
+val build : Program.t -> Database.t -> Fact.t -> t
 (** [build program db root] materializes the model and computes the
     downward closure of [root]. If [root ∉ Σ(D)], the closure contains
-    the root node only and no hyperedges. [stats] selects cost-based
-    join ordering for the materialization (see {!Datalog.Eval.seminaive});
-    the closure is identical either way. The materialization honours
+    the root node only and no hyperedges. The materialization honours
     {!Datalog.Profile} when enabled — [whyprov explain --profile]
     reaches the profiler through this call. *)
 

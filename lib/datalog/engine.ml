@@ -403,7 +403,7 @@ let round_span round f =
       ~args:[ ("round", Metrics.Json.Num (float_of_int round)) ]
       "eval.round" f
 
-let seminaive ?ranks ?(jobs = 1) ?stats program db =
+let seminaive ?ranks ?(jobs = 1) program db =
   Tracing.with_span "eval.seminaive" @@ fun () ->
   Metrics.time m_seminaive_time @@ fun () ->
   Metrics.incr m_runs;
@@ -440,7 +440,7 @@ let seminaive ?ranks ?(jobs = 1) ?stats program db =
      list is deterministic, and so is the merge that walks it. *)
   let rules = Array.of_list (Program.rules program) in
   let full_plans =
-    Array.map (fun r -> Plan.compile ?stats program r ~delta:(-1)) rules
+    Array.map (fun r -> Plan.compile program r ~delta:(-1)) rules
   in
   let sccs = strata program in
   let stratum_of =
@@ -464,7 +464,7 @@ let seminaive ?ranks ?(jobs = 1) ?stats program db =
         List.iteri
           (fun i (a : Atom.t) ->
             if Program.is_idb program a.Atom.pred then
-              acc := Plan.compile ?stats program r ~delta:i :: !acc)
+              acc := Plan.compile program r ~delta:i :: !acc)
           (Rule.body r))
       rules;
     List.rev !acc

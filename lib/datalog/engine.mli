@@ -25,7 +25,6 @@ val strata : Program.t -> Symbol.t list list
 val seminaive :
   ?ranks:int Fact.Table.t ->
   ?jobs:int ->
-  ?stats:Stats.t ->
   Program.t ->
   Database.t ->
   Database.t
@@ -33,17 +32,11 @@ val seminaive :
     as {!Eval.seminaive}, which delegates here. If [ranks] is given it
     must be fresh (empty) and is filled with the first-derivation round
     of every model fact (0 for database facts); each fact is recorded
-    exactly once, with no membership pre-check. [jobs] (default 1) is the number of domains
-    evaluating a round's rule tasks; results do not depend on it.
-    [stats] switches {!Plan.compile} to cost-based join ordering for
-    every compiled task. The model and the ranks are identical in either
-    plan mode — each round derives a join-order-independent {e set} of
-    rows from the round-start model and the deltas, and deduplication
-    keeps exactly that set — but the {e insertion order} of a round's
-    rows may permute within each (round, predicate) segment, because a
-    task emits bindings in join-enumeration order. (This is unlike
-    [jobs], which is byte-identical.) Downstream consumers that need
-    byte-stable output across plan modes must compare sorted.
+    exactly once, with no membership pre-check. [jobs] (default 1) is
+    the number of domains evaluating a round's rule tasks. Every rule
+    has one compiled join order ({!Plan.compile}), so the model, the
+    ranks {e and} the model's iteration order depend only on
+    [(program, db)]: they are byte-identical whatever [jobs] is.
     Interning is frozen for the duration of the fixpoint
     ({!Symbol.set_frozen}): evaluation only rearranges already-interned
     symbols, and worker domains must never touch the intern table.

@@ -236,8 +236,8 @@ let seminaive_structural ?ranks program db =
 
 (* The production fixpoint: the interned flat-tuple engine. The
    structural implementation above stays as its differential oracle. *)
-let seminaive ?ranks ?jobs ?stats program db =
-  Engine.seminaive ?ranks ?jobs ?stats program db
+let seminaive ?ranks ?jobs program db =
+  Engine.seminaive ?ranks ?jobs program db
 
 let holds program db fact = Database.mem (seminaive program db) fact
 

@@ -29,7 +29,6 @@ val naive : Program.t -> Database.t -> Database.t
 val seminaive :
   ?ranks:int Fact.Table.t ->
   ?jobs:int ->
-  ?stats:Stats.t ->
   Program.t ->
   Database.t ->
   Database.t
@@ -37,10 +36,8 @@ val seminaive :
     is filled with the first-derivation round of every model fact
     (0 for database facts). Delegates to the interned flat-tuple engine
     ({!Engine.seminaive}); [jobs] (default 1) evaluates each round's
-    rule tasks across that many domains without changing any result;
-    [stats] switches the compiled join plans to cost-based ordering
-    (same model and ranks, possibly different model iteration order —
-    see {!Engine.seminaive}). When {!Profile.is_enabled} is true at
+    rule tasks across that many domains. The model, the ranks and the
+    model's iteration order depend only on [(program, db)]. When {!Profile.is_enabled} is true at
     call time, the run contributes per-rule / per-atom / per-SCC
     attribution to the accumulated profile ({!Profile.snapshot}). *)
 

@@ -1,8 +1,6 @@
 module Metrics = Util.Metrics
 
 let m_plans = Metrics.counter "eval.join.plans"
-let m_cost_plans = Metrics.counter "plan.cost.plans"
-let m_cost_unknown = Metrics.counter "plan.cost.unknown_preds"
 
 type instr = {
   i_atom : int;
@@ -59,56 +57,7 @@ let score program bound (a : Atom.t) =
   in
   (bound_vars, (if Program.is_edb program a.Atom.pred then 1 else 0), consts)
 
-(* Estimated number of matching rows per already-established binding:
-   rows(p) scaled by the selectivity of every column that is fixed —
-   by a constant, by a register bound in an earlier atom, or by an
-   earlier occurrence of the same variable within this atom. A column
-   with distinct-count d filters to ~1/d of the rows (independence
-   assumption); the product is floored so a stack of selective columns
-   stays comparable instead of collapsing to 0. Predicates without
-   statistics are treated as large, pushing them late. *)
-let unknown_rows = 1e6
-
-let cost_estimate stats bound (a : Atom.t) =
-  match Stats.find stats a.Atom.pred with
-  | None ->
-    Metrics.incr m_cost_unknown;
-    unknown_rows
-  | Some { Stats.rows; distinct } ->
-    let here : (Symbol.t, unit) Hashtbl.t = Hashtbl.create 4 in
-    let est = ref rows in
-    Array.iteri
-      (fun col t ->
-        let fixed =
-          match t with
-          | Term.Const _ -> true
-          | Term.Var v ->
-            if Hashtbl.mem bound v || Hashtbl.mem here v then true
-            else begin
-              Hashtbl.replace here v ();
-              false
-            end
-        in
-        if fixed && col < Array.length distinct then
-          est := !est /. Float.max 1.0 distinct.(col))
-      a.Atom.args;
-    Float.max 1e-6 !est
-
-(* A candidate joins the already-bound prefix if it shares a bound
-   variable (or is a pure constant filter, or nothing is bound yet).
-   Cost mode never picks a disconnected atom while a connected one
-   remains: a disconnected atom is a cross product — its true cost is
-   its full row count *per existing binding* — and the per-binding
-   fan-out estimate undercounts that whenever widened recursive-SCC
-   statistics inflate the connected alternative (System-R's classic
-   cross-product avoidance rule). *)
-let connects bound (a : Atom.t) =
-  Hashtbl.length bound = 0
-  || (match atom_vars a with
-     | [] -> true
-     | vars -> List.exists (Hashtbl.mem bound) vars)
-
-let order_body ?stats program body ~delta =
+let order_body program body ~delta =
   let atoms = Array.of_list body in
   let n = Array.length atoms in
   let taken = Array.make n false in
@@ -123,37 +72,11 @@ let order_body ?stats program body ~delta =
     order := [ delta ]
   end;
   for _ = 1 to n - if delta >= 0 then 1 else 0 do
-    let best = ref (-1)
-    and best_score = ref (-1, -1, -1)
-    and best_cost = ref infinity
-    and best_conn = ref false in
+    let best = ref (-1) and best_score = ref (-1, -1, -1) in
     for i = 0 to n - 1 do
       if not taken.(i) then begin
         let s = score program bound atoms.(i) in
-        let better =
-          match stats with
-          | None -> !best < 0 || s > !best_score
-          | Some stats ->
-            (* Cost mode: prefer connected atoms over cross products,
-               then minimize the estimated per-binding fan-out; exact
-               cost ties fall back to the connectivity heuristic, then
-               to body position (the ascending scan keeps the earliest
-               candidate on a full tie) — fully deterministic. *)
-            let conn = connects bound atoms.(i) in
-            let c = cost_estimate stats bound atoms.(i) in
-            if
-              !best < 0
-              || (conn && not !best_conn)
-              || conn = !best_conn
-                 && (c < !best_cost || (c = !best_cost && s > !best_score))
-            then begin
-              best_conn := conn;
-              best_cost := c;
-              true
-            end
-            else false
-        in
-        if better then begin
+        if !best < 0 || s > !best_score then begin
           best := i;
           best_score := s
         end
@@ -164,10 +87,10 @@ let order_body ?stats program body ~delta =
   done;
   List.rev !order
 
-let compile ?stats program rule ~delta =
+let compile program rule ~delta =
   let body = Rule.body rule in
   let atoms = Array.of_list body in
-  let order = order_body ?stats program body ~delta in
+  let order = order_body program body ~delta in
   let rf = { nregs = 0; regs = Hashtbl.create 16 } in
   let instrs =
     List.map
@@ -222,7 +145,6 @@ let compile ?stats program rule ~delta =
       head.Atom.args
   in
   Metrics.incr m_plans;
-  if stats <> None then Metrics.incr m_cost_plans;
   {
     p_rule = rule;
     p_delta = delta;

@@ -17,16 +17,7 @@
     constants and then by original body position. The
     runtime still chooses {e which} bound column to probe per binding
     (the smallest index bucket), but the join order itself is fixed at
-    compile time — no per-tuple selectivity estimation.
-
-    When {!compile} is given cardinality statistics ({!Stats.t}, usually
-    produced by the abstract-interpretation layer, docs/ABSINT.md), the
-    greedy loop instead minimizes the estimated per-binding fan-out of
-    each candidate — rows divided by the distinct counts of its fixed
-    columns — with the connectivity heuristic as the deterministic
-    tie-break. Either mode produces the same {e result set}: join order
-    affects only which intermediate tuples are enumerated, never which
-    head rows survive deduplication. *)
+    compile time — no per-tuple selectivity estimation. *)
 
 type instr = {
   i_atom : int;  (** position of this atom in the rule body *)
@@ -58,21 +49,10 @@ type t = {
 }
 (** A compiled (rule, delta position) pair. *)
 
-val compile : ?stats:Stats.t -> Program.t -> Rule.t -> delta:int -> t
+val compile : Program.t -> Rule.t -> delta:int -> t
 (** [compile program rule ~delta] compiles [rule] with body position
     [delta] designated as the delta atom ([-1] for a full evaluation,
-    as in the first semi-naive round). With [stats], body atoms are
-    ordered by estimated cost instead of the connectivity heuristic.
-    Ticks [eval.join.plans], and [plan.cost.plans] in cost mode. *)
-
-val cost_estimate :
-  Stats.t -> (Symbol.t, unit) Hashtbl.t -> Atom.t -> float
-(** [cost_estimate stats bound atom] is the estimated number of rows of
-    [atom]'s relation matching one binding of the variables in [bound]:
-    [rows / Π distinct(fixed columns)], floored at [1e-6]. Predicates
-    absent from [stats] count as large ([1e6] rows) and tick
-    [plan.cost.unknown_preds]. Exposed for the planner's tests and the
-    [whyprov analyze] report. *)
+    as in the first semi-naive round). Ticks [eval.join.plans]. *)
 
 val required_indexes : t -> (Symbol.t * bool * int) list
 (** The [(pred, from_delta, col)] column indexes the runtime may probe

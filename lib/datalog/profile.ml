@@ -28,11 +28,6 @@ let now_s = Unix.gettimeofday
 type rule_acc = {
   k_rule : Rule.t;
   k_preds : Symbol.t array;  (* body predicate per position *)
-  k_edb : bool array;
-      (* extensional atoms contribute to the model-side fan-out in every
-         task; intensional ones only in delta tasks — a full (round-1)
-         task joins intensional relations while they are still empty,
-         which says nothing about the planner's final-model estimate *)
   mutable k_order : int array;  (* full-plan join order; [||] until seen *)
   mutable k_firings : int;
   mutable k_secs : float;
@@ -44,8 +39,6 @@ type rule_acc = {
   mutable k_scans : int;
   k_in : int array;
   k_out : int array;
-  k_model_in : int array;
-  k_model_out : int array;
 }
 
 type run = {
@@ -67,10 +60,6 @@ let run_begin program sccs =
         {
           k_rule = r;
           k_preds = Array.map (fun (a : Atom.t) -> a.Atom.pred) body;
-          k_edb =
-            Array.map
-              (fun (a : Atom.t) -> not (Program.is_idb program a.Atom.pred))
-              body;
           k_order = [||];
           k_firings = 0;
           k_secs = 0.0;
@@ -82,8 +71,6 @@ let run_begin program sccs =
           k_scans = 0;
           k_in = Array.make n 0;
           k_out = Array.make n 0;
-          k_model_in = Array.make n 0;
-          k_model_out = Array.make n 0;
         })
       rules
   in
@@ -117,21 +104,13 @@ let record_task run (plan : Plan.t) (t : task) ~probes ~hits ~scans =
     if plan.Plan.p_delta < 0 && Array.length acc.k_order = 0 then
       acc.k_order <- Array.map (fun i -> i.Plan.i_atom) instrs;
     for j = 0 to n - 1 do
-      let ins = instrs.(j) in
-      let pos = ins.Plan.i_atom in
+      let pos = instrs.(j).Plan.i_atom in
       let inj = if j = 0 then 1 else t.out.(j - 1) in
       let outj = t.out.(j) in
       acc.k_tuples <- acc.k_tuples + outj;
       if pos >= 0 && pos < Array.length acc.k_in then begin
         acc.k_in.(pos) <- acc.k_in.(pos) + inj;
-        acc.k_out.(pos) <- acc.k_out.(pos) + outj;
-        if
-          (not ins.Plan.i_from_delta)
-          && (acc.k_edb.(pos) || plan.Plan.p_delta >= 0)
-        then begin
-          acc.k_model_in.(pos) <- acc.k_model_in.(pos) + inj;
-          acc.k_model_out.(pos) <- acc.k_model_out.(pos) + outj
-        end
+        acc.k_out.(pos) <- acc.k_out.(pos) + outj
       end
     done
   end
@@ -177,8 +156,6 @@ type rule_agg = {
   mutable g_scans : int;
   g_in : int array;
   g_out : int array;
-  g_model_in : int array;
-  g_model_out : int array;
 }
 
 type scc_agg = {
@@ -234,8 +211,6 @@ let run_end run =
               g_scans = 0;
               g_in = Array.make n 0;
               g_out = Array.make n 0;
-              g_model_in = Array.make n 0;
-              g_model_out = Array.make n 0;
             }
           in
           Hashtbl.add agg_rules key g;
@@ -252,9 +227,7 @@ let run_end run =
       g.g_scans <- g.g_scans + acc.k_scans;
       for i = 0 to Array.length acc.k_in - 1 do
         g.g_in.(i) <- g.g_in.(i) + acc.k_in.(i);
-        g.g_out.(i) <- g.g_out.(i) + acc.k_out.(i);
-        g.g_model_in.(i) <- g.g_model_in.(i) + acc.k_model_in.(i);
-        g.g_model_out.(i) <- g.g_model_out.(i) + acc.k_model_out.(i)
+        g.g_out.(i) <- g.g_out.(i) + acc.k_out.(i)
       done)
     run.u_rules;
   Array.iteri
@@ -282,8 +255,6 @@ type atom_stat = {
   a_pred : Symbol.t;
   a_in : int;
   a_out : int;
-  a_model_in : int;
-  a_model_out : int;
 }
 
 type rule_stat = {
@@ -336,8 +307,6 @@ let snapshot () =
                   a_pred = g.g_preds.(i);
                   a_in = g.g_in.(i);
                   a_out = g.g_out.(i);
-                  a_model_in = g.g_model_in.(i);
-                  a_model_out = g.g_model_out.(i);
                 });
         }
         :: acc)
@@ -360,7 +329,7 @@ let snapshot () =
 (* Renderers                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let schema_version = "whyprov.profile/1"
+let schema_version = "whyprov.profile/2"
 
 let num_i n = Json.Num (float_of_int n)
 
@@ -372,8 +341,6 @@ let to_json ?(times = true) t =
         ("pred", Json.Str (Symbol.name a.a_pred));
         ("in", num_i a.a_in);
         ("out", num_i a.a_out);
-        ("model_in", num_i a.a_model_in);
-        ("model_out", num_i a.a_model_out);
       ]
   in
   let rule_json r =
@@ -496,27 +463,7 @@ type pred_audit = {
   pa_qerr : float;
 }
 
-type step_audit = {
-  sa_rule : int;
-  sa_step : int;
-  sa_pos : int;
-  sa_pred : Symbol.t;
-  sa_est : float;
-  sa_actual : float;
-  sa_qerr : float;
-}
-
-type flip = {
-  f_rule : int;
-  f_est_order : int array;
-  f_actual_order : int array;
-}
-
-type audit = {
-  a_preds : pred_audit list;
-  a_steps : step_audit list;
-  a_flips : flip list;
-}
+type audit = { a_preds : pred_audit list }
 
 let qerr est act =
   let est = Float.max 1e-9 est and act = Float.max 1e-9 act in
@@ -525,7 +472,7 @@ let qerr est act =
 let by_qerr_desc q1 n1 q2 n2 =
   match compare q2 q1 with 0 -> compare n1 n2 | c -> c
 
-let audit ~est ~actual program t =
+let audit ~est ~actual =
   let preds =
     Stats.fold
       (fun p (a : Stats.pred) acc ->
@@ -537,62 +484,7 @@ let audit ~est ~actual program t =
            by_qerr_desc a.pa_qerr (Symbol.name a.pa_pred) b.pa_qerr
              (Symbol.name b.pa_pred))
   in
-  let nrules = List.length (Program.rules program) in
-  let in_program r =
-    r.r_id >= 0 && r.r_id < nrules
-    && String.equal (Rule.to_string (Program.rule program r.r_id)) r.r_text
-  in
-  let steps = ref [] in
-  List.iter
-    (fun r ->
-      if in_program r then begin
-        let rule = Program.rule program r.r_id in
-        let body = Array.of_list (Rule.body rule) in
-        let bound : (Symbol.t, unit) Hashtbl.t = Hashtbl.create 8 in
-        Array.iteri
-          (fun step pos ->
-            let a = body.(pos) in
-            let e = Plan.cost_estimate est bound a in
-            let st = r.r_atoms.(pos) in
-            if st.a_model_in > 0 then begin
-              let act = fanout st.a_model_out st.a_model_in in
-              steps :=
-                {
-                  sa_rule = r.r_id;
-                  sa_step = step;
-                  sa_pos = pos;
-                  sa_pred = a.Atom.pred;
-                  sa_est = e;
-                  sa_actual = act;
-                  sa_qerr = qerr e act;
-                }
-                :: !steps
-            end;
-            List.iter (fun v -> Hashtbl.replace bound v ()) (Atom.vars a))
-          r.r_order
-      end)
-    t.rules;
-  let steps =
-    List.sort
-      (fun a b ->
-        by_qerr_desc a.sa_qerr (a.sa_rule, a.sa_step) b.sa_qerr
-          (b.sa_rule, b.sa_step))
-      !steps
-  in
-  let flips =
-    List.filter_map
-      (fun rule ->
-        let order stats =
-          Array.map
-            (fun i -> i.Plan.i_atom)
-            (Plan.compile ~stats program rule ~delta:(-1)).Plan.p_instrs
-        in
-        let eo = order est and ao = order actual in
-        if eo = ao then None
-        else Some { f_rule = rule.Rule.id; f_est_order = eo; f_actual_order = ao })
-      (Program.rules program)
-  in
-  { a_preds = preds; a_steps = steps; a_flips = flips }
+  { a_preds = preds }
 
 let audit_to_json a =
   let pred_json p =
@@ -604,69 +496,14 @@ let audit_to_json a =
         ("q_error", Json.Num p.pa_qerr);
       ]
   in
-  let step_json s =
-    Json.Obj
-      [
-        ("rule", num_i s.sa_rule);
-        ("step", num_i s.sa_step);
-        ("pos", num_i s.sa_pos);
-        ("pred", Json.Str (Symbol.name s.sa_pred));
-        ("est_fanout", Json.Num s.sa_est);
-        ("actual_fanout", Json.Num s.sa_actual);
-        ("q_error", Json.Num s.sa_qerr);
-      ]
-  in
-  let flip_json f =
-    Json.Obj
-      [
-        ("rule", num_i f.f_rule);
-        ("est_order", Json.List (Array.to_list (Array.map num_i f.f_est_order)));
-        ( "actual_order",
-          Json.List (Array.to_list (Array.map num_i f.f_actual_order)) );
-      ]
-  in
-  Json.Obj
-    [
-      ("preds", Json.List (List.map pred_json a.a_preds));
-      ("steps", Json.List (List.map step_json a.a_steps));
-      ("flips", Json.List (List.map flip_json a.a_flips));
-    ]
-
-let pp_order ppf order =
-  Format.fprintf ppf "[%s]"
-    (String.concat " " (Array.to_list (Array.map string_of_int order)))
+  Json.Obj [ ("preds", Json.List (List.map pred_json a.a_preds)) ]
 
 let pp_audit ppf a =
   Format.fprintf ppf
-    "plan audit (q-error = max(est/actual, actual/est)):@.";
+    "estimate audit (q-error = max(est/actual, actual/est)):@.";
   Format.fprintf ppf "  predicate cardinalities:@.";
   List.iter
     (fun p ->
       Format.fprintf ppf "    %-16s est %10.1f  actual %10.0f  q-error %.2f@."
         (Symbol.name p.pa_pred) p.pa_est p.pa_actual p.pa_qerr)
-    a.a_preds;
-  (match a.a_steps with
-  | [] -> ()
-  | steps ->
-    Format.fprintf ppf "  join steps (worst first, model-side fan-out):@.";
-    List.iter
-      (fun s ->
-        Format.fprintf ppf
-          "    rule %d step %d atom[%d] %s: est %10.2f  actual %10.2f  \
-           q-error %.2f@."
-          s.sa_rule s.sa_step s.sa_pos (Symbol.name s.sa_pred) s.sa_est
-          s.sa_actual s.sa_qerr)
-      steps);
-  match a.a_flips with
-  | [] ->
-    Format.fprintf ppf
-      "  plan flips: none — no mis-estimate changes the cost-based join \
-       order@."
-  | flips ->
-    List.iter
-      (fun f ->
-        Format.fprintf ppf
-          "  plan flip: rule %d cost order %a becomes %a under actual \
-           statistics@."
-          f.f_rule pp_order f.f_est_order pp_order f.f_actual_order)
-      flips
+    a.a_preds

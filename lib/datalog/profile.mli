@@ -27,13 +27,11 @@
     [eval.rule_firings] counter and the per-rule [derived] sum to
     [eval.facts_derived], exactly.
 
-    The estimate-vs-actual {e audit} ({!audit}) closes the loop with
-    the cost-based planner (docs/ABSINT.md): it joins the profile's
-    actual per-join-step fan-outs and the model's actual cardinalities
-    against the {!Stats.t} estimates the planner consumed, computes the
-    q-error [max(est/act, act/est)] of each, and flags the rules whose
-    mis-estimates were large enough to flip the [--plan=cost] join
-    order. Schemas and the reading guide are in
+    The estimate-vs-actual {e audit} ({!audit}) checks the cardinality
+    estimates [whyprov analyze] reports (docs/ABSINT.md): it holds the
+    model's actual per-predicate row counts against the {!Stats.t}
+    estimates and computes the q-error [max(est/act, act/est)] of each.
+    Schemas and the reading guide are in
     [docs/OBSERVABILITY.md] ("Rule-level profiles"). *)
 
 (** {1 Enablement} *)
@@ -97,14 +95,6 @@ type atom_stat = {
   a_pred : Symbol.t;
   a_in : int;  (** bindings that reached this atom, all tasks *)
   a_out : int;  (** tuples it matched, all tasks *)
-  a_model_in : int;
-      (** bindings reaching {e comparable} model-side occurrences — the
-          denominator of the measured fan-out the audit holds against
-          the planner's per-binding estimate. Extensional atoms count in
-          every task; intensional atoms only in delta tasks, because a
-          full (round-1) task joins intensional relations while they are
-          still empty. Delta-scan occurrences never count. *)
-  a_model_out : int;  (** tuples matched by those occurrences *)
 }
 
 type rule_stat = {
@@ -142,7 +132,7 @@ val snapshot : unit -> t
     snapshots already taken. *)
 
 val schema_version : string
-(** ["whyprov.profile/1"], the ["schema"] field of {!to_json}. *)
+(** ["whyprov.profile/2"], the ["schema"] field of {!to_json}. *)
 
 val to_json : ?times:bool -> t -> Util.Metrics.Json.t
 (** The versioned JSON document (docs/OBSERVABILITY.md). With
@@ -157,45 +147,18 @@ val pp : ?top:int -> Format.formatter -> t -> unit
 
 type pred_audit = {
   pa_pred : Symbol.t;
-  pa_est : float;  (** planner's row estimate (0 if the predicate was unknown) *)
+  pa_est : float;  (** estimated rows (0 if the predicate was unknown) *)
   pa_actual : float;  (** rows in the materialized model *)
   pa_qerr : float;
 }
 
-type step_audit = {
-  sa_rule : int;
-  sa_step : int;  (** position in the executed join order *)
-  sa_pos : int;  (** body position of the atom *)
-  sa_pred : Symbol.t;
-  sa_est : float;  (** estimated per-binding fan-out ({!Plan.cost_estimate}) *)
-  sa_actual : float;  (** measured model-side fan-out, [a_model_out/a_model_in] *)
-  sa_qerr : float;
-}
+type audit = { a_preds : pred_audit list  (** worst q-error first *) }
 
-type flip = {
-  f_rule : int;
-  f_est_order : int array;  (** cost-based join order under the estimates *)
-  f_actual_order : int array;  (** …under the measured cardinalities *)
-}
-
-type audit = {
-  a_preds : pred_audit list;  (** worst q-error first *)
-  a_steps : step_audit list;  (** worst q-error first *)
-  a_flips : flip list;  (** rules whose cost-based order would change *)
-}
-
-val audit : est:Stats.t -> actual:Stats.t -> Program.t -> t -> audit
-(** [audit ~est ~actual program profile] compares the planner's
-    estimates [est] (typically [Absint.stats]) against reality:
-    [actual] (typically {!Stats.of_database} of the materialized model)
-    for per-predicate cardinalities, and the profile's model-side
-    fan-outs for per-join-step selectivities, replaying
-    {!Plan.cost_estimate} along each rule's executed join order. A
-    {!flip} records that compiling the rule with [actual] instead of
-    [est] yields a different cost-based join order — the mis-estimate
-    was large enough to matter, not merely large. Profile entries that
-    do not correspond to a rule of [program] (stale ids from another
-    program) are skipped. *)
+val audit : est:Stats.t -> actual:Stats.t -> audit
+(** [audit ~est ~actual] compares the estimates [est] (typically
+    [Absint.stats]) against [actual] (typically {!Stats.of_database}
+    of the materialized model), one {!pred_audit} per predicate of
+    [actual]. *)
 
 val audit_to_json : audit -> Util.Metrics.Json.t
 val pp_audit : Format.formatter -> audit -> unit

@@ -1,16 +1,13 @@
-(** Per-predicate cardinality statistics for cost-based join planning.
+(** Per-predicate cardinality statistics.
 
     A [Stats.t] maps predicates to an estimated (upper-bound) row count
     and per-column distinct-value counts. {!of_database} computes the
     exact figures for an extensional database; the abstract-interpretation
     layer ([Whyprov_analysis.Absint]) extends them to intensional
-    predicates bottom-up, with widening on recursive SCCs, and hands the
-    result to {!Plan.compile}'s cost-based join-order mode
-    (docs/ABSINT.md).
-
-    Statistics are advisory: they influence only the join {e order}, never
-    the join {e results}, so a stale or wildly wrong estimate costs time,
-    not correctness. *)
+    predicates bottom-up, with widening on recursive SCCs, for the
+    [whyprov analyze] report (docs/ABSINT.md). {!Profile.audit} holds
+    those estimates against {!of_database} of the materialized model.
+    Statistics are a report only: no evaluation path reads them. *)
 
 type pred = {
   rows : float;  (** estimated number of rows (exact for EDB stores) *)

@@ -10,11 +10,10 @@
 
    - Datalog: random programs (Workloads.Randprog) run through the
      flat engine at jobs 1 and 2 against the structural reference
-     engine, the cost-based join planner (cardinality estimates from
-     Whyprov_analysis.Absint) against the heuristic planner, the
-     query-relevance slice against its certificate and the unsliced
-     why-sets, and the SAT-based why_UN enumeration (preprocessing
-     on/off) against the powerset oracle (Harden.Oracle).
+     engine, the query-relevance slice against its certificate and the
+     unsliced why-sets, and the SAT-based why_UN enumeration
+     (preprocessing on/off) against the powerset oracle
+     (Harden.Oracle).
 
    Any disagreement is minimized by greedy deletion — clauses then
    literals for CNF, rules then facts for Datalog — and rendered as a
@@ -31,7 +30,6 @@ module Metrics = Util.Metrics
 let m_iters = Metrics.counter "harden.fuzz.iters"
 let m_cnf_checks = Metrics.counter "harden.fuzz.cnf_checks"
 let m_engine_checks = Metrics.counter "harden.fuzz.engine_checks"
-let m_planner_checks = Metrics.counter "harden.fuzz.planner_checks"
 let m_slice_checks = Metrics.counter "harden.fuzz.slice_checks"
 let m_prov_checks = Metrics.counter "harden.fuzz.prov_checks"
 let m_bugs = Metrics.counter "harden.fuzz.bugs"
@@ -213,32 +211,6 @@ let check_engine (t : W.Randprog.t) =
   in
   go [ 1; 2 ]
 
-(* Cost-based join plans (cardinality estimates from the abstract
-   interpreter) against the heuristic planner: join order must never
-   change a per-round result set, so model and ranks agree exactly. *)
-let check_planner (t : W.Randprog.t) =
-  Metrics.incr m_planner_checks;
-  let program = W.Randprog.program t in
-  let db = W.Randprog.database t in
-  let ranked table =
-    D.Fact.Table.fold (fun f r acc -> (f, r) :: acc) table []
-    |> List.sort compare
-  in
-  let sorted model = D.Database.to_list model |> List.sort D.Fact.compare in
-  let r_heur = D.Fact.Table.create 64 in
-  let m_heur = sorted (D.Eval.seminaive ~ranks:r_heur program db) in
-  let stats = A.Absint.stats (A.Absint.analyze program db) in
-  let r_cost = D.Fact.Table.create 64 in
-  let m_cost = sorted (D.Eval.seminaive ~ranks:r_cost ~stats program db) in
-  if not (List.equal D.Fact.equal m_heur m_cost) then
-    Error
-      (Printf.sprintf
-         "cost-based plan model differs from heuristic (%d vs %d facts)"
-         (List.length m_cost) (List.length m_heur))
-  else if ranked r_heur <> ranked r_cost then
-    Error "cost-based plan ranks differ from heuristic"
-  else Ok ()
-
 (* Query-relevance slicing: for every IDB predicate, the slice
    certificate must hold (drop reasons re-established, model and ranks
    over the cone identical under the structural engine), and on
@@ -345,7 +317,7 @@ let check_provenance (t : W.Randprog.t) =
 type bug = {
   seed : int;
   iter : int;
-  kind : string;       (* "cnf", "engine", "planner", "slice" or "provenance" *)
+  kind : string;       (* "cnf", "engine", "slice" or "provenance" *)
   detail : string;     (* solver/family label for context *)
   message : string;
   cnf : Gen.cnf option;           (* shrunk, for kind = "cnf" *)
@@ -357,7 +329,6 @@ type summary = {
   s_iters : int;
   s_cnf_checks : int;
   s_engine_checks : int;
-  s_planner_checks : int;
   s_slice_checks : int;
   s_prov_checks : int;
   s_bugs : bug list;
@@ -401,7 +372,7 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
      enabled, and shrinking re-enters the checkers — the summary counts
      top-level checks only. *)
   let cnf_checks = ref 0 and engine_checks = ref 0 and prov_checks = ref 0 in
-  let planner_checks = ref 0 and slice_checks = ref 0 in
+  let slice_checks = ref 0 in
   for i = 0 to iters - 1 do
     Metrics.incr m_iters;
     (match progress with Some f -> f i | None -> ());
@@ -432,18 +403,6 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
       push
         {
           seed; iter = i; kind = "engine"; detail = "randprog"; message;
-          cnf = None; prog = Some t';
-        });
-    (* Cost-based vs heuristic join plans, on the same instance. *)
-    incr planner_checks;
-    (match check_planner t with
-    | Ok () -> ()
-    | Error message ->
-      let still_failing t' = Result.is_error (check_planner t') in
-      let t' = W.Randprog.shrink ~still_failing t in
-      push
-        {
-          seed; iter = i; kind = "planner"; detail = "randprog"; message;
           cnf = None; prog = Some t';
         });
     (* why_UN against the powerset oracle, on a tiny database. *)
@@ -483,7 +442,6 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
     s_iters = iters;
     s_cnf_checks = !cnf_checks;
     s_engine_checks = !engine_checks;
-    s_planner_checks = !planner_checks;
     s_slice_checks = !slice_checks;
     s_prov_checks = !prov_checks;
     s_bugs = List.rev !bugs;
@@ -532,10 +490,9 @@ let write_reproducers ~dir summary =
 
 let pp_summary ppf s =
   Format.fprintf ppf
-    "fuzz seed %d: %d iteration(s), %d cnf / %d engine / %d planner / %d \
-     slice / %d provenance check(s), %d bug(s)"
-    s.s_seed s.s_iters s.s_cnf_checks s.s_engine_checks s.s_planner_checks
-    s.s_slice_checks s.s_prov_checks
+    "fuzz seed %d: %d iteration(s), %d cnf / %d engine / %d slice / %d \
+     provenance check(s), %d bug(s)"
+    s.s_seed s.s_iters s.s_cnf_checks s.s_engine_checks s.s_slice_checks s.s_prov_checks
     (List.length s.s_bugs);
   List.iter
     (fun b ->

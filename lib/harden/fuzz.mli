@@ -1,6 +1,6 @@
 (** Differential fuzzing with shrinking (docs/HARDENING.md).
 
-    One seeded loop, five differentials per iteration:
+    One seeded loop, four differentials per iteration:
 
     - {b CNF}: a random or structured formula ({!Gen}) solved by a
       portfolio of pipeline configurations (preprocessing on/off,
@@ -10,9 +10,6 @@
     - {b engine}: a random Datalog program ({!Workloads.Randprog})
       through the flat engine at jobs 1 and 2 vs the structural
       reference engine (model set and ranks).
-    - {b planner}: the same program evaluated under cost-based join
-      plans ({!Whyprov_analysis.Absint} cardinality estimates) vs the
-      heuristic planner — model set and ranks must be identical.
     - {b provenance}: the SAT-based [why_UN] enumeration (preprocessing
       on/off) vs the powerset oracle ({!Oracle.why_un_powerset}) on a
       tiny database, for every derived IDB fact.
@@ -66,7 +63,6 @@ val shrink_cnf :
     1-minimal failing list. [failing] must hold of the input. *)
 
 val check_engine : Workloads.Randprog.t -> (unit, string) result
-val check_planner : Workloads.Randprog.t -> (unit, string) result
 val check_slice : Workloads.Randprog.t -> (unit, string) result
 val check_provenance : Workloads.Randprog.t -> (unit, string) result
 (** The Datalog differentials. [check_provenance] expects the
@@ -79,7 +75,7 @@ type bug = {
   seed : int;
   iter : int;
   kind : string;
-      (** "cnf", "engine", "planner", "slice", "provenance" *)
+      (** "cnf", "engine", "slice", "provenance" *)
   detail : string;                    (** instance family / solver label *)
   message : string;
   cnf : Gen.cnf option;               (** shrunk, for [kind = "cnf"] *)
@@ -91,7 +87,6 @@ type summary = {
   s_iters : int;
   s_cnf_checks : int;
   s_engine_checks : int;
-  s_planner_checks : int;
   s_slice_checks : int;
   s_prov_checks : int;
   s_bugs : bug list;  (** in discovery order *)

@@ -1,5 +1,5 @@
 (* Validates a `whyprov --profile=FILE` / `whyprov profile` dump: the
-   file must parse as JSON, carry the whyprov.profile/1 schema, record
+   file must parse as JSON, carry the whyprov.profile/2 schema, record
    at least one run, and its rules must satisfy the profile's internal
    arithmetic — per-atom "out" counts summing to the rule's "tuples",
    "duplicates" = "emitted" - "derived" (docs/OBSERVABILITY.md,

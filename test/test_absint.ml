@@ -1,9 +1,8 @@
 (* Abstract-interpretation layer (lib/analysis/absint.ml): lattice unit
    tests, the analyses on fixed programs, and the qcheck differentials
-   the docs promise — cost-based vs heuristic join plans (same model
-   and ranks, jobs 1/2/4, vs the structural oracle), sliced vs unsliced
-   why-provenance (certificate + powerset oracle), and the cone-widened
-   FO membership path vs the SAT path. *)
+   the docs promise — sliced vs unsliced why-provenance (certificate +
+   powerset oracle), and the cone-widened FO membership path vs the
+   SAT path. *)
 
 module D = Datalog
 module P = Provenance
@@ -185,28 +184,6 @@ let arb_randprog ?min_rules ?max_rules ?min_facts ?max_facts () =
         (int_bound 1_000_000))
     ~print:W.Randprog.to_string
 
-(* Cost-based join plans (stats from the abstract interpreter) never
-   change the model or the ranks, whatever the worker count. *)
-let prop_planner =
-  QCheck.Test.make ~count:40 ~name:"cost plans = heuristic plans"
-    (arb_randprog ())
-    (fun t ->
-      let program = W.Randprog.program t and db = W.Randprog.database t in
-      let stats = A.Absint.stats (A.Absint.analyze program db) in
-      let sorted m = D.Database.to_list m |> List.sort D.Fact.compare in
-      let ranked tbl =
-        D.Fact.Table.fold (fun f r acc -> (f, r) :: acc) tbl []
-        |> List.sort compare
-      in
-      let r0 = D.Fact.Table.create 64 in
-      let m0 = sorted (D.Eval.seminaive_structural ~ranks:r0 program db) in
-      List.for_all
-        (fun jobs ->
-          let r = D.Fact.Table.create 64 in
-          let m = sorted (D.Engine.seminaive ~ranks:r ~jobs ~stats program db) in
-          List.equal D.Fact.equal m m0 && ranked r = ranked r0)
-        [ 1; 2; 4 ])
-
 (* Slicing is invisible: the certificate holds, and the sliced pipeline
    produces exactly the why-sets of the powerset oracle run on the
    ORIGINAL program and database. *)
@@ -298,4 +275,4 @@ let suite =
       tc "fo_cone gate" `Quick test_fo_cone_gate;
     ]
     @ List.map QCheck_alcotest.to_alcotest
-        [ prop_planner; prop_slice; prop_cone_fo ] )
+        [ prop_slice; prop_cone_fo ] )

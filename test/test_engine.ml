@@ -87,8 +87,8 @@ let arb_program_db = QCheck.make gen_program_db ~print:W.Randprog.to_string
 let prop_random_differential =
   QCheck.Test.make ~count:80 ~name:"random programs: flat = structural"
     arb_program_db (fun t ->
-      differential ~extract:8 "random" (W.Randprog.program t)
-        (W.Randprog.database t);
+      differential ~jobs:[ 1; 2; 4 ] ~extract:8 "random"
+        (W.Randprog.program t) (W.Randprog.database t);
       true)
 
 (* Every bundled workload, at sizes small enough to run as a test but

@@ -39,13 +39,13 @@ let workloads () =
 
 (* Run one profiled fixpoint from a clean slate and return the snapshot
    (plus the model, for audits). *)
-let profiled ?(jobs = 1) ?stats program db =
+let profiled ?(jobs = 1) program db =
   D.Profile.reset ();
   D.Profile.set_enabled true;
   let model =
     Fun.protect
       ~finally:(fun () -> D.Profile.set_enabled false)
-      (fun () -> D.Eval.seminaive ~jobs ?stats program db)
+      (fun () -> D.Eval.seminaive ~jobs program db)
   in
   (D.Profile.snapshot (), model)
 
@@ -175,7 +175,7 @@ let audited (name, program, db) =
   let est = A.Absint.stats analysis in
   let prof, model = profiled program db in
   let actual = D.Stats.of_database model in
-  (name, program, est, actual, prof, D.Profile.audit ~est ~actual program prof)
+  (name, program, est, actual, prof, D.Profile.audit ~est ~actual)
 
 (* q-error is max(est/act, act/est): >= 1 by construction, and exactly 1
    for extensional predicates the estimator saw — their estimates are
@@ -204,15 +204,7 @@ let test_audit_qerror () =
               (Printf.sprintf "%s %s: extensional q-error pins to 1" name
                  (D.Symbol.name p.D.Profile.pa_pred))
               1.0 p.D.Profile.pa_qerr)
-        audit.D.Profile.a_preds;
-      List.iter
-        (fun s ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s rule %d step %d: q-error >= 1" name
-               s.D.Profile.sa_rule s.D.Profile.sa_step)
-            true
-            (s.D.Profile.sa_qerr >= 1.0))
-        audit.D.Profile.a_steps)
+        audit.D.Profile.a_preds)
     (workloads ())
 
 (* Worst-first ordering and repeat-run determinism of the audit JSON. *)
@@ -236,31 +228,6 @@ let test_audit_deterministic () =
         (M.Json.to_string (D.Profile.audit_to_json audit2)))
     (workloads ())
 
-(* A flip means compiling with the measured statistics changes the
-   cost-based join order — re-derive that directly from the orders the
-   audit reports. *)
-let test_audit_flips () =
-  List.iter
-    (fun w ->
-      let name, program, est, actual, _, audit = audited w in
-      List.iter
-        (fun f ->
-          let order stats r =
-            Array.map
-              (fun i -> i.D.Plan.i_atom)
-              (D.Plan.compile ~stats program r ~delta:(-1)).D.Plan.p_instrs
-          in
-          let r = D.Program.rule program f.D.Profile.f_rule in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s rule %d: flip matches recompilation" name
-               f.D.Profile.f_rule)
-            true
-            (order est r = f.D.Profile.f_est_order
-            && order actual r = f.D.Profile.f_actual_order
-            && f.D.Profile.f_est_order <> f.D.Profile.f_actual_order))
-        audit.D.Profile.a_flips)
-    (workloads ())
-
 let suite =
   ( "profile",
     [
@@ -272,5 +239,4 @@ let suite =
       Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
       Alcotest.test_case "audit q-errors" `Quick test_audit_qerror;
       Alcotest.test_case "audit deterministic" `Quick test_audit_deterministic;
-      Alcotest.test_case "audit flips" `Quick test_audit_flips;
     ] )
