@@ -322,7 +322,7 @@ let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
       exit 1
   end
 
-(* The rule-level profiler: whyprov profile FILE [-q PRED] [--jobs N].
+(* The rule-level profiler: whyprov profile FILE [-q PRED].
    Materializes the model once with profiling enabled and prints
    per-rule / per-atom / per-SCC attribution plus the estimate-vs-actual
    audit (row estimates from the abstract-interpretation layer, actual
@@ -330,13 +330,13 @@ let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
    SCC → rule → atom tree; --format=json emits the whyprov.profile/2
    document with an "audit" member. --no-times drops the
    (nondeterministic) wall-time fields, so two runs of the same
-   instance are byte-identical whatever --jobs. *)
-let cmd_profile () path query jobs format top no_times out =
+   instance are byte-identical. *)
+let cmd_profile () path query format top no_times out =
   let program, db = load_checked ?query path in
   let est = A.Absint.stats (A.Absint.analyze program db) in
   D.Profile.reset ();
   D.Profile.set_enabled true;
-  let model = D.Eval.seminaive ~jobs program db in
+  let model = D.Eval.seminaive program db in
   D.Profile.set_enabled false;
   let prof = D.Profile.snapshot () in
   let audit = D.Profile.audit ~est ~actual:(D.Stats.of_database model) in
@@ -465,7 +465,7 @@ let cmd_repl () path =
   let help () =
     print_string
       "  p(a,b).        explain the ground fact p(a,b)\n\
-      \  p(a,X).        list matching answers (magic-sets evaluation)\n\
+      \  p(a,X).        list the matching facts\n\
       \  tree p(a,b).   print one minimal-depth proof tree\n\
       \  count p(a,b).  size of why_UN (up to 10000)\n\
       \  stats          model statistics\n\
@@ -493,27 +493,18 @@ let cmd_repl () path =
             (fun i m -> Format.printf "%2d. %a@." (i + 1) D.Fact.pp_set m)
             (P.Enumerate.to_list ~limit:20 e)
     end
-    else if D.Program.is_idb program atom.D.Atom.pred then begin
-      let magic = D.Magic.transform program atom in
-      let answers = D.Magic.answers magic db in
-      List.iter (fun f -> Format.printf "%a@." D.Fact.pp f) answers;
-      Format.printf "%% %d answer(s)@." (List.length answers)
-    end
     else begin
-      (* Extensional pattern: scan the database. *)
-      let count = ref 0 in
-      D.Database.iter_pred db atom.D.Atom.pred (fun f ->
-          let matches =
-            Array.for_all2
-              (fun t c ->
-                match t with D.Term.Const c' -> D.Symbol.equal c c' | D.Term.Var _ -> true)
-              atom.D.Atom.args (D.Fact.args f)
-          in
-          if matches then begin
-            incr count;
-            Format.printf "%a@." D.Fact.pp f
-          end);
-      Format.printf "%% %d fact(s)@." !count
+      (* A pattern: intensional ones match the model, extensional ones
+         the database; [match_atom] honours repeated variables. *)
+      let idb = D.Program.is_idb program atom.D.Atom.pred in
+      let source = if idb then Lazy.force model else db in
+      let acc = ref [] in
+      D.Eval.match_atom source (Hashtbl.create 8) atom (fun f ->
+          acc := f :: !acc);
+      let facts = List.sort D.Fact.compare !acc in
+      List.iter (fun f -> Format.printf "%a@." D.Fact.pp f) facts;
+      Format.printf "%% %d %s@." (List.length facts)
+        (if idb then "answer(s)" else "fact(s)")
     end
   in
   let rec loop () =
@@ -634,10 +625,9 @@ let jobs_arg =
     value
     & opt positive_int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains, at least 1 (default 1: run sequentially on \
-              the calling domain). $(b,batch) fans the per-tuple \
-              encode/enumerate work over them; $(b,profile) evaluates each \
-              fixpoint round's rule tasks on them.")
+        ~doc:"Worker domains $(b,batch) fans the per-tuple \
+              encode/enumerate work over, at least 1 (default 1: run \
+              sequentially on the calling domain).")
 
 let budget_arg =
   Arg.(
@@ -845,7 +835,7 @@ let no_times_arg =
     & info [ "no-times" ]
         ~doc:
           "Omit wall-time fields from the JSON document; everything left is \
-           deterministic and independent of $(b,--jobs).")
+           deterministic: two runs of the same instance are byte-identical.")
 
 let profile_out_arg =
   Arg.(
@@ -864,7 +854,7 @@ let profile_cmd =
           estimate-vs-actual audit: per-predicate q-errors of the \
           abstract-interpretation row estimates against the model.")
     Term.(
-      const cmd_profile $ stats_term $ file_arg $ opt_query_arg $ jobs_arg
+      const cmd_profile $ stats_term $ file_arg $ opt_query_arg
       $ profile_format_arg $ top_arg $ no_times_arg
       $ profile_out_arg)
 

@@ -60,8 +60,8 @@ let add t f =
     true
   end
 
-(* Insertion without the membership pre-check: the flat engine's merge
-   ([Engine]) walks rows its relations have already deduplicated, so
+(* Insertion without the membership pre-check: the flat engine's final
+   materialization ([Engine]) walks rows its relations have already deduplicated, so
    re-hashing each fact just to learn it is fresh would double the cost
    of the per-fact tail. *)
 let add_new t f =

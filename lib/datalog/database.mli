@@ -23,7 +23,7 @@ val add : t -> Fact.t -> bool
 val add_new : t -> Fact.t -> unit
 (** [add_new db f] inserts [f] {e without} the membership check of
     {!add}. The caller must guarantee [not (mem db f)] — the flat
-    engine's merge does, because its relations deduplicate rows before
+    engine's final materialization does, because its relations deduplicate rows before
     they reach the database. Inserting a duplicate corrupts [size] and
     the per-predicate stores. *)
 

@@ -70,112 +70,11 @@ let strata program =
   !sccs
 
 (* ------------------------------------------------------------------ *)
-(* Domain pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* A persistent pool of [n] worker domains driven by a generation
-   counter; tasks of a round are claimed with [Atomic.fetch_and_add]
-   and the coordinator participates, so [jobs = 1] never spawns. All
-   shared relation state is read-only while a generation runs — the
-   coordinator mutates it only between rounds, and the mutex handoff
-   at the generation boundary publishes those writes to the workers. *)
-type pool = {
-  mutex : Mutex.t;
-  start : Condition.t;
-  finished : Condition.t;
-  mutable generation : int;
-  mutable pending : int;
-  mutable stop : bool;
-  mutable work : int -> unit;
-  mutable ntasks : int;
-  next : int Atomic.t;
-  mutable domains : unit Domain.t list;
-}
-
-let pool_worker p =
-  let my_gen = ref 0 in
-  let rec loop () =
-    Mutex.lock p.mutex;
-    while (not p.stop) && p.generation = !my_gen do
-      Condition.wait p.start p.mutex
-    done;
-    if p.stop then Mutex.unlock p.mutex
-    else begin
-      my_gen := p.generation;
-      let work = p.work and n = p.ntasks in
-      Mutex.unlock p.mutex;
-      let rec claim () =
-        let i = Atomic.fetch_and_add p.next 1 in
-        if i < n then begin
-          work i;
-          claim ()
-        end
-      in
-      claim ();
-      Mutex.lock p.mutex;
-      p.pending <- p.pending - 1;
-      if p.pending = 0 then Condition.broadcast p.finished;
-      Mutex.unlock p.mutex;
-      loop ()
-    end
-  in
-  loop ()
-
-let pool_create n =
-  let p =
-    {
-      mutex = Mutex.create ();
-      start = Condition.create ();
-      finished = Condition.create ();
-      generation = 0;
-      pending = 0;
-      stop = false;
-      work = ignore;
-      ntasks = 0;
-      next = Atomic.make 0;
-      domains = [];
-    }
-  in
-  p.domains <- List.init n (fun _ -> Domain.spawn (fun () -> pool_worker p));
-  p
-
-let pool_run p work n =
-  Mutex.lock p.mutex;
-  p.work <- work;
-  p.ntasks <- n;
-  Atomic.set p.next 0;
-  p.pending <- List.length p.domains;
-  p.generation <- p.generation + 1;
-  Condition.broadcast p.start;
-  Mutex.unlock p.mutex;
-  let rec claim () =
-    let i = Atomic.fetch_and_add p.next 1 in
-    if i < n then begin
-      work i;
-      claim ()
-    end
-  in
-  claim ();
-  Mutex.lock p.mutex;
-  while p.pending > 0 do
-    Condition.wait p.finished p.mutex
-  done;
-  Mutex.unlock p.mutex
-
-let pool_shutdown p =
-  Mutex.lock p.mutex;
-  p.stop <- true;
-  Condition.broadcast p.start;
-  Mutex.unlock p.mutex;
-  List.iter Domain.join p.domains
-
-(* ------------------------------------------------------------------ *)
 (* Plan execution                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Counters a task accumulates locally and the coordinator flushes into
-   the metrics registry after the round — workers never touch shared
-   atomics on the hot path. *)
+(* Counters a task accumulates locally and the round flushes into the
+   metrics registry once, keeping registry lookups off the hot path. *)
 type task_stats = {
   mutable s_tuples : int;
   mutable s_probes : int;
@@ -185,7 +84,6 @@ type task_stats = {
 
 type task = {
   t_plan : Plan.t;
-  t_out : Flatrel.t;
   t_stats : task_stats;
   t_prof : Profile.task option;
       (* per-instruction match counts and accepted-row count for the
@@ -196,7 +94,6 @@ type task = {
 let make_task profiling plan =
   {
     t_plan = plan;
-    t_out = Flatrel.create ~arity:(Array.length plan.Plan.p_head);
     t_stats = { s_tuples = 0; s_probes = 0; s_scans = 0; s_hits = 0 };
     t_prof =
       (if profiling then
@@ -212,10 +109,8 @@ let make_task profiling plan =
    full scans stop there, and the column indexes are only extended at
    round boundaries, so a round only ever joins against the model as it
    stood when the round began. Derived head rows go straight into the
-   model relation when [direct] (sequential evaluation — the row
-   sequence is the task-ordered merge's, just without the task-local
-   detour), or into the task-local output otherwise. *)
-let run_task ~model ~limits ~ranges ~direct task =
+   model relation, so tasks run in task order fix the row sequence. *)
+let run_task ~model ~limits ~ranges task =
   let plan = task.t_plan in
   let stats = task.t_stats in
   let instrs = plan.Plan.p_instrs in
@@ -225,7 +120,6 @@ let run_task ~model ~limits ~ranges ~direct task =
   let hw = Array.length head in
   let hbuf = Array.make (max hw 1) 0 in
   let model_head : Flatrel.t = Hashtbl.find model plan.Plan.p_head_pred in
-  let out = task.t_out in
   let ground_head () =
     for c = 0 to hw - 1 do
       let v = head.(c) in
@@ -233,8 +127,8 @@ let run_task ~model ~limits ~ranges ~direct task =
     done
   in
   let emit =
-    match (direct, task.t_prof) with
-    | true, None ->
+    match task.t_prof with
+    | None ->
       fun () ->
         (* One combined lookup-or-insert; duplicates of both older
            rounds and this round's earlier emissions are rejected by the
@@ -242,18 +136,11 @@ let run_task ~model ~limits ~ranges ~direct task =
            boundary. *)
         ground_head ();
         ignore (Flatrel.append model_head hbuf 0)
-    | true, Some tp ->
+    | Some tp ->
       fun () ->
         ground_head ();
         if Flatrel.append model_head hbuf 0 then
           tp.Profile.new_rows <- tp.Profile.new_rows + 1
-    | false, _ ->
-      (* Parallel tasks cannot see which rows the merge will accept;
-         [merge] credits [new_rows] as it replays the task output. *)
-      fun () ->
-        ground_head ();
-        if not (Flatrel.mem model_head hbuf 0) then
-          ignore (Flatrel.append out hbuf 0)
   in
   (* Compile the instruction array, last to first, into a chain of
      closures built once per task: the per-row checks close only over
@@ -319,7 +206,7 @@ let run_task ~model ~limits ~ranges ~direct task =
         in
         if ins.Plan.i_from_delta then begin
           (* The delta atom (always the plan's first instruction): scan
-             the rows the previous merge appended, checking constant
+             the rows the previous round appended, checking constant
              columns inline — delta ranges are small and never carry
              column indexes. *)
           match Hashtbl.find_opt ranges ins.Plan.i_pred with
@@ -403,7 +290,7 @@ let round_span round f =
       ~args:[ ("round", Metrics.Json.Num (float_of_int round)) ]
       "eval.round" f
 
-let seminaive ?ranks ?(jobs = 1) program db =
+let seminaive ?ranks program db =
   Tracing.with_span "eval.seminaive" @@ fun () ->
   Metrics.time m_seminaive_time @@ fun () ->
   Metrics.incr m_runs;
@@ -437,7 +324,7 @@ let seminaive ?ranks ?(jobs = 1) program db =
   in
   (* Compile every (rule, delta position) pair once. Delta tasks are
      ordered stratum-first (then rule id, then body position): the task
-     list is deterministic, and so is the merge that walks it. *)
+     list is deterministic, and so is the row order it appends. *)
   let rules = Array.of_list (Program.rules program) in
   let full_plans =
     Array.map (fun r -> Plan.compile program r ~delta:(-1)) rules
@@ -472,12 +359,12 @@ let seminaive ?ranks ?(jobs = 1) program db =
            compare (stratum_of p.p_head_pred) (stratum_of q.p_head_pred))
     |> Array.of_list
   in
-  (* Every model column any plan may probe, indexed up front by the
-     coordinator, so no index is ever built concurrently with workers.
-     Delta atoms scan their row range instead of probing, so delta-side
-     requirements ([from_delta = true]) need no index at all — and a
-     column only the full (round-1) plans probe is dropped right after
-     round 1 rather than maintained for the rest of the fixpoint. *)
+  (* Every model column any plan may probe, indexed up front, so no
+     index is ever built mid-round. Delta atoms scan their row range
+     instead of probing, so delta-side requirements ([from_delta =
+     true]) need no index at all — and a column only the full (round-1)
+     plans probe is dropped right after round 1 rather than maintained
+     for the rest of the fixpoint. *)
   let cols_of plans =
     let cols : (Symbol.t * int, unit) Hashtbl.t = Hashtbl.create 16 in
     Array.iter
@@ -503,10 +390,8 @@ let seminaive ?ranks ?(jobs = 1) program db =
         if Hashtbl.mem delta_cols key then acc else key :: acc)
       full_cols []
   in
-  let pool = if jobs > 1 then Some (pool_create (jobs - 1)) else None in
-  let direct = pool = None in
   (* Per-predicate row counts at round start: the watermark full scans
-     stop at, and the [lo] of the ranges the merge publishes. *)
+     stop at, and the [lo] of the ranges [close_round] publishes. *)
   let limits : (Symbol.t, int) Hashtbl.t = Hashtbl.create 16 in
   let snapshot () =
     List.iter
@@ -522,22 +407,15 @@ let seminaive ?ranks ?(jobs = 1) program db =
   let derived_total = ref 0 in
   let run_tasks tasks ranges =
     let ntasks = Array.length tasks in
-    let work =
-      if profiling then fun i ->
-        let t = tasks.(i) in
-        let t0 = Profile.now_s () in
-        run_task ~model ~limits ~ranges ~direct t;
+    Array.iter
+      (fun t ->
         match t.t_prof with
-        | Some tp -> tp.Profile.secs <- tp.Profile.secs +. (Profile.now_s () -. t0)
-        | None -> ()
-      else fun i -> run_task ~model ~limits ~ranges ~direct tasks.(i)
-    in
-    (match pool with
-    | None ->
-      for i = 0 to ntasks - 1 do
-        work i
-      done
-    | Some p -> pool_run p work ntasks);
+        | None -> run_task ~model ~limits ~ranges t
+        | Some tp ->
+          let t0 = Profile.now_s () in
+          run_task ~model ~limits ~ranges t;
+          tp.Profile.secs <- tp.Profile.secs +. (Profile.now_s () -. t0))
+      tasks;
     Metrics.add m_firings ntasks;
     Metrics.add m_tasks ntasks;
     if Metrics.is_enabled () then
@@ -551,37 +429,11 @@ let seminaive ?ranks ?(jobs = 1) program db =
           Metrics.add m_index_hits s.s_hits)
         tasks
   in
-  (* Close a round deterministically. Sequential tasks appended their
-     rows to the model relations already (in task order); parallel
-     task outputs are folded in, in task order, which produces the
-     identical row sequence ([Flatrel.append] rejects cross-task
-     duplicates). Then the appended ranges — the next round's delta —
-     are replayed into the live column indexes, which workers never
-     touch mid-round. *)
-  let merge round tasks =
-    if not direct then
-      Array.iter
-        (fun t ->
-          let out = t.t_out in
-          if Flatrel.length out > 0 then begin
-            let model_rel = Hashtbl.find model t.t_plan.Plan.p_head_pred in
-            let buf = Array.make (max (Flatrel.arity out) 1) 0 in
-            match t.t_prof with
-            | None ->
-              Flatrel.iter out (fun row ->
-                  Flatrel.read_row out row buf 0;
-                  ignore (Flatrel.append model_rel buf 0))
-            | Some tp ->
-              (* The replay walks tasks in task order whatever [jobs]
-                 was, so crediting accepted rows here gives every task
-                 the same [new_rows] a sequential run would — profiles
-                 stay deterministic across pool sizes. *)
-              Flatrel.iter out (fun row ->
-                  Flatrel.read_row out row buf 0;
-                  if Flatrel.append model_rel buf 0 then
-                    tp.Profile.new_rows <- tp.Profile.new_rows + 1)
-          end)
-        tasks;
+  (* Close a round. The tasks appended their rows to the model relations
+     already, in task order; the appended ranges — the next round's
+     delta — are now replayed into the live column indexes, which no
+     task touches mid-round. *)
+  let close_round round =
     let ranges : (Symbol.t, int * int) Hashtbl.t = Hashtbl.create 8 in
     let total = ref 0 in
     List.iter
@@ -618,8 +470,7 @@ let seminaive ?ranks ?(jobs = 1) program db =
       Tracing.counter "eval.delta" [ ("facts", float_of_int !total) ];
     (ranges, !total)
   in
-  (* Fold the round's tasks into the profile run — after the merge, so
-     the parallel tasks' [new_rows] have settled. *)
+  (* Fold the round's tasks into the profile run, in task order. *)
   let profile_round tasks (ranges, _total) =
     match prof_run with
     | None -> ()
@@ -638,9 +489,6 @@ let seminaive ?ranks ?(jobs = 1) program db =
            (fun p (lo, hi) acc -> (p, hi - lo) :: acc)
            ranges [])
   in
-  let finally () = Option.iter pool_shutdown pool in
-  Fun.protect ~finally @@ fun () ->
-  Symbol.with_frozen @@ fun () ->
   (* Round 1: full evaluation of every rule over the database. *)
   let empty : (Symbol.t, int * int) Hashtbl.t = Hashtbl.create 1 in
   snapshot ();
@@ -653,7 +501,7 @@ let seminaive ?ranks ?(jobs = 1) program db =
       | Some rel -> Flatrel.drop_index rel col
       | None -> ())
     full_only_cols;
-  let delta = ref (merge 1 tasks1) in
+  let delta = ref (close_round 1) in
   profile_round tasks1 !delta;
   let round = ref 2 in
   while snd !delta > 0 do
@@ -661,7 +509,7 @@ let seminaive ?ranks ?(jobs = 1) program db =
     let tasks = Array.map (make_task profiling) delta_plans in
     round_span !round (fun () -> run_tasks tasks (fst !delta));
     Metrics.incr m_rounds;
-    delta := merge !round tasks;
+    delta := close_round !round;
     profile_round tasks !delta;
     incr round
   done;

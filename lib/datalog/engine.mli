@@ -4,10 +4,9 @@
     compiled once into flat join plans ({!Plan}), facts live in
     per-predicate flat relations ({!Flatrel}), substitutions are plain
     [int array] register files, and every semi-naive round fires its
-    (rule, delta-position) tasks either sequentially or across a pool
-    of OCaml 5 domains with a deterministic, task-ordered delta merge —
-    the model and the derivation ranks are identical whatever [jobs]
-    is. See [docs/ARCHITECTURE.md] ("The flat engine") for the design
+    (rule, delta-position) tasks in a fixed task order that appends
+    derived rows straight into the model relations. See
+    [docs/ARCHITECTURE.md] ("The flat engine") for the design
     and its invariants.
 
     Rounds are {e global} (round-synchronous over all rules), not
@@ -24,7 +23,6 @@ val strata : Program.t -> Symbol.t list list
 
 val seminaive :
   ?ranks:int Fact.Table.t ->
-  ?jobs:int ->
   Program.t ->
   Database.t ->
   Database.t
@@ -32,18 +30,13 @@ val seminaive :
     as {!Eval.seminaive}, which delegates here. If [ranks] is given it
     must be fresh (empty) and is filled with the first-derivation round
     of every model fact (0 for database facts); each fact is recorded
-    exactly once, with no membership pre-check. [jobs] (default 1) is
-    the number of domains evaluating a round's rule tasks. Every rule
-    has one compiled join order ({!Plan.compile}), so the model, the
-    ranks {e and} the model's iteration order depend only on
-    [(program, db)]: they are byte-identical whatever [jobs] is.
-    Interning is frozen for the duration of the fixpoint
-    ({!Symbol.set_frozen}): evaluation only rearranges already-interned
-    symbols, and worker domains must never touch the intern table.
+    exactly once, with no membership pre-check. Every rule has one
+    compiled join order ({!Plan.compile}), so the model, the ranks
+    {e and} the model's iteration order depend only on
+    [(program, db)].
 
     When {!Profile.is_enabled} is true at call time, every task of the
     run additionally records per-rule / per-atom / per-SCC attribution
-    into the accumulated profile (see {!Profile}); the counts are
-    deterministic across [jobs] because workers only fill task-local
-    buffers and the coordinator folds them in task order after each
-    round's merge. *)
+    into the accumulated profile (see {!Profile}); each task fills its
+    own buffer and the round folds them in task order, so the counts
+    are identical across runs. *)

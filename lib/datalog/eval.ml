@@ -6,7 +6,6 @@ type binding = (Symbol.t, Symbol.t) Hashtbl.t
 module Metrics = Util.Metrics
 module Tracing = Util.Tracing
 
-let m_naive_time = Metrics.timer "eval.naive"
 let m_seminaive_time = Metrics.timer "eval.seminaive"
 let m_runs = Metrics.counter "eval.seminaive.runs"
 let m_rounds = Metrics.counter "eval.rounds"
@@ -144,25 +143,6 @@ let fire_rule ~full ~delta ~pos rule emit =
     match_atom delta b delta_atom (fun _ -> match_body full b rest finish)
   end
 
-let naive program db =
-  Tracing.with_span "eval.naive" @@ fun () ->
-  Metrics.time m_naive_time @@ fun () ->
-  let model = Database.of_list (Database.to_list db) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun rule ->
-        let fresh = ref [] in
-        fire_rule ~full:model ~delta:model ~pos:(-1) rule (fun fact ->
-            if not (Database.mem model fact) then fresh := fact :: !fresh);
-        List.iter
-          (fun fact -> if Database.add model fact then changed := true)
-          !fresh)
-      (Program.rules program)
-  done;
-  model
-
 let seminaive_structural ?ranks program db =
   Tracing.with_span "eval.seminaive" @@ fun () ->
   Metrics.time m_seminaive_time @@ fun () ->
@@ -236,8 +216,7 @@ let seminaive_structural ?ranks program db =
 
 (* The production fixpoint: the interned flat-tuple engine. The
    structural implementation above stays as its differential oracle. *)
-let seminaive ?ranks ?jobs program db =
-  Engine.seminaive ?ranks ?jobs program db
+let seminaive ?ranks program db = Engine.seminaive ?ranks program db
 
 let holds program db fact = Database.mem (seminaive program db) fact
 

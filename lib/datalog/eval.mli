@@ -1,4 +1,4 @@
-(** Bottom-up evaluation: naive and semi-naive fixpoint, backward
+(** Bottom-up evaluation: semi-naive fixpoint, backward
     rule-instance extraction, and derivation ranks.
 
     [seminaive] implements the immediate-consequence fixpoint
@@ -22,23 +22,14 @@ val ground : binding -> Atom.t -> Fact.t
 (** Instantiates an atom whose variables are all bound.
     @raise Invalid_argument otherwise. *)
 
-val naive : Program.t -> Database.t -> Database.t
-(** Naive fixpoint; returns the model [Σ(D)] (which includes [D]).
-    Used as a test oracle for [seminaive]. *)
-
 val seminaive :
-  ?ranks:int Fact.Table.t ->
-  ?jobs:int ->
-  Program.t ->
-  Database.t ->
-  Database.t
+  ?ranks:int Fact.Table.t -> Program.t -> Database.t -> Database.t
 (** Semi-naive fixpoint; returns the model [Σ(D)]. If [ranks] is given it
     is filled with the first-derivation round of every model fact
     (0 for database facts). Delegates to the interned flat-tuple engine
-    ({!Engine.seminaive}); [jobs] (default 1) evaluates each round's
-    rule tasks across that many domains. The model, the ranks and the
-    model's iteration order depend only on [(program, db)]. When {!Profile.is_enabled} is true at
-    call time, the run contributes per-rule / per-atom / per-SCC
+    ({!Engine.seminaive}). The model, the ranks and the model's
+    iteration order depend only on [(program, db)]. When
+    {!Profile.is_enabled} is true at call time, the run contributes per-rule / per-atom / per-SCC
     attribution to the accumulated profile ({!Profile.snapshot}). *)
 
 val seminaive_structural :

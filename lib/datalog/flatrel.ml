@@ -130,20 +130,7 @@ let add t buf off =
   end
   else false
 
-let add_row t row = add t row 0
-
-let mem t buf off =
-  let slot = ref 0 in
-  lookup t buf off slot >= 0
-
 let get t row col = Array.unsafe_get t.data ((row * t.arity) + col)
-
-let read_row t row buf off = Array.blit t.data (row * t.arity) buf off t.arity
-
-let iter t f =
-  for row = 0 to t.nrows - 1 do
-    f row
-  done
 
 let ensure_index t col =
   match t.indexes.(col) with
@@ -170,22 +157,10 @@ let reindex_range t lo hi =
 
 let drop_index t col = t.indexes.(col) <- None
 
-let has_index t col = t.indexes.(col) <> None
-
 let index_exn t col =
   match t.indexes.(col) with
   | Some idx -> idx
   | None -> invalid_arg "Flatrel: column index not built"
-
-let probe_count t col v =
-  match Hashtbl.find_opt (index_exn t col) v with
-  | Some rows -> Util.Vec.length rows
-  | None -> 0
-
-let probe t col v f =
-  match Hashtbl.find_opt (index_exn t col) v with
-  | Some rows -> Util.Vec.iter f rows
-  | None -> ()
 
 let bucket t col v = Hashtbl.find_opt (index_exn t col) v
 

@@ -10,11 +10,8 @@
     each column can carry a lazily built hash index from constant to
     the row ids holding it, kept up to date by {!add} once built.
 
-    A relation is mutated only from the coordinating domain; worker
-    domains of a parallel evaluation round read concurrently through
-    {!get}, {!mem}, {!probe} and friends, which is safe because rounds
-    are phased (all writes happen in the merge step between rounds, and
-    the round barrier publishes them). *)
+    A relation is not domain-safe: the engine reads and writes it from
+    one domain. *)
 
 type t
 (** A relation: a bag-free set of same-arity rows over interned ints. *)
@@ -33,13 +30,10 @@ val add : t -> int array -> int -> bool
     returns [true] iff the row was not already present. Live column
     indexes are updated. *)
 
-val add_row : t -> int array -> bool
-(** [add_row rel row] is [add rel row 0] for a row-sized array. *)
-
 val append : t -> int array -> int -> bool
 (** Like {!add} but {e without} updating live column indexes: the
     engine's write path during a semi-naive round. Rows appended this
-    way are invisible to {!probe}/{!bucket} until {!reindex_range}
+    way are invisible to {!bucket} until {!reindex_range}
     replays them — exactly the round isolation the engine wants. Mixing
     [append] with probing and never calling {!reindex_range} leaves the
     indexes incomplete. *)
@@ -54,45 +48,23 @@ val drop_index : t -> int -> unit
     inserts stop maintaining it. The engine drops indexes that only the
     first (full-evaluation) round probes. *)
 
-val mem : t -> int array -> int -> bool
-(** [mem rel buf off] tests membership of the row at [off] in [buf]
-    without inserting it. *)
-
 val get : t -> int -> int -> int
 (** [get rel row col] reads one cell. {b Unchecked} — this is the join
     runtime's innermost read, so callers must index rows they obtained
-    from {!length}, {!iter} or {!probe} and columns below {!arity}. *)
-
-val read_row : t -> int -> int array -> int -> unit
-(** [read_row rel row buf off] copies row [row] into [buf] at [off]. *)
-
-val iter : t -> (int -> unit) -> unit
-(** [iter rel f] calls [f] on every row id, in insertion order. *)
+    from {!length} or {!bucket} and columns below {!arity}. *)
 
 val ensure_index : t -> int -> unit
 (** [ensure_index rel col] builds the column-[col] index if absent:
     a hash table from constant to the ids of the rows holding it at
     [col], maintained by subsequent {!add}s. Ticks the
-    [eval.index.builds] / [eval.index.entries] metrics. Must be called
-    from the coordinating domain before any concurrent {!probe}. *)
-
-val has_index : t -> int -> bool
-(** Whether the column-[col] index has been built. *)
-
-val probe_count : t -> int -> int -> int
-(** [probe_count rel col v] is the number of rows with [v] at [col] —
-    the index bucket size. The column index must have been built. *)
-
-val probe : t -> int -> int -> (int -> unit) -> unit
-(** [probe rel col v f] calls [f] on each row id with [v] at column
-    [col], in insertion order. The column index must have been built. *)
+    [eval.index.builds] / [eval.index.entries] metrics. *)
 
 val bucket : t -> int -> int -> int Util.Vec.t option
-(** [bucket rel col v] is the raw index bucket behind {!probe} — the
+(** [bucket rel col v] is the column-[col] index bucket for [v] — the
     ids of the rows holding [v] at [col], ascending — or [None] when no
     row does. One hash lookup; the join runtime sizes and scans the
     bucket without a second one. The vector is owned by the index:
-    callers must not mutate it. *)
+    callers must not mutate it. The column index must have been built. *)
 
 val fact : t -> pred:Symbol.t -> int -> Fact.t
 (** Materializes row [row] as a {!Fact.t} of predicate [pred]. *)

@@ -15,11 +15,10 @@
     atomic-flag check (checked {e once per fixpoint}, not per tuple)
     until {!set_enabled} is called — the [profile:*] micro-benchmarks
     in [bench/micro.ml] hold the disabled overhead under 2%. Collection
-    is aggregated {e deterministically} across the engine's domain
-    pool: workers only fill task-local buffers, and the coordinator
-    folds them in task order after each round, so every count in a
-    profile is identical whatever [jobs] is (wall times are the one
-    exception — they measure real concurrency and are excluded from
+    is aggregated {e deterministically}: each engine task fills its own
+    buffer, and the engine folds them in task order after each round,
+    so every count in a profile is identical across runs (wall times
+    are the one exception — they are excluded from
     [to_json ~times:false], the form the determinism tests compare).
 
     Reconciliation contract (enforced by [test/test_profile.ml] on the
@@ -49,10 +48,8 @@ val reset : unit -> unit
 (** {1 Engine-side collection}
 
     Used by {!Engine.seminaive} only; exposed so the engine can stay
-    free of profiling bookkeeping when disabled. A {!run} is owned by
-    the coordinating domain; {!task} buffers are written by exactly one
-    worker while a round runs and read by the coordinator after the
-    round's merge. *)
+    free of profiling bookkeeping when disabled. A {!run} and its
+    {!task} buffers belong to one fixpoint, on one domain. *)
 
 type task = {
   out : int array;
@@ -77,12 +74,12 @@ val run_begin : Program.t -> Symbol.t list list -> run
 
 val record_task :
   run -> Plan.t -> task -> probes:int -> hits:int -> scans:int -> unit
-(** Folds one finished task into the run — called by the coordinator in
-    task order, after the round's merge has settled [task.new_rows]. *)
+(** Folds one finished task into the run — called in task order at the
+    end of each round. *)
 
 val record_round : run -> (Symbol.t * int) list -> unit
 (** [record_round run deltas] closes one round; [deltas] are the
-    per-predicate delta sizes of the round's merge (any order — the
+    per-predicate delta sizes of the round (any order — the
     per-SCC aggregation is order-independent). *)
 
 val run_end : run -> unit
@@ -137,7 +134,7 @@ val schema_version : string
 val to_json : ?times:bool -> t -> Util.Metrics.Json.t
 (** The versioned JSON document (docs/OBSERVABILITY.md). With
     [~times:false] the [time_s] fields are omitted — every remaining
-    field is deterministic and independent of [jobs]. *)
+    field is deterministic across runs. *)
 
 val pp : ?top:int -> Format.formatter -> t -> unit
 (** The human report: the [top] (default 5) hottest rules by wall

@@ -9,20 +9,6 @@ let m_hits = Metrics.counter "eval.intern.hits"
 let table : (string, int) Hashtbl.t = Hashtbl.create 4096
 let names : string Util.Vec.t = Util.Vec.create ()
 
-(* The intern table is global mutable state and not domain-safe, so the
-   engine freezes it for the duration of a fixpoint: evaluation only
-   rearranges already-interned ids. Atomic so that a buggy intern from a
-   worker domain reads the flag reliably and fails loudly. *)
-let frozen = Atomic.make false
-
-let set_frozen b = Atomic.set frozen b
-let is_frozen () = Atomic.get frozen
-
-let with_frozen f =
-  let was = Atomic.get frozen in
-  Atomic.set frozen true;
-  Fun.protect ~finally:(fun () -> Atomic.set frozen was) f
-
 let intern s =
   Metrics.incr m_lookups;
   match Hashtbl.find_opt table s with
@@ -30,10 +16,6 @@ let intern s =
     Metrics.incr m_hits;
     id
   | None ->
-    if Atomic.get frozen then
-      invalid_arg
-        (Printf.sprintf
-           "Symbol.intern: table frozen during evaluation (new symbol %S)" s);
     let id = Util.Vec.length names in
     Hashtbl.add table s id;
     Util.Vec.push names s;

@@ -10,9 +10,7 @@ type t = int
 val intern : string -> t
 (** [intern s] returns the unique symbol for the string [s]. Ticks the
     [eval.intern.lookups] / [eval.intern.hits] / [eval.intern.symbols]
-    metrics.
-    @raise Invalid_argument if [s] is new while the table is frozen
-    ({!set_frozen}). *)
+    metrics. *)
 
 val name : t -> string
 (** [name sym] is the string that was interned to [sym].
@@ -20,19 +18,6 @@ val name : t -> string
 
 val to_string : t -> string
 (** Alias of {!name}: [to_string (intern s) = s] for every [s]. *)
-
-val set_frozen : bool -> unit
-(** Freezes (or thaws) the intern table: while frozen, {!intern} of an
-    unknown string and {!fresh} raise instead of mutating the table.
-    The engine freezes interning across a fixpoint — the table is
-    global state no worker domain may touch. *)
-
-val is_frozen : unit -> bool
-(** Whether the intern table is currently frozen. *)
-
-val with_frozen : (unit -> 'a) -> 'a
-(** [with_frozen f] runs [f] with the table frozen, restoring the
-    previous state on exit (exception-safe, nestable). *)
 
 val fresh : string -> t
 (** [fresh hint] creates a brand-new symbol whose printed name starts with

@@ -9,8 +9,8 @@
      clauses and UNSAT answers DRAT-certified.
 
    - Datalog: random programs (Workloads.Randprog) run through the
-     flat engine at jobs 1 and 2 against the structural reference
-     engine, the query-relevance slice against its certificate and the
+     flat engine against the structural reference engine, the
+     query-relevance slice against its certificate and the
      unsliced why-sets, and the SAT-based why_UN enumeration
      (preprocessing on/off) against the powerset oracle
      (Harden.Oracle).
@@ -176,8 +176,8 @@ let shrink_cnf ~failing clauses =
 
 (* --- Datalog differentials -------------------------------------------- *)
 
-(* Flat engine (jobs 1 and 2) against the structural engine: same model
-   set, same ranks. Returns the first discrepancy. *)
+(* Flat engine against the structural engine: same model set, same
+   ranks. Returns the first discrepancy. *)
 let check_engine (t : W.Randprog.t) =
   Metrics.incr m_engine_checks;
   let program = W.Randprog.program t in
@@ -191,25 +191,17 @@ let check_engine (t : W.Randprog.t) =
     D.Eval.seminaive_structural ~ranks:r_struct program db
     |> D.Database.to_list |> List.sort D.Fact.compare
   in
-  let rec go = function
-    | [] -> Ok ()
-    | jobs :: rest ->
-      let r_flat = D.Fact.Table.create 64 in
-      let m_flat =
-        D.Engine.seminaive ~ranks:r_flat ~jobs program db
-        |> D.Database.to_list |> List.sort D.Fact.compare
-      in
-      if not (List.equal D.Fact.equal m_struct m_flat) then
-        Error
-          (Printf.sprintf
-             "flat engine (jobs %d) model differs from structural (%d vs %d \
-              facts)"
-             jobs (List.length m_flat) (List.length m_struct))
-      else if ranked r_struct <> ranked r_flat then
-        Error (Printf.sprintf "flat engine (jobs %d) ranks differ" jobs)
-      else go rest
+  let r_flat = D.Fact.Table.create 64 in
+  let m_flat =
+    D.Engine.seminaive ~ranks:r_flat program db
+    |> D.Database.to_list |> List.sort D.Fact.compare
   in
-  go [ 1; 2 ]
+  if not (List.equal D.Fact.equal m_struct m_flat) then
+    Error
+      (Printf.sprintf "flat engine model differs from structural (%d vs %d facts)"
+         (List.length m_flat) (List.length m_struct))
+  else if ranked r_struct <> ranked r_flat then Error "flat engine ranks differ"
+  else Ok ()
 
 (* Query-relevance slicing: for every IDB predicate, the slice
    certificate must hold (drop reasons re-established, model and ranks

@@ -8,8 +8,8 @@
       truth-table oracle ({!Sat.Reference.brute_force}), SAT models
       evaluated on the original clauses, UNSAT answers DRAT-certified.
     - {b engine}: a random Datalog program ({!Workloads.Randprog})
-      through the flat engine at jobs 1 and 2 vs the structural
-      reference engine (model set and ranks).
+      through the flat engine vs the structural reference engine
+      (model set and ranks).
     - {b provenance}: the SAT-based [why_UN] enumeration (preprocessing
       on/off) vs the powerset oracle ({!Oracle.why_un_powerset}) on a
       tiny database, for every derived IDB fact.

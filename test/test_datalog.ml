@@ -1,5 +1,5 @@
 (* Tests for the Datalog substrate: parser, classification, evaluation
-   (naive vs semi-naive), derivations, ranks. *)
+   semi-naive evaluation, derivations, ranks. *)
 
 module D = Datalog
 
@@ -172,19 +172,6 @@ let random_graph_db rng ~nodes ~edges =
       let a = Util.Rng.int rng nodes and b = Util.Rng.int rng nodes in
       D.Fact.of_strings "edge"
         [ Printf.sprintf "n%d" a; Printf.sprintf "n%d" b ])
-
-let test_naive_equals_seminaive () =
-  let rng = Util.Rng.create 11 in
-  let program = parse_program tc_program in
-  for _ = 1 to 25 do
-    let nodes = 2 + Util.Rng.int rng 8 in
-    let edges = Util.Rng.int rng 20 in
-    let db = D.Database.of_list (random_graph_db rng ~nodes ~edges) in
-    let m1 = D.Eval.naive program db in
-    let m2 = D.Eval.seminaive program db in
-    Alcotest.(check bool) "models equal" true
-      (D.Fact.Set.equal (D.Database.to_set m1) (D.Database.to_set m2))
-  done
 
 let test_nonlinear_eval () =
   (* Paper Example 1: path accessibility. *)
@@ -366,7 +353,6 @@ let suite =
       tc "query class strings" `Quick test_query_class_strings;
       tc "arity mismatch" `Quick test_arity_mismatch_rejected;
       tc "transitive closure" `Quick test_transitive_closure_eval;
-      tc "naive = seminaive" `Quick test_naive_equals_seminaive;
       tc "non-linear eval" `Quick test_nonlinear_eval;
       tc "constants in rules" `Quick test_constants_in_rules;
       tc "repeated vars" `Quick test_repeated_vars_in_atom;

@@ -1,14 +1,12 @@
 (* Differential tests for the interned flat-tuple engine ({!Engine})
    against the structural reference implementation
    ({!Eval.seminaive_structural}): the same model facts, the same
-   derivation rank for every fact, bit-identical backward rule-instance
-   extraction, and results independent of the worker-domain count.
-   Models are compared as sorted fact lists — the two engines agree on
-   the set and on every rank, but the join planner reorders rule bodies,
-   so the order in which a round {e first} emits a fact (and hence
-   model iteration order) may differ on non-linear programs. What must
-   be order-exact is the flat engine against {e itself} at different
-   [jobs] values, which [differential] also enforces. *)
+   derivation rank for every fact, and bit-identical backward
+   rule-instance extraction. Models are compared as sorted fact lists —
+   the two engines agree on the set and on every rank, but the join
+   planner reorders rule bodies, so the order in which a round
+   {e first} emits a fact (and hence model iteration order) may differ
+   on non-linear programs. *)
 
 module D = Datalog
 module W = Workloads
@@ -30,47 +28,33 @@ let instances program model f =
          ^ String.concat ", " (List.map D.Fact.to_string body))
   |> List.sort compare
 
-(* Run both engines and require bit-identical results. [jobs] lists the
-   domain counts the flat engine is exercised at; [extract] caps how
-   many model facts get their rule instances cross-checked. *)
-let differential ?(jobs = [ 1 ]) ?(extract = 12) name program db =
+(* Run both engines and require bit-identical results. [extract] caps
+   how many model facts get their rule instances cross-checked. *)
+let differential ?(extract = 12) name program db =
   let r_struct = D.Fact.Table.create 64 in
   let m_struct = D.Eval.seminaive_structural ~ranks:r_struct program db in
   let sorted_struct =
     List.sort D.Fact.compare (D.Database.to_list m_struct)
   in
-  let flat_order = ref None in
-  List.iter
-    (fun j ->
-      let tag = Printf.sprintf "%s (jobs %d)" name j in
-      let r_flat = D.Fact.Table.create 64 in
-      let m_flat = D.Engine.seminaive ~ranks:r_flat ~jobs:j program db in
-      let l_flat = D.Database.to_list m_flat in
-      Alcotest.(check (list fact))
-        (tag ^ ": model") sorted_struct
-        (List.sort D.Fact.compare l_flat);
-      (* Iteration order must not depend on the domain count: the
-         direct-append path (jobs = 1) and the task-output merge path
-         (jobs > 1) must produce the same row sequence. *)
-      (match !flat_order with
-      | None -> flat_order := Some l_flat
-      | Some first ->
-        Alcotest.(check (list fact)) (tag ^ ": deterministic order") first l_flat);
-      Alcotest.(check (list (pair string int)))
-        (tag ^ ": ranks") (ranked_facts r_struct) (ranked_facts r_flat);
-      (* Spread the extraction sample across the model so it hits facts
-         of several rounds, not just the first predicate's prefix. *)
-      let n = List.length sorted_struct in
-      let stride = max 1 (n / max 1 extract) in
-      List.iteri
-        (fun i f ->
-          if i mod stride = 0 then
-            Alcotest.(check (list string))
-              (tag ^ ": instances of " ^ D.Fact.to_string f)
-              (instances program m_struct f)
-              (instances program m_flat f))
-        sorted_struct)
-    jobs
+  let r_flat = D.Fact.Table.create 64 in
+  let m_flat = D.Engine.seminaive ~ranks:r_flat program db in
+  Alcotest.(check (list fact))
+    (name ^ ": model") sorted_struct
+    (List.sort D.Fact.compare (D.Database.to_list m_flat));
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": ranks") (ranked_facts r_struct) (ranked_facts r_flat);
+  (* Spread the extraction sample across the model so it hits facts of
+     several rounds, not just the first predicate's prefix. *)
+  let n = List.length sorted_struct in
+  let stride = max 1 (n / max 1 extract) in
+  List.iteri
+    (fun i f ->
+      if i mod stride = 0 then
+        Alcotest.(check (list string))
+          (name ^ ": instances of " ^ D.Fact.to_string f)
+          (instances program m_struct f)
+          (instances program m_flat f))
+    sorted_struct
 
 (* Random positive (hence stratified) programs, drawn from the shared
    distribution in {!Workloads.Randprog} — the same generator (and
@@ -87,7 +71,7 @@ let arb_program_db = QCheck.make gen_program_db ~print:W.Randprog.to_string
 let prop_random_differential =
   QCheck.Test.make ~count:80 ~name:"random programs: flat = structural"
     arb_program_db (fun t ->
-      differential ~jobs:[ 1; 2; 4 ] ~extract:8 "random"
+      differential ~extract:8 "random"
         (W.Randprog.program t) (W.Randprog.database t);
       true)
 
@@ -113,21 +97,8 @@ let test_workload_differential () =
   in
   List.iter (fun (name, program, db) -> differential name program db) cases
 
-(* The same model, rank table and extraction results whatever the
-   domain count: jobs > 1 takes the task-local-output merge path, jobs
-   = 1 the direct-append path, and both must produce the identical row
-   sequence. *)
-let test_parallel_determinism () =
-  let program = (W.Transclosure.scenario ()).W.Scenario.program in
-  let db = W.Transclosure.bitcoin_like ~facts:400 ~seed:21 () in
-  differential ~jobs:[ 1; 2; 4 ] ~extract:6 "transclosure" program db;
-  let program = (W.Andersen.scenario ()).W.Scenario.program in
-  let db = W.Andersen.statements ~facts:250 ~seed:22 ~vars:0 () in
-  differential ~jobs:[ 1; 2; 4 ] ~extract:6 "andersen" program db
-
 (* [Symbol.to_string (Symbol.intern s) = s] — the round-trip every flat
-   row depends on to decode back into facts — plus the freeze contract
-   the engine relies on during a fixpoint. *)
+   row depends on to decode back into facts. *)
 let test_intern_round_trip () =
   let strings =
     [ "a"; "edge"; ""; "UTF-8 héllo"; "with space"; "0"; "c0"; "q?~" ]
@@ -138,27 +109,10 @@ let test_intern_round_trip () =
         (D.Symbol.to_string (D.Symbol.intern s));
       Alcotest.(check int) ("stable id " ^ s) (D.Symbol.intern s)
         (D.Symbol.intern s))
-    strings;
-  let known = D.Symbol.intern "already-there" in
-  D.Symbol.with_frozen (fun () ->
-      Alcotest.(check bool) "frozen" true (D.Symbol.is_frozen ());
-      Alcotest.(check int) "frozen intern of known symbol" known
-        (D.Symbol.intern "already-there");
-      Alcotest.check_raises "frozen intern of new symbol"
-        (Invalid_argument
-           "Symbol.intern: table frozen during evaluation (new symbol \
-            \"never-seen-before-xyz\")")
-        (fun () -> ignore (D.Symbol.intern "never-seen-before-xyz")));
-  Alcotest.(check bool) "thawed again" false (D.Symbol.is_frozen ());
-  let late = D.Symbol.intern "after-thaw" in
-  Alcotest.(check string) "intern works after thaw" "after-thaw"
-    (D.Symbol.to_string late)
+    strings
 
 let suite =
   ( "engine",
     [ Alcotest.test_case "workload differential" `Quick test_workload_differential;
-      Alcotest.test_case "parallel determinism (jobs 1/2/4)" `Quick
-        test_parallel_determinism;
-      Alcotest.test_case "intern round-trip and freezing" `Quick
-        test_intern_round_trip ]
+      Alcotest.test_case "intern round-trip" `Quick test_intern_round_trip ]
     @ List.map QCheck_alcotest.to_alcotest [ prop_random_differential ] )

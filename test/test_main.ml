@@ -8,7 +8,6 @@ let () =
       Test_drat.suite;
       Test_datalog.suite;
       Test_engine.suite;
-      Test_magic.suite;
       Test_provenance.suite;
       Test_reductions.suite;
       Test_workloads.suite;

@@ -7,7 +7,7 @@
      per-rule [tuples] to [eval.tuples_matched], on all five paper
      workloads;
    - determinism: the [to_json ~times:false] document is byte-identical
-     across --jobs 1/2/4 and across repeated runs of the same instance;
+     across repeated runs of the same instance;
    - audit sanity: every q-error is >= 1, extensional predicates (whose
      estimates are exact) pin to q-error 1.0, and the audit itself is
      deterministic. *)
@@ -39,13 +39,13 @@ let workloads () =
 
 (* Run one profiled fixpoint from a clean slate and return the snapshot
    (plus the model, for audits). *)
-let profiled ?(jobs = 1) program db =
+let profiled program db =
   D.Profile.reset ();
   D.Profile.set_enabled true;
   let model =
     Fun.protect
       ~finally:(fun () -> D.Profile.set_enabled false)
-      (fun () -> D.Eval.seminaive ~jobs program db)
+      (fun () -> D.Eval.seminaive program db)
   in
   (D.Profile.snapshot (), model)
 
@@ -121,26 +121,19 @@ let test_rule_consistency () =
         prof.D.Profile.rules)
     (workloads ())
 
-(* --- Determinism across the domain pool -------------------------------- *)
+(* --- Determinism across runs ------------------------------------------- *)
 
 let canonical prof =
   M.Json.to_string (D.Profile.to_json ~times:false prof)
 
-let test_jobs_determinism () =
+let test_repeat_determinism () =
   List.iter
     (fun (name, program, db) ->
-      let reference = ref None in
-      List.iter
-        (fun jobs ->
-          let prof, _ = profiled ~jobs program db in
-          let doc = canonical prof in
-          match !reference with
-          | None -> reference := Some doc
-          | Some first ->
-            Alcotest.(check string)
-              (Printf.sprintf "%s: jobs %d profile identical" name jobs)
-              first doc)
-        [ 1; 2; 4 ])
+      let first, _ = profiled program db in
+      let second, _ = profiled program db in
+      Alcotest.(check string)
+        (name ^ ": repeated profile identical")
+        (canonical first) (canonical second))
     (workloads ())
 
 let test_accumulation () =
@@ -234,7 +227,7 @@ let suite =
       Alcotest.test_case "global reconciliation" `Quick test_reconciliation;
       Alcotest.test_case "scc partition" `Quick test_scc_partition;
       Alcotest.test_case "per-rule consistency" `Quick test_rule_consistency;
-      Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
+      Alcotest.test_case "repeat determinism" `Quick test_repeat_determinism;
       Alcotest.test_case "runs accumulate" `Quick test_accumulation;
       Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
       Alcotest.test_case "audit q-errors" `Quick test_audit_qerror;
