@@ -142,13 +142,9 @@ let setup_obs stats stats_out trace trace_jsonl progress profile =
   setup_progress progress;
   setup_profile profile
 
-let load_file path =
-  let rules, facts = D.Parser.split (D.Parser.parse_file path) in
-  (D.Program.make rules, D.Database.of_list facts)
-
-(* Load for explain/batch: run the static analyzer first. Errors abort
-   with the positioned diagnostics on stderr; warnings are printed (to
-   stderr, keeping stdout diffable) but do not block. *)
+(* Load for every file-reading command: run the static analyzer first.
+   Errors abort with the positioned diagnostics on stderr; warnings are
+   printed (to stderr, keeping stdout diffable) but do not block. *)
 let load_checked ?query path =
   match D.Parser.parse_raw_file path with
   | exception D.Parser.Error (pos, msg) ->
@@ -196,7 +192,7 @@ let prepare ~slice query_pred program db =
 (* --- Commands --------------------------------------------------------- *)
 
 let cmd_answers () path query_pred =
-  let program, db = load_file path in
+  let program, db = load_checked ~query:query_pred path in
   let q = P.Explain.query program query_pred in
   let answers = P.Explain.answers q db in
   List.iter (fun f -> print_endline (D.Fact.to_string f)) answers;
@@ -414,7 +410,7 @@ let cmd_absint_report () path query plans format =
   end
 
 let cmd_member () path query_pred tuple subset variant =
-  let program, db = load_file path in
+  let program, db = load_checked ~query:query_pred path in
   let q = P.Explain.query program query_pred in
   let fact = P.Explain.goal q (parse_tuple tuple) in
   let candidate = parse_subset subset in
@@ -431,7 +427,7 @@ let cmd_member () path query_pred tuple subset variant =
   exit (if is_member then 0 else 1)
 
 let cmd_tree () path query_pred tuple dot =
-  let program, db = load_file path in
+  let program, db = load_checked ~query:query_pred path in
   let q = P.Explain.query program query_pred in
   let fact = P.Explain.goal q (parse_tuple tuple) in
   match P.Explain.proof_tree q db fact with
@@ -443,7 +439,7 @@ let cmd_tree () path query_pred tuple dot =
     else Format.printf "%a@." P.Proof_tree.pp tree
 
 let cmd_stats () path query_pred tuple =
-  let program, db = load_file path in
+  let program, db = load_checked ~query:query_pred path in
   let q = P.Explain.query program query_pred in
   let fact = P.Explain.goal q (parse_tuple tuple) in
   let closure = P.Closure.build program db fact in
@@ -457,7 +453,7 @@ let cmd_stats () path query_pred tuple =
   Printf.printf "query class: %s\n" (D.Program.query_class program)
 
 let cmd_repl () path =
-  let program, db = load_file path in
+  let program, db = load_checked path in
   Format.printf "whyprov repl — %d rules, %d facts. Type 'help' for commands.@."
     (List.length (D.Program.rules program))
     (D.Database.size db);

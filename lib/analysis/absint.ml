@@ -539,7 +539,7 @@ let slice t ~query =
 let relevant_db s db =
   let relevant : (Symbol.t, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun p -> Hashtbl.replace relevant p ()) s.s_relevant;
-  let out = Database.create ~size:(Database.size db) () in
+  let out = Database.create () in
   Database.iter
     (fun f -> if Hashtbl.mem relevant (Fact.pred f) then ignore (Database.add out f))
     db;

@@ -1,77 +1,38 @@
-module Vec = Util.Vec
 module Metrics = Util.Metrics
-module SymMap = Map.Make (Int)
 
-(* Same index vocabulary as the flat engine's relations ({!Flatrel}):
-   these structural per-position indexes serve the backward joins of
-   [Eval.derivations], so their build/probe traffic belongs in the same
-   eval.index.* series (docs/OBSERVABILITY.md). *)
-let m_index_builds = Metrics.counter "eval.index.builds"
-let m_index_entries = Metrics.counter "eval.index.entries"
+(* The same probe counters as the flat engine's join runtime: the
+   backward joins of [Eval.derivations] probe the very column indexes
+   the fixpoint built, so their traffic belongs in the same eval.index.*
+   series (docs/OBSERVABILITY.md). Index builds tick inside
+   [Flatrel.ensure_index]. *)
 let m_index_probes = Metrics.counter "eval.index.probes"
 let m_index_hits = Metrics.counter "eval.index.hits"
 
-type pos_index = (Symbol.t, int Vec.t) Hashtbl.t
+module Key = struct
+  type t = Symbol.t * int
 
-type store = {
-  store_facts : Fact.t Vec.t;
-  (* Lazily built: position -> (constant -> indexes into [store_facts]).
-     Kept up to date by [add] once built. *)
-  indexes : (int, pos_index) Hashtbl.t;
-}
+  let compare (p, a) (q, b) =
+    let c = Symbol.compare p q in
+    if c <> 0 then c else Int.compare a b
+end
 
-type t = {
-  all : unit Fact.Table.t;
-  mutable stores : store SymMap.t;
-}
+module KeyMap = Map.Make (Key)
 
-let create ?(size = 1024) () =
-  { all = Fact.Table.create size; stores = SymMap.empty }
+type t = { mutable rels : Flatrel.t KeyMap.t }
 
-let store_of t p =
-  match SymMap.find_opt p t.stores with
-  | Some s -> s
+let create () = { rels = KeyMap.empty }
+
+let find t p arity = KeyMap.find_opt (p, arity) t.rels
+
+let relation t p ~arity =
+  match find t p arity with
+  | Some rel -> rel
   | None ->
-    let s = { store_facts = Vec.create (); indexes = Hashtbl.create 4 } in
-    t.stores <- SymMap.add p s t.stores;
-    s
+    let rel = Flatrel.create ~arity in
+    t.rels <- KeyMap.add (p, arity) rel t.rels;
+    rel
 
-let index_insert idx c fact_id =
-  let cell =
-    match Hashtbl.find_opt idx c with
-    | Some v -> v
-    | None ->
-      let v = Vec.create () in
-      Hashtbl.add idx c v;
-      v
-  in
-  Vec.push cell fact_id
-
-let add t f =
-  if Fact.Table.mem t.all f then false
-  else begin
-    Fact.Table.add t.all f ();
-    let s = store_of t (Fact.pred f) in
-    let fact_id = Vec.length s.store_facts in
-    Vec.push s.store_facts f;
-    Hashtbl.iter
-      (fun pos idx -> index_insert idx (Fact.args f).(pos) fact_id)
-      s.indexes;
-    true
-  end
-
-(* Insertion without the membership pre-check: the flat engine's final
-   materialization ([Engine]) walks rows its relations have already deduplicated, so
-   re-hashing each fact just to learn it is fresh would double the cost
-   of the per-fact tail. *)
-let add_new t f =
-  Fact.Table.add t.all f ();
-  let s = store_of t (Fact.pred f) in
-  let fact_id = Vec.length s.store_facts in
-  Vec.push s.store_facts f;
-  Hashtbl.iter
-    (fun pos idx -> index_insert idx (Fact.args f).(pos) fact_id)
-    s.indexes
+let add t f = Flatrel.add (relation t (Fact.pred f) ~arity:(Fact.arity f)) (Fact.args f) 0
 
 let of_list l =
   let t = create () in
@@ -83,94 +44,86 @@ let of_set s =
   Fact.Set.iter (fun f -> ignore (add t f)) s;
   t
 
-let mem t f = Fact.Table.mem t.all f
-let size t = Fact.Table.length t.all
+let mem t f =
+  match find t (Fact.pred f) (Fact.arity f) with
+  | Some rel -> Flatrel.mem rel (Fact.args f) 0
+  | None -> false
 
-let preds t = List.map fst (SymMap.bindings t.stores) |> List.filter (fun p -> Vec.length (SymMap.find p t.stores).store_facts > 0)
+let size t = KeyMap.fold (fun _ rel acc -> acc + Flatrel.length rel) t.rels 0
 
 let count_pred t p =
-  match SymMap.find_opt p t.stores with
-  | Some s -> Vec.length s.store_facts
-  | None -> 0
+  KeyMap.fold
+    (fun (q, _) rel acc -> if Symbol.equal p q then acc + Flatrel.length rel else acc)
+    t.rels 0
 
-let iter f t = SymMap.iter (fun _ s -> Vec.iter f s.store_facts) t.stores
+let preds t =
+  KeyMap.fold
+    (fun (p, _) rel acc ->
+      match acc with
+      | q :: _ when Symbol.equal p q -> acc
+      | _ -> if Flatrel.length rel > 0 then p :: acc else acc)
+    t.rels []
+  |> List.rev
+
+let iter_rel f pred rel =
+  for row = 0 to Flatrel.length rel - 1 do
+    f (Flatrel.fact rel ~pred row)
+  done
+
+let iter f t = KeyMap.iter (fun (pred, _) rel -> iter_rel f pred rel) t.rels
 
 let iter_pred t p f =
-  match SymMap.find_opt p t.stores with
-  | Some s -> Vec.iter f s.store_facts
-  | None -> ()
+  KeyMap.iter (fun (q, _) rel -> if Symbol.equal p q then iter_rel f q rel) t.rels
 
-let ensure_index s pos =
-  match Hashtbl.find_opt s.indexes pos with
-  | Some idx -> idx
-  | None ->
-    let idx : pos_index = Hashtbl.create 64 in
-    Vec.iteri (fun i f -> index_insert idx (Fact.args f).(pos) i) s.store_facts;
-    Hashtbl.add s.indexes pos idx;
-    Metrics.incr m_index_builds;
-    Metrics.add m_index_entries (Vec.length s.store_facts);
-    idx
+(* The column-[pos] bucket of [c], building the column index on first
+   use; [None] when no row holds [c] there. *)
+let bucket rel (pos, c) =
+  Flatrel.ensure_index rel pos;
+  Flatrel.bucket rel pos c
 
-let estimate t p bound =
-  match SymMap.find_opt p t.stores with
+let bucket_size rel bound =
+  match bucket rel bound with Some rows -> Util.Vec.length rows | None -> 0
+
+let estimate t p ~arity bound =
+  match find t p arity with
   | None -> 0
-  | Some s -> (
+  | Some rel -> (
     match bound with
-    | [] -> Vec.length s.store_facts
-    | _ ->
-      List.fold_left
-        (fun acc (pos, c) ->
-          let idx = ensure_index s pos in
-          let bucket =
-            match Hashtbl.find_opt idx c with
-            | Some ids -> Vec.length ids
-            | None -> 0
-          in
-          min acc bucket)
-        max_int bound)
+    | [] -> Flatrel.length rel
+    | _ -> List.fold_left (fun acc b -> min acc (bucket_size rel b)) max_int bound)
 
-let iter_matching t p bound f =
-  match SymMap.find_opt p t.stores with
+let iter_matching t p ~arity bound f =
+  match find t p arity with
   | None -> ()
-  | Some s -> begin
+  | Some rel -> (
     match bound with
-    | [] -> Vec.iter f s.store_facts
+    | [] -> iter_rel f p rel
     | _ ->
       (* Scan the smallest index bucket among the bound positions and
          filter on the others. *)
       let best =
         List.fold_left
-          (fun acc ((pos, c) as entry) ->
-            let idx = ensure_index s pos in
-            let size =
-              match Hashtbl.find_opt idx c with
-              | Some ids -> Vec.length ids
-              | None -> 0
-            in
+          (fun acc b ->
+            let size = bucket_size rel b in
             match acc with
             | Some (_, best_size) when best_size <= size -> acc
-            | _ -> Some (entry, size))
+            | _ -> Some (b, size))
           None bound
       in
-      (match best with
+      match best with
       | None -> ()
-      | Some ((pos0, c0), _) ->
-        let idx = ensure_index s pos0 in
+      | Some (((pos0, _) as b0), _) -> (
         Metrics.incr m_index_probes;
-        (match Hashtbl.find_opt idx c0 with
+        match bucket rel b0 with
         | None -> ()
-        | Some ids ->
+        | Some rows ->
           Metrics.incr m_index_hits;
           let rest = List.filter (fun (pos, _) -> pos <> pos0) bound in
-          let matches fact =
-            List.for_all (fun (pos, c) -> Symbol.equal (Fact.args fact).(pos) c) rest
-          in
-          Vec.iter
-            (fun i ->
-              let fact = Vec.get s.store_facts i in
-              if matches fact then f fact)
-            ids))
-  end
+          Util.Vec.iter
+            (fun row ->
+              if List.for_all (fun (pos, c) -> Flatrel.get rel row pos = c) rest then
+                f (Flatrel.fact rel ~pred:p row))
+            rows))
 
 let to_list t =
   let acc = ref [] in
@@ -184,10 +137,17 @@ let to_set t =
 
 let domain t =
   let seen = Hashtbl.create 256 in
-  iter (fun f -> Array.iter (fun c -> Hashtbl.replace seen c ()) (Fact.args f)) t;
+  KeyMap.iter
+    (fun _ rel ->
+      for row = 0 to Flatrel.length rel - 1 do
+        for col = 0 to Flatrel.arity rel - 1 do
+          Hashtbl.replace seen (Flatrel.get rel row col) ()
+        done
+      done)
+    t.rels;
   List.sort Symbol.compare (Hashtbl.fold (fun c () acc -> c :: acc) seen [])
 
-let copy t = of_list (to_list t)
+let copy t = { rels = KeyMap.map Flatrel.copy t.rels }
 
 let pp ppf t =
   Format.pp_print_list

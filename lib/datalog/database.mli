@@ -1,15 +1,19 @@
-(** Fact stores with per-predicate and per-position hash indexes.
+(** Fact stores: one flat relation ({!Flatrel}) per (predicate, arity).
 
     A [Database.t] is used both for extensional databases and for the
-    materialized models produced by evaluation. Lookup by a pattern of
-    bound argument positions is the primitive the join engine builds on. *)
+    materialized models produced by evaluation. The flat engine
+    evaluates in place on a database's relations ({!copy},
+    {!relation}) and returns them as the model, so the model is stored
+    once, as int rows, and the column indexes the fixpoint built serve
+    the backward joins of {!iter_matching}. Facts are built as
+    {!Fact.t} values only when they are visited. Lookup by a pattern of
+    bound argument positions is the primitive the structural join
+    engine builds on. *)
 
 type t
 
-val create : ?size:int -> unit -> t
-(** An empty database. [size] (default 1024) pre-sizes the fact table:
-    the flat engine passes the exact model size it is about to insert,
-    avoiding every rehash of the bulk build. *)
+val create : unit -> t
+(** An empty database. *)
 
 val of_list : Fact.t list -> t
 (** Database of the listed facts (duplicates collapse). *)
@@ -20,15 +24,13 @@ val of_set : Fact.Set.t -> t
 val add : t -> Fact.t -> bool
 (** [add db f] inserts [f]; returns [true] iff [f] was not already present. *)
 
-val add_new : t -> Fact.t -> unit
-(** [add_new db f] inserts [f] {e without} the membership check of
-    {!add}. The caller must guarantee [not (mem db f)] — the flat
-    engine's final materialization does, because its relations deduplicate rows before
-    they reach the database. Inserting a duplicate corrupts [size] and
-    the per-predicate stores. *)
+val relation : t -> Symbol.t -> arity:int -> Flatrel.t
+(** [relation db p ~arity] is the relation holding the facts of [p] of
+    that arity, created empty if absent. Rows added to it are facts of
+    [db]: the flat engine appends the model's derived rows here. *)
 
 val mem : t -> Fact.t -> bool
-(** Membership. *)
+(** Membership: one open-addressing row lookup. *)
 
 val size : t -> int
 (** Total number of facts. *)
@@ -37,27 +39,30 @@ val preds : t -> Symbol.t list
 (** Predicates with at least one fact, sorted. *)
 
 val count_pred : t -> Symbol.t -> int
-(** Number of facts of one predicate. *)
+(** Number of facts of one predicate, over all its arities. *)
 
 val iter : (Fact.t -> unit) -> t -> unit
-(** Iterates predicates in symbol order, each predicate's facts in
-    insertion order. This order is observable downstream (encodings,
-    closures), so it is part of the interface. *)
+(** Iterates predicates in symbol order (a predicate's arities in
+    increasing order), each relation's facts in insertion order. This
+    order is observable downstream (encodings, closures), so it is part
+    of the interface. *)
 
 val iter_pred : t -> Symbol.t -> (Fact.t -> unit) -> unit
-(** One predicate's facts, in insertion order. *)
+(** One predicate's facts, in {!iter} order. *)
 
-val estimate : t -> Symbol.t -> (int * Symbol.t) list -> int
+val estimate : t -> Symbol.t -> arity:int -> (int * Symbol.t) list -> int
 (** Upper bound on the number of facts [iter_matching] would visit:
     the smallest index bucket among the bound positions, or the
-    predicate's fact count when nothing is bound. Used by the greedy
+    relation's fact count when nothing is bound. Used by the greedy
     join-ordering heuristic. *)
 
-val iter_matching : t -> Symbol.t -> (int * Symbol.t) list -> (Fact.t -> unit) -> unit
-(** [iter_matching db p bound f] calls [f] on every fact of predicate [p]
-    whose argument at position [i] equals [c] for each [(i, c)] in
-    [bound]. Uses a per-position hash index on the most selective bound
-    position and filters on the rest. *)
+val iter_matching :
+  t -> Symbol.t -> arity:int -> (int * Symbol.t) list -> (Fact.t -> unit) -> unit
+(** [iter_matching db p ~arity bound f] calls [f], in insertion order,
+    on every fact of predicate [p] and that arity whose argument at
+    position [i] equals [c] for each [(i, c)] in [bound]. Probes the
+    relation's column index (built on first use) on the most selective
+    bound position and filters on the rest. *)
 
 val to_list : t -> Fact.t list
 (** All facts, in {e reverse} {!iter} order. *)
@@ -69,7 +74,9 @@ val domain : t -> Symbol.t list
 (** Active domain: all constants occurring in the database, sorted. *)
 
 val copy : t -> t
-(** An independent database with the same facts. *)
+(** An independent database with the same facts, each relation's rows
+    in reverse order: the order [of_list (to_list db)] has. The flat
+    engine starts its fixpoint from it. *)
 
 val pp : Format.formatter -> t -> unit
 (** One fact per line, sorted. *)

@@ -294,30 +294,19 @@ let seminaive ?ranks program db =
   Tracing.with_span "eval.seminaive" @@ fun () ->
   Metrics.time m_seminaive_time @@ fun () ->
   Metrics.incr m_runs;
-  (* The database's facts in the order the structural engine holds its
-     model: [of_list (to_list db)] there reverses [db]'s iteration
-     order per predicate, and the final database built after the
-     fixpoint below replays this exact list, so model iteration order —
-     which leaks into closure and encoding order downstream — is
-     identical between engines. *)
-  let db_facts = Database.to_list db in
-  (* Flat relations for every schema predicate (facts of non-schema
-     predicates, which no rule can touch, reappear only in the final
-     database). *)
-  let model : (Symbol.t, Flatrel.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun p ->
-      Hashtbl.replace model p (Flatrel.create ~arity:(Program.arity program p)))
-    (Program.schema program);
-  List.iter
-    (fun f ->
-      match Hashtbl.find_opt model (Fact.pred f) with
-      | Some rel when Flatrel.arity rel = Fact.arity f ->
-        ignore (Flatrel.of_fact rel f)
-      | _ -> ())
-    db_facts;
+  (* The model starts as a row-reversed copy of the database's
+     relations: the order the structural engine's [of_list (to_list
+     db)] gives its model, which leaks into closure and encoding order
+     downstream. Rules append derived rows to these relations in place,
+     and they are the model returned. *)
+  let model_db = Database.copy db in
   let schema_rels =
-    List.map (fun p -> (p, Hashtbl.find model p)) (Program.schema program)
+    List.map
+      (fun p -> (p, Database.relation model_db p ~arity:(Program.arity program p)))
+      (Program.schema program)
+  in
+  let model : (Symbol.t, Flatrel.t) Hashtbl.t =
+    Hashtbl.of_seq (List.to_seq schema_rels)
   in
   let init_lens =
     List.map (fun (p, rel) -> (p, Flatrel.length rel)) schema_rels
@@ -399,12 +388,11 @@ let seminaive ?ranks program db =
       schema_rels
   in
   (* Round boundaries per predicate — [(round, hi)] in descending round
-     order — so the final walk can label every derived row with the
-     round that appended it. *)
+     order — so that ranks can label every derived row with the round
+     that appended it. *)
   let boundaries : (Symbol.t, (int * int) list ref) Hashtbl.t =
     Hashtbl.create 16
   in
-  let derived_total = ref 0 in
   let run_tasks tasks ranges =
     let ntasks = Array.length tasks in
     Array.iter
@@ -456,7 +444,6 @@ let seminaive ?ranks program db =
           b := (round, hi) :: !b
         end)
       schema_rels;
-    derived_total := !derived_total + !total;
     if Metrics.is_enabled () then begin
       Metrics.observe_int m_delta_size !total;
       Hashtbl.iter
@@ -514,48 +501,31 @@ let seminaive ?ranks program db =
     incr round
   done;
   Option.iter Profile.run_end prof_run;
-  (* Materialize the model database once, pre-sized to its exact final
-     cardinality: first the database's own facts in structural-engine
-     order, then each relation's derived rows in append order — the
-     same per-predicate sequences an incremental build would produce.
-     Ranks are labelled from the recorded round boundaries. Callers
-     pass a fresh ranks table ({!Engine.seminaive}'s contract) and
-     every fact is recorded exactly once, so no membership pre-check is
-     needed. *)
-  let ndb = List.length db_facts in
-  let model_db = Database.create ~size:(ndb + !derived_total + 16) () in
-  let record round fact =
-    match ranks with
-    | Some table -> Fact.Table.add table fact round
-    | None -> ()
-  in
-  List.iter
-    (fun f ->
-      Database.add_new model_db f;
-      record 0 f)
-    db_facts;
-  List.iter
-    (fun (pred, rel) ->
-      let init = List.assoc pred init_lens in
-      let len = Flatrel.length rel in
-      if len > init then begin
-        let bounds =
-          match Hashtbl.find_opt boundaries pred with
-          | Some r -> List.rev !r
-          | None -> []
-        in
-        let cur = ref bounds in
-        for row = init to len - 1 do
-          (match !cur with
-          | (_, hi) :: rest when row >= hi ->
-            cur := rest (* boundaries are one round apart: single step *)
-          | _ -> ());
-          let rnd = match !cur with (r, _) :: _ -> r | [] -> 0 in
-          let fact = Flatrel.fact rel ~pred row in
-          Database.add_new model_db fact;
-          record rnd fact
-        done
-      end)
-    schema_rels;
+  (* Ranks, only when asked for: 0 for the database's facts, then each
+     relation's derived rows labelled from the recorded round
+     boundaries. Callers pass a fresh table ({!Engine.seminaive}'s
+     contract) and every fact is recorded exactly once, so no
+     membership pre-check is needed. *)
+  Option.iter
+    (fun table ->
+      List.iter (fun f -> Fact.Table.add table f 0) (Database.to_list db);
+      List.iter
+        (fun (pred, rel) ->
+          let cur =
+            ref
+              (match Hashtbl.find_opt boundaries pred with
+              | Some r -> List.rev !r
+              | None -> [])
+          in
+          for row = List.assoc pred init_lens to Flatrel.length rel - 1 do
+            (match !cur with
+            | (_, hi) :: rest when row >= hi ->
+              cur := rest (* boundaries are one round apart: single step *)
+            | _ -> ());
+            let rnd = match !cur with (r, _) :: _ -> r | [] -> 0 in
+            Fact.Table.add table (Flatrel.fact rel ~pred row) rnd
+          done)
+        schema_rels)
+    ranks;
   Metrics.add m_model_facts (Database.size model_db);
   model_db

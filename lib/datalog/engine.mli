@@ -27,7 +27,10 @@ val seminaive :
   Database.t ->
   Database.t
 (** [seminaive program db] computes the model [Σ(D)] — same contract
-    as {!Eval.seminaive}, which delegates here. If [ranks] is given it
+    as {!Eval.seminaive}, which delegates here. The rules append to a
+    {!Database.copy} of [db] in place, and those relations are the
+    model returned: no {!Fact.t} is built unless [ranks] is given. If
+    [ranks] is given it
     must be fresh (empty) and is filled with the first-derivation round
     of every model fact (0 for database facts); each fact is recorded
     exactly once, with no membership pre-check. Every rule has one

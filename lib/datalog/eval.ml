@@ -44,8 +44,7 @@ let round_span round f =
       ~args:[ ("round", Metrics.Json.Num (float_of_int round)) ]
       "eval.round" f
 
-let match_atom db (b : binding) (atom : Atom.t) k =
-  (* Positions already fixed by constants or bound variables. *)
+let bound_positions (b : binding) (atom : Atom.t) =
   let bound = ref [] in
   Array.iteri
     (fun i t ->
@@ -56,7 +55,11 @@ let match_atom db (b : binding) (atom : Atom.t) k =
         | Some c -> bound := (i, c) :: !bound
         | None -> ()))
     atom.Atom.args;
-  Database.iter_matching db atom.Atom.pred !bound (fun fact ->
+  !bound
+
+let match_atom db (b : binding) (atom : Atom.t) k =
+  let bound = bound_positions b atom in
+  Database.iter_matching db atom.Atom.pred ~arity:(Atom.arity atom) bound (fun fact ->
       (* Bind the free variables of [atom] against [fact], checking
          consistency for repeated variables; undo on the way out. *)
       let args = Fact.args fact in
@@ -81,19 +84,6 @@ let match_atom db (b : binding) (atom : Atom.t) k =
       end;
       List.iter (Hashtbl.remove b) !newly)
 
-let bound_positions (b : binding) (atom : Atom.t) =
-  let bound = ref [] in
-  Array.iteri
-    (fun i t ->
-      match t with
-      | Term.Const c -> bound := (i, c) :: !bound
-      | Term.Var v -> (
-        match Hashtbl.find_opt b v with
-        | Some c -> bound := (i, c) :: !bound
-        | None -> ()))
-    atom.Atom.args;
-  !bound
-
 (* Greedy join ordering: always match the atom with the fewest candidate
    facts under the current binding. This is what makes backward
    rule-instance extraction tractable on chain-shaped programs. *)
@@ -105,7 +95,8 @@ let rec match_body db b atoms k =
     let best =
       List.fold_left
         (fun acc atom ->
-          let cost = Database.estimate db atom.Atom.pred (bound_positions b atom) in
+          let bound = bound_positions b atom in
+          let cost = Database.estimate db atom.Atom.pred ~arity:(Atom.arity atom) bound in
           match acc with
           | Some (_, best_cost) when best_cost <= cost -> acc
           | _ -> Some (atom, cost))

@@ -87,16 +87,13 @@ let grow_data t =
     t.data <- data
   end
 
+(* A new bucket starts at one slot: most constants of a model column
+   occur in few rows, and [Vec]'s default first growth (16 slots) would
+   make the index several times larger than the rows it covers. *)
 let index_insert idx c row =
-  let cell =
-    match Hashtbl.find_opt idx c with
-    | Some v -> v
-    | None ->
-      let v = Util.Vec.create () in
-      Hashtbl.add idx c v;
-      v
-  in
-  Util.Vec.push cell row
+  match Hashtbl.find_opt idx c with
+  | Some v -> Util.Vec.push v row
+  | None -> Hashtbl.add idx c (Util.Vec.make 1 row)
 
 (* Insertion without index maintenance: the engine appends derived
    rows with this during a round and replays the appended range into
@@ -164,14 +161,18 @@ let index_exn t col =
 
 let bucket t col v = Hashtbl.find_opt (index_exn t col) v
 
-let fact t ~pred row =
-  let args = Array.make t.arity 0 in
-  let base = row * t.arity in
-  for col = 0 to t.arity - 1 do
-    Array.unsafe_set args col (Array.unsafe_get t.data (base + col))
-  done;
-  Fact.make pred args
+let mem t buf off = lookup t buf off (ref 0) >= 0
 
-let of_fact t f =
-  if Fact.arity f <> t.arity then invalid_arg "Flatrel.of_fact: arity mismatch";
-  add t (Fact.args f) 0
+let fact t ~pred row = Fact.make pred (Array.sub t.data (row * t.arity) t.arity)
+
+(* Reversing the rows renames row [r] to [n - 1 - r]; the open-addressing
+   slots depend only on row contents, so the table is remapped slot by
+   slot instead of rehashed. Column indexes are not copied. *)
+let copy t =
+  let n = t.nrows and k = t.arity in
+  let data = Array.make (n * k) 0 in
+  for row = 0 to n - 1 do
+    Array.blit t.data (row * k) data ((n - 1 - row) * k) k
+  done;
+  let table = Array.map (fun v -> if v = 0 then 0 else n + 1 - v) t.table in
+  { t with data; table; indexes = Array.make (max k 1) None }

@@ -1,17 +1,20 @@
 (** Flat tuple storage: one predicate's facts as rows of a single
     [int array].
 
-    This is the in-memory representation the semi-naive engine
-    ({!Engine}) joins over — the design ported from specialized
-    flat-relation Datalog engines (see [docs/ARCHITECTURE.md]): all
-    constants are interned symbols ({!Symbol.t}), so a fact of arity
-    [k] is [k] consecutive ints in one growable backing array. Rows are
-    deduplicated through an open-addressing hash table of row ids, and
-    each column can carry a lazily built hash index from constant to
-    the row ids holding it, kept up to date by {!add} once built.
+    This is the one fact store of the system: the semi-naive engine
+    ({!Engine}) joins over these relations, and every {!Database.t} —
+    extensional databases and the models the engine returns — is a map
+    from (predicate, arity) to one of them (see [docs/ARCHITECTURE.md]).
+    All constants are interned symbols ({!Symbol.t}), so a fact of
+    arity [k] is [k] consecutive ints in one growable backing array.
+    Rows are deduplicated through an open-addressing hash table of row
+    ids, and each column can carry a lazily built hash index from
+    constant to the row ids holding it, kept up to date by {!add} once
+    built. Index buckets start at one slot.
 
-    A relation is not domain-safe: the engine reads and writes it from
-    one domain. *)
+    A relation is not domain-safe for writes: only reads ({!mem},
+    {!get}, {!fact}, and {!bucket} on a built index) may run on several
+    domains at once. *)
 
 type t
 (** A relation: a bag-free set of same-arity rows over interned ints. *)
@@ -66,9 +69,14 @@ val bucket : t -> int -> int -> int Util.Vec.t option
     bucket without a second one. The vector is owned by the index:
     callers must not mutate it. The column index must have been built. *)
 
+val mem : t -> int array -> int -> bool
+(** [mem rel buf off] is [true] iff the row [buf.(off) ..
+    buf.(off+arity-1)] is present: one open-addressing lookup. *)
+
 val fact : t -> pred:Symbol.t -> int -> Fact.t
 (** Materializes row [row] as a {!Fact.t} of predicate [pred]. *)
 
-val of_fact : t -> Fact.t -> bool
-(** [of_fact rel f] inserts the argument row of [f]; returns [true] iff
-    new. The fact's arity must equal the relation's. *)
+val copy : t -> t
+(** An independent relation with the same rows in reverse order. Column
+    indexes are not copied; they are rebuilt on demand by
+    {!ensure_index}. *)

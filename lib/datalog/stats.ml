@@ -21,7 +21,7 @@ let of_database db =
       let n = Database.count_pred db p in
       let arity = ref 0 in
       (* Arity of a stored predicate is the arity of its first fact:
-         [Database.add] never mixes arities within one store. *)
+         the analyzer rejects a predicate used with two arities (WP003). *)
       (try
          Database.iter_pred db p (fun f ->
              arity := Fact.arity f;

@@ -176,8 +176,31 @@ let shrink_cnf ~failing clauses =
 
 (* --- Datalog differentials -------------------------------------------- *)
 
+(* The model order contract: each predicate's facts in a model start
+   with the database's facts of it, in reverse database order (the
+   order [Database.of_list (Database.to_list db)] gives them). That
+   order reaches closure and encoding order downstream. The order of
+   derived facts is not part of it: the two engines join in different
+   orders. *)
+let check_model_order db model =
+  let facts m p =
+    let acc = ref [] in
+    D.Database.iter_pred m p (fun f -> acc := f :: !acc);
+    List.rev !acc
+  in
+  let prefix_ok p =
+    let expected = List.rev (facts db p) in
+    let n = List.length expected in
+    List.equal D.Fact.equal expected (List.filteri (fun i _ -> i < n) (facts model p))
+  in
+  match List.find_opt (fun p -> not (prefix_ok p)) (D.Database.preds db) with
+  | None -> Ok ()
+  | Some p ->
+    Error (Printf.sprintf "model order: the database facts of %s differ" (D.Symbol.name p))
+
 (* Flat engine against the structural engine: same model set, same
-   ranks. Returns the first discrepancy. *)
+   ranks, both models in the order contract. Returns the first
+   discrepancy. *)
 let check_engine (t : W.Randprog.t) =
   Metrics.incr m_engine_checks;
   let program = W.Randprog.program t in
@@ -186,22 +209,17 @@ let check_engine (t : W.Randprog.t) =
     D.Fact.Table.fold (fun f r acc -> (f, r) :: acc) table []
     |> List.sort compare
   in
+  let sorted m = List.sort D.Fact.compare (D.Database.to_list m) in
   let r_struct = D.Fact.Table.create 64 in
-  let m_struct =
-    D.Eval.seminaive_structural ~ranks:r_struct program db
-    |> D.Database.to_list |> List.sort D.Fact.compare
-  in
+  let m_struct = D.Eval.seminaive_structural ~ranks:r_struct program db in
   let r_flat = D.Fact.Table.create 64 in
-  let m_flat =
-    D.Engine.seminaive ~ranks:r_flat program db
-    |> D.Database.to_list |> List.sort D.Fact.compare
-  in
-  if not (List.equal D.Fact.equal m_struct m_flat) then
+  let m_flat = D.Engine.seminaive ~ranks:r_flat program db in
+  if not (List.equal D.Fact.equal (sorted m_struct) (sorted m_flat)) then
     Error
       (Printf.sprintf "flat engine model differs from structural (%d vs %d facts)"
-         (List.length m_flat) (List.length m_struct))
+         (D.Database.size m_flat) (D.Database.size m_struct))
   else if ranked r_struct <> ranked r_flat then Error "flat engine ranks differ"
-  else Ok ()
+  else Result.bind (check_model_order db m_struct) (fun () -> check_model_order db m_flat)
 
 (* Query-relevance slicing: for every IDB predicate, the slice
    certificate must hold (drop reasons re-established, model and ranks

@@ -62,10 +62,16 @@ val shrink_cnf :
 (** Greedy clause deletion then per-clause literal deletion to a
     1-minimal failing list. [failing] must hold of the input. *)
 
+val check_model_order : Datalog.Database.t -> Datalog.Database.t -> (unit, string) result
+(** [check_model_order db model]: the model order contract. Each
+    predicate's facts in [model] start with its facts in [db], in
+    reverse [db] order. *)
+
 val check_engine : Workloads.Randprog.t -> (unit, string) result
 val check_slice : Workloads.Randprog.t -> (unit, string) result
 val check_provenance : Workloads.Randprog.t -> (unit, string) result
-(** The Datalog differentials. [check_provenance] expects the
+(** The Datalog differentials. [check_engine] also checks both models
+    with {!check_model_order}. [check_provenance] expects the
     (deduplicated) database within the powerset oracle's reach
     ([check_slice] silently skips its why-set comparison beyond that,
     but always checks the certificate).

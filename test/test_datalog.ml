@@ -317,6 +317,53 @@ let test_database_introspection () =
   Alcotest.(check bool) "add dedup" false
     (D.Database.add copy (D.Fact.of_strings "edge" [ "x"; "y" ]))
 
+(* A database is one flat relation per (predicate, arity): two arities
+   of one predicate coexist, index probes keep insertion order, and
+   copies share no rows with the original. *)
+let test_database_relations () =
+  let f = D.Fact.of_strings in
+  let strings l = List.map D.Fact.to_string l in
+  let facts_of db p =
+    let acc = ref [] in
+    D.Database.iter_pred db (D.Symbol.intern p) (fun x -> acc := x :: !acc);
+    strings (List.rev !acc)
+  in
+  let db = D.Database.of_list [ f "p" [ "a" ]; f "p" [ "a"; "b" ]; f "p" [ "b" ] ] in
+  Alcotest.(check bool) "p(a,b)" true (D.Database.mem db (f "p" [ "a"; "b" ]));
+  Alcotest.(check bool) "p(b,a) absent" false (D.Database.mem db (f "p" [ "b"; "a" ]));
+  Alcotest.(check bool) "p(a,b,c) absent" false
+    (D.Database.mem db (f "p" [ "a"; "b"; "c" ]));
+  Alcotest.(check int) "size" 3 (D.Database.size db);
+  Alcotest.(check int) "count_pred" 3 (D.Database.count_pred db (D.Symbol.intern "p"));
+  Alcotest.(check (list string)) "iter_pred: arities in order"
+    [ "p(a)"; "p(b)"; "p(a,b)" ] (facts_of db "p");
+  let edges =
+    [ f "e" [ "a"; "c" ]; f "e" [ "b"; "c" ]; f "e" [ "a"; "d" ]; f "e" [ "d"; "c" ] ]
+  in
+  let db = D.Database.of_list edges in
+  let matching ?(arity = 2) db bound =
+    let acc = ref [] in
+    D.Database.iter_matching db (D.Symbol.intern "e") ~arity
+      (List.map (fun (i, c) -> (i, D.Symbol.intern c)) bound)
+      (fun x -> acc := x :: !acc);
+    strings (List.rev !acc)
+  in
+  Alcotest.(check (list string)) "matches in insertion order"
+    [ "e(a,c)"; "e(b,c)"; "e(d,c)" ] (matching db [ (1, "c") ]);
+  Alcotest.(check (list string)) "two bound positions" [ "e(a,d)" ]
+    (matching db [ (1, "d"); (0, "a") ]);
+  Alcotest.(check (list string)) "other arity" [] (matching ~arity:1 db []);
+  let copy = D.Database.copy db in
+  Alcotest.(check (list string)) "copy reverses the rows"
+    (List.rev (facts_of db "e")) (facts_of copy "e");
+  Alcotest.(check (list string)) "no match yet" [] (matching copy [ (1, "a") ]);
+  Alcotest.(check bool) "add to copy" true (D.Database.add copy (f "e" [ "c"; "a" ]));
+  Alcotest.(check (list string)) "copy index sees the add" [ "e(c,a)" ]
+    (matching copy [ (1, "a") ]);
+  Alcotest.(check (list string)) "original unchanged" (strings edges) (facts_of db "e");
+  Alcotest.(check bool) "not in original" false (D.Database.mem db (f "e" [ "c"; "a" ]));
+  Alcotest.(check (list string)) "original index unchanged" [] (matching db [ (1, "a") ])
+
 let test_check_database () =
   let program = parse_program tc_program in
   let good = D.Fact.Set.of_list (chain_db 2) in
@@ -364,6 +411,7 @@ let suite =
       tc "ranks minimal" `Quick test_ranks_are_minimal;
       tc "zero-arity predicates" `Quick test_zero_arity_eval;
       tc "database introspection" `Quick test_database_introspection;
+      tc "database relations" `Quick test_database_relations;
       tc "check_database" `Quick test_check_database;
       tc "parse file" `Quick test_parse_file;
     ] )

@@ -97,6 +97,24 @@ let test_workload_differential () =
   in
   List.iter (fun (name, program, db) -> differential name program db) cases
 
+(* The model order contract ({!Harden.Fuzz.check_model_order}) over 500
+   fixed seeds: in both engines' models, each predicate's facts start
+   with the database's, in reverse database order. Derived-row order is
+   not asserted: the engines already order derived rows differently on
+   a few seeds. *)
+let test_model_order () =
+  for seed = 0 to 499 do
+    let t = W.Randprog.generate (Util.Rng.create seed) in
+    let program = W.Randprog.program t and db = W.Randprog.database t in
+    List.iter
+      (fun (engine, model) ->
+        match Harden.Fuzz.check_model_order db model with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "seed %d, %s engine: %s" seed engine msg)
+      [ ("flat", D.Engine.seminaive program db);
+        ("structural", D.Eval.seminaive_structural program db) ]
+  done
+
 (* [Symbol.to_string (Symbol.intern s) = s] — the round-trip every flat
    row depends on to decode back into facts. *)
 let test_intern_round_trip () =
@@ -114,5 +132,6 @@ let test_intern_round_trip () =
 let suite =
   ( "engine",
     [ Alcotest.test_case "workload differential" `Quick test_workload_differential;
+      Alcotest.test_case "model order" `Quick test_model_order;
       Alcotest.test_case "intern round-trip" `Quick test_intern_round_trip ]
     @ List.map QCheck_alcotest.to_alcotest [ prop_random_differential ] )
