@@ -419,10 +419,10 @@ let batch () =
 
 (* One row per (workload, size): the same program and database evaluated
    by the flat-tuple engine (Eval.seminaive) and by its structural
-   predecessor (Eval.seminaive_structural). Sizes are absolute fact
-   targets fed to the generators' [?facts] knob; models are compared as
-   sets and ranks as tables, so every row doubles as a large-scale
-   differential test. Peak live words are sampled by a Gc alarm at the
+   predecessor, now the differential oracle (Harden.Oracle.seminaive).
+   Sizes are absolute fact targets fed to the generators' [?facts] knob;
+   models are compared as sets and ranks as tables, so every row doubles
+   as a large-scale differential test. Peak live words are sampled by a Gc alarm at the
    end of each major cycle — an engine's resident join state, not
    transient allocation. *)
 
@@ -467,7 +467,7 @@ let engine () =
         in
         let model_old, ranks_old, old_s, rounds_old, peak_old =
           measure_engine (fun ranks ->
-              D.Eval.seminaive_structural ~ranks program db)
+              Harden.Oracle.seminaive ~ranks program db)
         in
         let identical =
           D.Fact.Set.equal (D.Database.to_set model_new)

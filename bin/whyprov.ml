@@ -116,7 +116,7 @@ let setup_progress progress =
 
 (* Enable the rule-level profiler and register the report for process
    exit: bare [--profile] prints the human tree to stderr (stdout stays
-   diffable), [--profile=FILE] writes the whyprov.profile/2 JSON
+   diffable), [--profile=FILE] writes the whyprov.profile/3 JSON
    document to FILE. The accumulated profile covers every fixpoint the
    command ran (explain/batch materializations included). *)
 let setup_profile profile =
@@ -142,14 +142,22 @@ let setup_obs stats stats_out trace trace_jsonl progress profile =
   setup_progress progress;
   setup_profile profile
 
+(* Bad user input ends in one [whyprov: ...] line on stderr and exit 1,
+   never in an uncaught exception. *)
+let die fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "whyprov: %s@." msg;
+      exit 1)
+    fmt
+
 (* Load for every file-reading command: run the static analyzer first.
    Errors abort with the positioned diagnostics on stderr; warnings are
    printed (to stderr, keeping stdout diffable) but do not block. *)
 let load_checked ?query path =
   match D.Parser.parse_raw_file path with
   | exception D.Parser.Error (pos, msg) ->
-    Format.eprintf "whyprov: %s@." (D.Parser.error_message pos msg);
-    exit 1
+    die "%s" (D.Parser.error_message pos msg)
   | raw ->
     let result = A.Check.check_raw ?query raw in
     List.iter
@@ -159,35 +167,29 @@ let load_checked ?query path =
       result.A.Check.diagnostics;
     (match result.A.Check.program with
     | None ->
-      Format.eprintf
-        "whyprov: %s has %d error(s); see 'whyprov check %s'@." path
-        result.A.Check.errors path;
-      exit 1
+      die "%s has %d error(s); see 'whyprov check %s'" path
+        result.A.Check.errors path
     | Some program -> (program, D.Database.of_list result.A.Check.facts))
 
-let parse_tuple s = String.split_on_char ',' s |> List.map String.trim
+(* The [-t C1,C2,…] answer tuple as a goal fact of the query. *)
+let goal q tuple =
+  let constants = String.split_on_char ',' tuple |> List.map String.trim in
+  try P.Explain.goal q constants
+  with Invalid_argument msg -> die "-t %s: %s" tuple msg
 
 let parse_subset s =
-  let clauses = D.Parser.parse_string s in
-  List.fold_left
-    (fun acc clause ->
-      match clause with
-      | D.Parser.Clause_fact f -> D.Fact.Set.add f acc
-      | D.Parser.Clause_rule _ -> failwith "subset must contain only facts")
-    D.Fact.Set.empty clauses
-
-(* Query-relevance slicing shared by explain/batch: with [slice], runs
-   the abstract-interpretation layer and returns the sliced program and
-   database. The slice report goes to stderr, keeping stdout diffable
-   against an unsliced run. *)
-let prepare ~slice query_pred program db =
-  if not slice then (program, db)
-  else begin
-    let analysis = A.Absint.analyze program db in
-    let s = A.Absint.slice analysis ~query:(D.Symbol.intern query_pred) in
-    Format.eprintf "%a@." A.Absint.pp_slice s;
-    (s.A.Absint.s_program, A.Absint.relevant_db s db)
-  end
+  match D.Parser.parse_string s with
+  | exception D.Parser.Error (pos, msg) ->
+    die "-s: %s" (D.Parser.error_message pos msg)
+  | clauses ->
+    List.fold_left
+      (fun acc clause ->
+        match clause with
+        | D.Parser.Clause_fact f -> D.Fact.Set.add f acc
+        | D.Parser.Clause_rule r ->
+          die "-s: the subset must contain only facts, got the rule %s"
+            (D.Rule.to_string r))
+      D.Fact.Set.empty clauses
 
 (* --- Commands --------------------------------------------------------- *)
 
@@ -203,19 +205,14 @@ let cmd_answers () path query_pred =
    tuple, wrong predicate) with a clear message and a non-zero exit
    rather than silently printing nothing. *)
 let check_derivable closure fact =
-  if not (P.Closure.derivable closure) then begin
-    Format.eprintf
-      "whyprov: %a is not derivable (not in the materialized model)@."
-      D.Fact.pp fact;
-    exit 1
-  end
+  if not (P.Closure.derivable closure) then
+    die "%a is not derivable (not in the materialized model)" D.Fact.pp fact
 
 let cmd_explain () path query_pred tuple limit use_tc smallest witness
-    no_preprocess minimize slice =
+    no_preprocess minimize =
   let program, db = load_checked ~query:query_pred path in
-  let program, db = prepare ~slice query_pred program db in
   let q = P.Explain.query program query_pred in
-  let fact = P.Explain.goal q (parse_tuple tuple) in
+  let fact = goal q tuple in
   let closure = P.Closure.build program db fact in
   check_derivable closure fact;
   let preprocess = not no_preprocess in
@@ -255,14 +252,13 @@ let cmd_explain () path query_pred tuple limit use_tc smallest witness
   end
 
 let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
-    minimize slice =
+    minimize =
   let program, db = load_checked ~query:query_pred path in
-  let program, db = prepare ~slice query_pred program db in
   let q = P.Explain.query program query_pred in
   let explicit = tuples <> [] && not all in
   let spec =
     if explicit then
-      P.Batch.Facts (List.map (fun t -> P.Explain.goal q (parse_tuple t)) tuples)
+      P.Batch.Facts (List.map (goal q) tuples)
     else P.Batch.All_answers q.P.Explain.answer_pred
   in
   let conflict_budget = if budget > 0 then Some budget else None in
@@ -320,47 +316,37 @@ let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
 
 (* The rule-level profiler: whyprov profile FILE [-q PRED].
    Materializes the model once with profiling enabled and prints
-   per-rule / per-atom / per-SCC attribution plus the estimate-vs-actual
-   audit (row estimates from the abstract-interpretation layer, actual
-   row counts from the materialized model). Human output is the
-   SCC → rule → atom tree; --format=json emits the whyprov.profile/2
-   document with an "audit" member. --no-times drops the
-   (nondeterministic) wall-time fields, so two runs of the same
-   instance are byte-identical. *)
+   per-rule / per-atom / per-SCC attribution. Human output is the
+   SCC → rule → atom tree; --format=json emits the whyprov.profile/3
+   document. --no-times drops the (nondeterministic) wall-time fields,
+   so two runs of the same instance are byte-identical. *)
 let cmd_profile () path query format top no_times out =
   let program, db = load_checked ?query path in
-  let est = A.Absint.stats (A.Absint.analyze program db) in
   D.Profile.reset ();
   D.Profile.set_enabled true;
-  let model = D.Eval.seminaive program db in
+  ignore (D.Eval.seminaive program db);
   D.Profile.set_enabled false;
   let prof = D.Profile.snapshot () in
-  let audit = D.Profile.audit ~est ~actual:(D.Stats.of_database model) in
   match format with
-  | `Human ->
-    Format.printf "%a" (D.Profile.pp ~top) prof;
-    Format.printf "%a" D.Profile.pp_audit audit
+  | `Human -> Format.printf "%a" (D.Profile.pp ~top) prof
   | `Json -> (
-    let doc =
-      match D.Profile.to_json ~times:(not no_times) prof with
-      | Metrics.Json.Obj fields ->
-        Metrics.Json.Obj
-          (fields @ [ ("audit", D.Profile.audit_to_json audit) ])
-      | other -> other
+    let line =
+      Metrics.Json.to_string (D.Profile.to_json ~times:(not no_times) prof)
     in
-    let line = Metrics.Json.to_string doc in
     match out with
     | None -> print_endline line
-    | Some file ->
-      let oc = open_out file in
-      output_string oc line;
-      output_char oc '\n';
-      close_out oc)
+    | Some file -> (
+      try
+        let oc = open_out file in
+        output_string oc line;
+        output_char oc '\n';
+        close_out oc
+      with Sys_error msg -> die "--output: %s" msg))
 
 (* The static analyzer: whyprov check FILE [-q PRED]. Exit status is the
    contract (docs/ANALYSIS.md): 0 clean or warnings only, 1 on errors or
    (with --deny-warnings) warnings. *)
-let cmd_analyze () path query format deny_warnings =
+let cmd_check () path query format deny_warnings =
   let result = A.Check.check_file ?query path in
   (match format with
   | `Human -> Format.printf "%a" A.Check.pp_human result
@@ -372,56 +358,11 @@ let cmd_analyze () path query format deny_warnings =
   in
   exit (if failed then 1 else 0)
 
-(* The abstract-interpretation report: whyprov analyze FILE [-q PRED]
-   [--plans]. Everything printed is deterministic (schema order, sorted
-   adornments), so the CLI smoke tests diff it against a golden file. *)
-let cmd_absint_report () path query plans format =
-  let program, db = load_checked ?query path in
-  let analysis = A.Absint.analyze program db in
-  match format with
-  | `Json ->
-    print_endline
-      (Metrics.Json.to_string
-         (A.Absint.to_json
-            ?query:(Option.map D.Symbol.intern query)
-            analysis))
-  | `Human ->
-  Format.printf "%a@." A.Absint.pp analysis;
-  (match query with
-  | None -> ()
-  | Some qp ->
-    let qsym = D.Symbol.intern qp in
-    (match A.Absint.adornments analysis ~query:qsym with
-    | [] -> ()
-    | ads ->
-      Format.printf "adornments (query %s, all arguments bound):@." qp;
-      List.iter
-        (fun (p, ad) -> Format.printf "  %s^%s@." (D.Symbol.name p) ad)
-        ads);
-    Format.printf "%a@." A.Absint.pp_slice (A.Absint.slice analysis ~query:qsym));
-  if plans then begin
-    Format.printf "join plans (full-evaluation tasks):@.";
-    List.iter
-      (fun r ->
-        Format.printf "rule %d: %a@." r.D.Rule.id D.Rule.pp r;
-        Format.printf "  heuristic: %a@." D.Plan.pp
-          (D.Plan.compile program r ~delta:(-1)))
-      (D.Program.rules program)
-  end
-
 let cmd_member () path query_pred tuple subset variant =
   let program, db = load_checked ~query:query_pred path in
   let q = P.Explain.query program query_pred in
-  let fact = P.Explain.goal q (parse_tuple tuple) in
+  let fact = goal q tuple in
   let candidate = parse_subset subset in
-  let variant =
-    match variant with
-    | "any" -> `Any
-    | "un" -> `Unambiguous
-    | "nr" -> `Non_recursive
-    | "md" -> `Minimal_depth
-    | other -> failwith (Printf.sprintf "unknown variant %S (any|un|nr|md)" other)
-  in
   let is_member = P.Explain.why_provenance ~variant q db fact candidate in
   print_endline (if is_member then "MEMBER" else "NOT A MEMBER");
   exit (if is_member then 0 else 1)
@@ -429,7 +370,7 @@ let cmd_member () path query_pred tuple subset variant =
 let cmd_tree () path query_pred tuple dot =
   let program, db = load_checked ~query:query_pred path in
   let q = P.Explain.query program query_pred in
-  let fact = P.Explain.goal q (parse_tuple tuple) in
+  let fact = goal q tuple in
   match P.Explain.proof_tree q db fact with
   | None ->
     prerr_endline "not derivable";
@@ -441,7 +382,7 @@ let cmd_tree () path query_pred tuple dot =
 let cmd_stats () path query_pred tuple =
   let program, db = load_checked ~query:query_pred path in
   let q = P.Explain.query program query_pred in
-  let fact = P.Explain.goal q (parse_tuple tuple) in
+  let fact = goal q tuple in
   let closure = P.Closure.build program db fact in
   Format.printf "%a@." P.Closure.pp_stats closure;
   let encoding = P.Encode.make closure in
@@ -662,27 +603,13 @@ let deny_warnings_arg =
     & info [ "deny-warnings" ]
         ~doc:"Exit 1 when any warning is reported (CI gate).")
 
-let slice_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "slice" ]
-        ~doc:
-          "Drop rules and extensional predicates that provably cannot \
-           contribute to the query before evaluating (query-relevance \
-           slice, docs/ABSINT.md; report on stderr). Answers, members \
-           and ranks are unchanged.")
-
-let plans_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "plans" ]
-        ~doc:
-          "Also print each rule's compiled join order.")
-
 let variant_arg =
-  Arg.(value & opt string "any" & info [ "variant" ] ~docv:"V" ~doc:"Proof-tree class: any, un, nr or md.")
+  let variant =
+    Arg.enum
+      [ ("any", `Any); ("un", `Unambiguous); ("nr", `Non_recursive);
+        ("md", `Minimal_depth) ]
+  in
+  Arg.(value & opt variant `Any & info [ "variant" ] ~docv:"V" ~doc:"Proof-tree class: any, un, nr or md.")
 
 let dot_arg = Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz.")
 
@@ -743,7 +670,7 @@ let profile_opt_arg =
           "Record the rule-level execution profile (docs/OBSERVABILITY.md) \
            across every fixpoint the command runs: bare $(b,--profile) \
            prints the SCC → rule → atom tree to stderr on exit, \
-           $(b,--profile=FILE) writes the whyprov.profile/2 JSON document \
+           $(b,--profile=FILE) writes the whyprov.profile/3 JSON document \
            to $(docv).")
 
 let stats_term =
@@ -757,7 +684,7 @@ let answers_cmd =
 
 let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc:"Enumerate the why-provenance (unambiguous proof trees) of an answer")
-    Term.(const cmd_explain $ stats_term $ file_arg $ query_arg $ tuple_arg $ limit_arg $ tc_arg $ smallest_arg $ witness_arg $ no_preprocess_arg $ minimize_arg $ slice_arg)
+    Term.(const cmd_explain $ stats_term $ file_arg $ query_arg $ tuple_arg $ limit_arg $ tc_arg $ smallest_arg $ witness_arg $ no_preprocess_arg $ minimize_arg)
 
 let batch_cmd =
   Cmd.v
@@ -769,7 +696,7 @@ let batch_cmd =
     Term.(
       const cmd_batch $ stats_term $ file_arg $ query_arg $ tuples_arg
       $ all_arg $ jobs_arg $ limit_arg $ budget_arg $ no_preprocess_arg
-      $ minimize_arg $ slice_arg)
+      $ minimize_arg)
 
 let check_cmd =
   Cmd.v
@@ -780,31 +707,8 @@ let check_cmd =
           encoding-selection decision. Exits 1 on errors, or on warnings \
           with --deny-warnings.")
     Term.(
-      const cmd_analyze $ stats_term $ file_arg $ opt_query_arg $ format_arg
+      const cmd_check $ stats_term $ file_arg $ opt_query_arg $ format_arg
       $ deny_warnings_arg)
-
-let analyze_format_arg =
-  let fmt = Arg.enum [ ("human", `Human); ("json", `Json) ] in
-  Arg.(
-    value
-    & opt fmt `Human
-    & info [ "format" ] ~docv:"FORMAT"
-        ~doc:
-          "Report format: $(b,human) (the deterministic listing) or \
-           $(b,json) (the whyprov.analyze/1 document of docs/ANALYSIS.md). \
-           $(b,--plans) applies to the human report only.")
-
-let analyze_cmd =
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Run the abstract-interpretation layer (docs/ABSINT.md) and print \
-          its report: per-argument constant values, cardinality estimates, \
-          provably-empty predicates and, with $(b,-q), adorned binding \
-          patterns and the query-relevance slice.")
-    Term.(
-      const cmd_absint_report $ stats_term $ file_arg $ opt_query_arg
-      $ plans_arg $ analyze_format_arg)
 
 let profile_format_arg =
   let fmt = Arg.enum [ ("human", `Human); ("json", `Json) ] in
@@ -813,9 +717,9 @@ let profile_format_arg =
     & opt fmt `Human
     & info [ "format" ] ~docv:"FORMAT"
         ~doc:
-          "Report format: $(b,human) (hot rules, the SCC → rule → atom tree \
-           and the estimate audit) or $(b,json) (the whyprov.profile/2 \
-           document with an $(b,audit) member, docs/OBSERVABILITY.md).")
+          "Report format: $(b,human) (hot rules and the SCC → rule → atom \
+           tree) or $(b,json) (the whyprov.profile/3 document, \
+           docs/OBSERVABILITY.md).")
 
 let top_arg =
   Arg.(
@@ -846,9 +750,7 @@ let profile_cmd =
        ~doc:
          "Materialize the model with the rule-level profiler enabled and \
           print per-rule / per-join-atom / per-SCC attribution (wall time, \
-          firings, tuples, duplicates, probes, fan-out, rounds) plus the \
-          estimate-vs-actual audit: per-predicate q-errors of the \
-          abstract-interpretation row estimates against the model.")
+          firings, tuples, duplicates, probes, fan-out, rounds).")
     Term.(
       const cmd_profile $ stats_term $ file_arg $ opt_query_arg
       $ profile_format_arg $ top_arg $ no_times_arg
@@ -873,4 +775,4 @@ let stats_cmd =
 let () =
   let doc = "why-provenance for Datalog queries (PODS 2024 reproduction)" in
   let info = Cmd.info "whyprov" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ answers_cmd; explain_cmd; batch_cmd; check_cmd; analyze_cmd; profile_cmd; member_cmd; tree_cmd; stats_cmd; repl_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ answers_cmd; explain_cmd; batch_cmd; check_cmd; profile_cmd; member_cmd; tree_cmd; stats_cmd; repl_cmd ]))

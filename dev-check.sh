@@ -148,29 +148,16 @@ fi
 # Analyzer over every bundled workload program (zero errors, classified).
 dune exec --no-build test/cli/check_workloads.exe > /dev/null
 
-echo "== absint smoke (analyze report, --slice, docs/ABSINT.md)"
-a1=$(mktemp -t whyprov-absint1.XXXXXX)
-a2=$(mktemp -t whyprov-absint2.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$a2"' EXIT
+echo "== check golden (unreachable rules and unused predicates on sliceable.dl)"
+a1=$(mktemp -t whyprov-check1.XXXXXX)
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1"' EXIT
 
-# The abstract-interpretation report (derivability, constants,
-# cardinality estimates, join plans, slice) is golden-diffed, same
-# files as the dune test rules.
-dune exec --no-build bin/whyprov.exe -- \
-  analyze examples/mutual.dl -q even --plans > "$a1"
-diff test/cli/expected_analyze_mutual.txt "$a1"
-dune exec --no-build bin/whyprov.exe -- \
-  analyze examples/sliceable.dl -q tc > "$a1"
-diff test/cli/expected_analyze_sliceable.txt "$a1"
-
-# Slicing is semantics-preserving: the q-cone slice drops only rules
-# that cannot contribute, so explain output is unchanged (the slice
-# report itself goes to stderr).
-dune exec --no-build bin/whyprov.exe -- \
-  explain examples/sliceable.dl -q tc -t a,c > "$a1"
-dune exec --no-build bin/whyprov.exe -- \
-  explain examples/sliceable.dl -q tc -t a,c --slice > "$a2" 2> /dev/null
-diff "$a1" "$a2"
+# WP103 on the two rules that cannot contribute to the query, WP101 on
+# the unused predicate; same golden file as the dune test rule, which
+# runs from test/cli (hence the relative path).
+(cd test/cli && ../../_build/default/bin/whyprov.exe \
+  check ../../examples/sliceable.dl -q tc) > "$a1"
+diff test/cli/expected_check_sliceable.txt "$a1"
 
 echo "== engine smoke (flat-tuple engine counters on examples/reach.dl)"
 # A recursive program must drive every moving part of the flat engine:
@@ -197,9 +184,9 @@ elif command -v jq > /dev/null 2>&1; then
     "$out" > /dev/null
 fi
 
-echo "== profile smoke (rule-level profiler + estimate audit, docs/OBSERVABILITY.md)"
+echo "== profile smoke (rule-level profiler, docs/OBSERVABILITY.md)"
 pr1=$(mktemp -t whyprov-prof1.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$a2" "$pr1"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$pr1"' EXIT
 
 # --profile must not change explain's stdout, and its JSON document
 # must validate (schema, per-rule arithmetic; validate_profile.ml).
@@ -213,17 +200,17 @@ dune exec --no-build bin/whyprov.exe -- \
   batch examples/reach.dl -q tc --all --jobs 2 --profile="$pr1" > /dev/null
 dune exec --no-build test/cli/validate_profile.exe -- "$pr1"
 
-# The profile subcommand embeds the estimate-vs-actual audit.
+# The profile subcommand writes the same document.
 dune exec --no-build bin/whyprov.exe -- \
   profile examples/mutual.dl -q even --format json --no-times > "$pr1"
-dune exec --no-build test/cli/validate_profile.exe -- "$pr1" audit
+dune exec --no-build test/cli/validate_profile.exe -- "$pr1"
 
 echo "== bench regression gate (--check, EXPERIMENTS.md)"
 # Record a fresh baseline over the engine workloads, then gate against
 # it: the same run must pass, and an injected 2x slowdown must fail.
 bb=$(mktemp -t whyprov-bench-base.XXXXXX)
 bslow=$(mktemp -t whyprov-bench-slow.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$a2" "$pr1" "$bb" "$bslow"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$pr1" "$bb" "$bslow"' EXIT
 dune exec --no-build bench/main.exe -- \
   --scale 0.05 --stats-out "$bb" engine > /dev/null
 dune exec --no-build bench/main.exe -- \
@@ -270,7 +257,7 @@ fi
 # oracle). Two runs must agree byte-for-byte, and find nothing.
 f1=$(mktemp -t whyfuzz-f1.XXXXXX)
 f2=$(mktemp -t whyfuzz-f2.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$f1" "$f2"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$pr1" "$bb" "$bslow" "$f1" "$f2"' EXIT
 dune exec --no-build bin/whyfuzz.exe -- \
   fuzz --seed 42 --iters 50 --quiet > "$f1"
 dune exec --no-build bin/whyfuzz.exe -- \

@@ -18,7 +18,8 @@ val answers : query -> Database.t -> Fact.t list
 (** All answer facts [R(t̄)], sorted. *)
 
 val goal : query -> string list -> Fact.t
-(** [goal q tuple] builds the fact [R(t̄)] from constant names. *)
+(** [goal q tuple] builds the fact [R(t̄)] from constant names.
+    @raise Invalid_argument if [tuple] does not have [R]'s arity. *)
 
 type explanation = {
   members : Fact.Set.t list; (** members of why_UN, in production order *)

@@ -7,8 +7,8 @@
     once, as int rows, and the column indexes the fixpoint built serve
     the backward joins of {!iter_matching}. Facts are built as
     {!Fact.t} values only when they are visited. Lookup by a pattern of
-    bound argument positions is the primitive the structural join
-    engine builds on. *)
+    bound argument positions is the primitive the structural joins of
+    {!Eval} build on. *)
 
 type t
 

@@ -1,9 +1,9 @@
 module Metrics = Util.Metrics
 module Tracing = Util.Tracing
 
-(* Same instrument names as the structural engine in [Eval]: the
-   registry is idempotent, so both engines tick the same counters and
-   the observability vocabulary stays stable across the refactor. *)
+(* The "Datalog evaluation" instruments of docs/OBSERVABILITY.md. The
+   registry is idempotent: [eval.tuples_matched] is the same counter
+   the backward joins of [Eval.match_atom] tick. *)
 let m_seminaive_time = Metrics.timer "eval.seminaive"
 let m_runs = Metrics.counter "eval.seminaive.runs"
 let m_rounds = Metrics.counter "eval.rounds"
@@ -295,9 +295,9 @@ let seminaive ?ranks program db =
   Metrics.time m_seminaive_time @@ fun () ->
   Metrics.incr m_runs;
   (* The model starts as a row-reversed copy of the database's
-     relations: the order the structural engine's [of_list (to_list
-     db)] gives its model, which leaks into closure and encoding order
-     downstream. Rules append derived rows to these relations in place,
+     relations: the order [of_list (to_list db)] gives (the structural
+     oracle's starting model), which leaks into closure and encoding
+     order downstream. Rules append derived rows to these relations in place,
      and they are the model returned. *)
   let model_db = Database.copy db in
   let schema_rels =

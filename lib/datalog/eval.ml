@@ -1,48 +1,11 @@
 type binding = (Symbol.t, Symbol.t) Hashtbl.t
 
 (* Observability (docs/OBSERVABILITY.md, "Datalog evaluation"). The
-   tuple/firing counters are engine-wide: they also tick when the
-   closure layer replays rules backwards through [derivations]. *)
+   tuple counter is engine-wide: it also ticks when the closure layer
+   replays rules backwards through [derivations]. *)
 module Metrics = Util.Metrics
-module Tracing = Util.Tracing
 
-let m_seminaive_time = Metrics.timer "eval.seminaive"
-let m_runs = Metrics.counter "eval.seminaive.runs"
-let m_rounds = Metrics.counter "eval.rounds"
-let m_derived = Metrics.counter "eval.facts_derived"
-let m_model_facts = Metrics.counter "eval.model_facts"
-let m_firings = Metrics.counter "eval.rule_firings"
 let m_tuples = Metrics.counter "eval.tuples_matched"
-let m_delta_size = Metrics.histogram "eval.delta_size"
-
-(* Per-predicate delta totals, e.g. "eval.delta.tc". Only materialized
-   when recording is on: the name allocation is not free. *)
-let record_delta db =
-  if Metrics.is_enabled () then begin
-    Metrics.observe_int m_delta_size (Database.size db);
-    List.iter
-      (fun pred ->
-        Metrics.add
-          (Metrics.counter ("eval.delta." ^ Symbol.name pred))
-          (Database.count_pred db pred))
-      (Database.preds db)
-  end
-
-(* One counter sample per semi-naive round: the shrinking (or not)
-   delta is the most telling single series of a fixpoint run. *)
-let trace_delta db =
-  if Tracing.is_enabled () then
-    Tracing.counter "eval.delta" [ ("facts", float_of_int (Database.size db)) ]
-
-(* Wraps one semi-naive round; the round number and resulting delta
-   size are attached to the span, so a Perfetto timeline shows which
-   round the fixpoint spent its time in. Arg allocation is guarded. *)
-let round_span round f =
-  if not (Tracing.is_enabled ()) then f ()
-  else
-    Tracing.with_span
-      ~args:[ ("round", Metrics.Json.Num (float_of_int round)) ]
-      "eval.round" f
 
 let bound_positions (b : binding) (atom : Atom.t) =
   let bound = ref [] in
@@ -118,95 +81,7 @@ let ground b (atom : Atom.t) =
   in
   Fact.make atom.Atom.pred (Array.map const_of atom.Atom.args)
 
-(* Evaluate [rule] with body atom [pos] matched against [delta] and the
-   other atoms against [full]; call [emit] on each derived head fact.
-   The delta atom is matched first (it is the smallest relation), the
-   rest greedily by selectivity. *)
-let fire_rule ~full ~delta ~pos rule emit =
-  Metrics.incr m_firings;
-  let b : binding = Hashtbl.create 16 in
-  let body = Rule.body rule in
-  let finish () = emit (ground b (Rule.head rule)) in
-  if pos < 0 then match_body full b body finish
-  else begin
-    let delta_atom = List.nth body pos in
-    let rest = List.filteri (fun i _ -> i <> pos) body in
-    match_atom delta b delta_atom (fun _ -> match_body full b rest finish)
-  end
-
-let seminaive_structural ?ranks program db =
-  Tracing.with_span "eval.seminaive" @@ fun () ->
-  Metrics.time m_seminaive_time @@ fun () ->
-  Metrics.incr m_runs;
-  let model = Database.of_list (Database.to_list db) in
-  let record round fact =
-    match ranks with
-    | Some table -> if not (Fact.Table.mem table fact) then Fact.Table.add table fact round
-    | None -> ()
-  in
-  Database.iter (record 0) db;
-  (* Round 1: plain evaluation of every rule over the database. *)
-  let delta = ref (Database.create ()) in
-  round_span 1 (fun () ->
-      List.iter
-        (fun rule ->
-          fire_rule ~full:model ~delta:model ~pos:(-1) rule (fun fact ->
-              if not (Database.mem model fact) then
-                ignore (Database.add !delta fact)))
-        (Program.rules program));
-  Metrics.incr m_rounds;
-  record_delta !delta;
-  trace_delta !delta;
-  Database.iter
-    (fun fact ->
-      if Database.add model fact then begin
-        Metrics.incr m_derived;
-        record 1 fact
-      end)
-    !delta;
-  (* idb positions of each rule body, precomputed. *)
-  let idb_positions rule =
-    List.filteri
-      (fun _ _ -> true)
-      (List.mapi (fun i (a : Atom.t) -> (i, a.Atom.pred)) (Rule.body rule))
-    |> List.filter_map (fun (i, p) -> if Program.is_idb program p then Some i else None)
-  in
-  let rule_positions =
-    List.map (fun r -> (r, idb_positions r)) (Program.rules program)
-  in
-  let round = ref 2 in
-  while Database.size !delta > 0 do
-    let next = Database.create () in
-    round_span !round (fun () ->
-        List.iter
-          (fun (rule, positions) ->
-            List.iter
-              (fun pos ->
-                fire_rule ~full:model ~delta:!delta ~pos rule (fun fact ->
-                    if
-                      (not (Database.mem model fact))
-                      && not (Database.mem next fact)
-                    then ignore (Database.add next fact)))
-              positions)
-          rule_positions);
-    Metrics.incr m_rounds;
-    record_delta next;
-    trace_delta next;
-    Database.iter
-      (fun fact ->
-        if Database.add model fact then begin
-          Metrics.incr m_derived;
-          record !round fact
-        end)
-      next;
-    delta := next;
-    incr round
-  done;
-  Metrics.add m_model_facts (Database.size model);
-  model
-
-(* The production fixpoint: the interned flat-tuple engine. The
-   structural implementation above stays as its differential oracle. *)
+(* The fixpoint: the interned flat-tuple engine. *)
 let seminaive ?ranks program db = Engine.seminaive ?ranks program db
 
 let holds program db fact = Database.mem (seminaive program db) fact

@@ -32,13 +32,6 @@ val seminaive :
     {!Profile.is_enabled} is true at call time, the run contributes per-rule / per-atom / per-SCC
     attribution to the accumulated profile ({!Profile.snapshot}). *)
 
-val seminaive_structural :
-  ?ranks:int Fact.Table.t -> Program.t -> Database.t -> Database.t
-(** The pre-{!Engine} reference implementation of [seminaive], joining
-    structural {!Atom.t}/{!binding} values directly over {!Database.t}
-    indexes. Kept as the differential-testing oracle: model, ranks and
-    round structure must agree with {!seminaive} on every program. *)
-
 val holds : Program.t -> Database.t -> Fact.t -> bool
 (** [holds p d fact] is [true] iff [fact ∈ Σ(D)]. Materializes the model. *)
 

@@ -44,8 +44,8 @@ let atom_vars (a : Atom.t) = Atom.vars a
    set: how many of its distinct variables are already bound; ties go
    to extensional predicates (their relations are fixed-size and
    typically far smaller than a saturating intensional one — the
-   static stand-in for the structural engine's live cardinality
-   estimates), then to atoms with more constant columns. *)
+   static stand-in for the live cardinality estimates [Eval.match_body]
+   orders by), then to atoms with more constant columns. *)
 let score program bound (a : Atom.t) =
   let bound_vars =
     List.length (List.filter (fun v -> Hashtbl.mem bound v) (atom_vars a))
@@ -169,15 +169,3 @@ let required_indexes t =
         ins.i_bound_cols)
     t.p_instrs;
   List.rev !acc
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>plan %a (delta=%d)@," Symbol.pp t.p_head_pred
-    t.p_delta;
-  Array.iter
-    (fun ins ->
-      Format.fprintf ppf "  scan%s %a: %d consts, %d checks, %d binds@,"
-        (if ins.i_from_delta then " delta" else "")
-        Symbol.pp ins.i_pred (Array.length ins.i_consts)
-        (Array.length ins.i_checks) (Array.length ins.i_binds))
-    t.p_instrs;
-  Format.fprintf ppf "@]"

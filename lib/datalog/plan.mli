@@ -58,7 +58,3 @@ val required_indexes : t -> (Symbol.t * bool * int) list
 (** The [(pred, from_delta, col)] column indexes the runtime may probe
     while executing this plan — built eagerly by the engine before any
     parallel round, so no index is constructed concurrently. *)
-
-val pp : Format.formatter -> t -> unit
-(** Join order and per-instruction column roles, for debugging and the
-    [eval.join] trace spans. *)

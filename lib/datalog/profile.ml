@@ -136,8 +136,8 @@ let record_round run deltas =
 (* ------------------------------------------------------------------ *)
 
 (* Rule ids are dense per program ({!Program.make} renumbers), so two
-   different programs profiled in one process — e.g. a sliced and an
-   unsliced run — can reuse an id. The aggregate therefore keys rules
+   different programs profiled in one process — e.g. two workloads in
+   one test run — can reuse an id. The aggregate therefore keys rules
    by (id, text) and components by their sorted member list; the
    common single-program case degenerates to plain id keying. *)
 type rule_agg = {
@@ -329,7 +329,7 @@ let snapshot () =
 (* Renderers                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let schema_version = "whyprov.profile/2"
+let schema_version = "whyprov.profile/3"
 
 let num_i n = Json.Num (float_of_int n)
 
@@ -451,59 +451,3 @@ let pp ?(top = 5) ppf t =
           rules
       end)
     t.sccs
-
-(* ------------------------------------------------------------------ *)
-(* Estimate-vs-actual audit                                            *)
-(* ------------------------------------------------------------------ *)
-
-type pred_audit = {
-  pa_pred : Symbol.t;
-  pa_est : float;
-  pa_actual : float;
-  pa_qerr : float;
-}
-
-type audit = { a_preds : pred_audit list }
-
-let qerr est act =
-  let est = Float.max 1e-9 est and act = Float.max 1e-9 act in
-  Float.max (est /. act) (act /. est)
-
-let by_qerr_desc q1 n1 q2 n2 =
-  match compare q2 q1 with 0 -> compare n1 n2 | c -> c
-
-let audit ~est ~actual =
-  let preds =
-    Stats.fold
-      (fun p (a : Stats.pred) acc ->
-        let e = match Stats.rows est p with Some r -> r | None -> 0.0 in
-        { pa_pred = p; pa_est = e; pa_actual = a.Stats.rows; pa_qerr = qerr e a.Stats.rows }
-        :: acc)
-      actual []
-    |> List.sort (fun a b ->
-           by_qerr_desc a.pa_qerr (Symbol.name a.pa_pred) b.pa_qerr
-             (Symbol.name b.pa_pred))
-  in
-  { a_preds = preds }
-
-let audit_to_json a =
-  let pred_json p =
-    Json.Obj
-      [
-        ("pred", Json.Str (Symbol.name p.pa_pred));
-        ("est_rows", Json.Num p.pa_est);
-        ("actual_rows", Json.Num p.pa_actual);
-        ("q_error", Json.Num p.pa_qerr);
-      ]
-  in
-  Json.Obj [ ("preds", Json.List (List.map pred_json a.a_preds)) ]
-
-let pp_audit ppf a =
-  Format.fprintf ppf
-    "estimate audit (q-error = max(est/actual, actual/est)):@.";
-  Format.fprintf ppf "  predicate cardinalities:@.";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "    %-16s est %10.1f  actual %10.0f  q-error %.2f@."
-        (Symbol.name p.pa_pred) p.pa_est p.pa_actual p.pa_qerr)
-    a.a_preds

@@ -26,10 +26,6 @@
     [eval.rule_firings] counter and the per-rule [derived] sum to
     [eval.facts_derived], exactly.
 
-    The estimate-vs-actual {e audit} ({!audit}) checks the cardinality
-    estimates [whyprov analyze] reports (docs/ABSINT.md): it holds the
-    model's actual per-predicate row counts against the {!Stats.t}
-    estimates and computes the q-error [max(est/act, act/est)] of each.
     Schemas and the reading guide are in
     [docs/OBSERVABILITY.md] ("Rule-level profiles"). *)
 
@@ -129,7 +125,7 @@ val snapshot : unit -> t
     snapshots already taken. *)
 
 val schema_version : string
-(** ["whyprov.profile/2"], the ["schema"] field of {!to_json}. *)
+(** ["whyprov.profile/3"], the ["schema"] field of {!to_json}. *)
 
 val to_json : ?times:bool -> t -> Util.Metrics.Json.t
 (** The versioned JSON document (docs/OBSERVABILITY.md). With
@@ -139,23 +135,3 @@ val to_json : ?times:bool -> t -> Util.Metrics.Json.t
 val pp : ?top:int -> Format.formatter -> t -> unit
 (** The human report: the [top] (default 5) hottest rules by wall
     time, then the SCC → rule → atom tree. *)
-
-(** {1 Estimate-vs-actual audit} *)
-
-type pred_audit = {
-  pa_pred : Symbol.t;
-  pa_est : float;  (** estimated rows (0 if the predicate was unknown) *)
-  pa_actual : float;  (** rows in the materialized model *)
-  pa_qerr : float;
-}
-
-type audit = { a_preds : pred_audit list  (** worst q-error first *) }
-
-val audit : est:Stats.t -> actual:Stats.t -> audit
-(** [audit ~est ~actual] compares the estimates [est] (typically
-    [Absint.stats]) against [actual] (typically {!Stats.of_database}
-    of the materialized model), one {!pred_audit} per predicate of
-    [actual]. *)
-
-val audit_to_json : audit -> Util.Metrics.Json.t
-val pp_audit : Format.formatter -> audit -> unit

@@ -9,11 +9,10 @@
      clauses and UNSAT answers DRAT-certified.
 
    - Datalog: random programs (Workloads.Randprog) run through the
-     flat engine against the structural reference engine, the
-     query-relevance slice against its certificate and the
-     unsliced why-sets, and the SAT-based why_UN enumeration
+     flat engine against the structural reference engine
+     (Oracle.seminaive), and the SAT-based why_UN enumeration
      (preprocessing on/off) against the powerset oracle
-     (Harden.Oracle).
+     (Oracle.why_un_powerset).
 
    Any disagreement is minimized by greedy deletion — clauses then
    literals for CNF, rules then facts for Datalog — and rendered as a
@@ -24,13 +23,11 @@ module L = Sat.Lit
 module D = Datalog
 module P = Provenance
 module W = Workloads
-module A = Whyprov_analysis
 module Metrics = Util.Metrics
 
 let m_iters = Metrics.counter "harden.fuzz.iters"
 let m_cnf_checks = Metrics.counter "harden.fuzz.cnf_checks"
 let m_engine_checks = Metrics.counter "harden.fuzz.engine_checks"
-let m_slice_checks = Metrics.counter "harden.fuzz.slice_checks"
 let m_prov_checks = Metrics.counter "harden.fuzz.prov_checks"
 let m_bugs = Metrics.counter "harden.fuzz.bugs"
 let m_shrink_tests = Metrics.counter "harden.fuzz.shrink_tests"
@@ -211,7 +208,7 @@ let check_engine (t : W.Randprog.t) =
   in
   let sorted m = List.sort D.Fact.compare (D.Database.to_list m) in
   let r_struct = D.Fact.Table.create 64 in
-  let m_struct = D.Eval.seminaive_structural ~ranks:r_struct program db in
+  let m_struct = Oracle.seminaive ~ranks:r_struct program db in
   let r_flat = D.Fact.Table.create 64 in
   let m_flat = D.Engine.seminaive ~ranks:r_flat program db in
   if not (List.equal D.Fact.equal (sorted m_struct) (sorted m_flat)) then
@@ -220,60 +217,6 @@ let check_engine (t : W.Randprog.t) =
          (D.Database.size m_flat) (D.Database.size m_struct))
   else if ranked r_struct <> ranked r_flat then Error "flat engine ranks differ"
   else Result.bind (check_model_order db m_struct) (fun () -> check_model_order db m_flat)
-
-(* Query-relevance slicing: for every IDB predicate, the slice
-   certificate must hold (drop reasons re-established, model and ranks
-   over the cone identical under the structural engine), and on
-   databases small enough to enumerate, the why-sets of every derived
-   query fact must agree between the sliced and unsliced pipelines. *)
-let check_slice (t : W.Randprog.t) =
-  Metrics.incr m_slice_checks;
-  let program = W.Randprog.program t in
-  let db = W.Randprog.database t in
-  let analysis = A.Absint.analyze program db in
-  let small = D.Database.size db <= 9 in
-  let model = lazy (D.Eval.seminaive program db) in
-  let check_query q =
-    let s = A.Absint.slice analysis ~query:q in
-    if not (A.Absint.certify s db) then
-      Error
-        (Printf.sprintf "slice certificate for query %s failed"
-           (D.Symbol.name q))
-    else if small && s.A.Absint.s_dropped <> [] then begin
-      let sliced_db = A.Absint.relevant_db s db in
-      let goals =
-        D.Database.to_list (Lazy.force model)
-        |> List.filter (fun f ->
-               D.Symbol.equal (D.Fact.pred f) q && not (D.Database.mem db f))
-        |> List.sort D.Fact.compare
-      in
-      let members prog database goal =
-        P.Enumerate.to_list (P.Enumerate.create prog database goal)
-        |> List.sort D.Fact.Set.compare
-      in
-      let rec go = function
-        | [] -> Ok ()
-        | g :: rest ->
-          let full = members program db g in
-          let sliced = members s.A.Absint.s_program sliced_db g in
-          if not (List.equal D.Fact.Set.equal full sliced) then
-            Error
-              (Printf.sprintf
-                 "why_UN(%s) under the %s-slice: %d member(s) vs %d unsliced"
-                 (D.Fact.to_string g) (D.Symbol.name q) (List.length sliced)
-                 (List.length full))
-          else go rest
-      in
-      go goals
-    end
-    else Ok ()
-  in
-  let rec first_error = function
-    | [] -> Ok ()
-    | q :: rest -> (
-      match check_query q with Ok () -> first_error rest | e -> e)
-  in
-  first_error (List.sort D.Symbol.compare (D.Program.idb program))
 
 (* SAT-based why_UN enumeration (preprocessing on and off) against the
    powerset oracle, on every derived IDB fact of the model. *)
@@ -327,7 +270,7 @@ let check_provenance (t : W.Randprog.t) =
 type bug = {
   seed : int;
   iter : int;
-  kind : string;       (* "cnf", "engine", "slice" or "provenance" *)
+  kind : string;       (* "cnf", "engine" or "provenance" *)
   detail : string;     (* solver/family label for context *)
   message : string;
   cnf : Gen.cnf option;           (* shrunk, for kind = "cnf" *)
@@ -339,7 +282,6 @@ type summary = {
   s_iters : int;
   s_cnf_checks : int;
   s_engine_checks : int;
-  s_slice_checks : int;
   s_prov_checks : int;
   s_bugs : bug list;
 }
@@ -382,7 +324,6 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
      enabled, and shrinking re-enters the checkers — the summary counts
      top-level checks only. *)
   let cnf_checks = ref 0 and engine_checks = ref 0 and prov_checks = ref 0 in
-  let slice_checks = ref 0 in
   for i = 0 to iters - 1 do
     Metrics.incr m_iters;
     (match progress with Some f -> f i | None -> ());
@@ -421,7 +362,7 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
         (Util.Rng.split rng)
     in
     incr prov_checks;
-    (match check_provenance t with
+    match check_provenance t with
     | Ok () -> ()
     | Error message ->
       let still_failing t' =
@@ -433,18 +374,6 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
         {
           seed; iter = i; kind = "provenance"; detail = "randprog"; message;
           cnf = None; prog = Some t';
-        });
-    (* Slice certificate + sliced-vs-unsliced why-sets, same instance. *)
-    incr slice_checks;
-    match check_slice t with
-    | Ok () -> ()
-    | Error message ->
-      let still_failing t' = Result.is_error (check_slice t') in
-      let t' = W.Randprog.shrink ~still_failing t in
-      push
-        {
-          seed; iter = i; kind = "slice"; detail = "randprog"; message;
-          cnf = None; prog = Some t';
         }
   done;
   {
@@ -452,7 +381,6 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
     s_iters = iters;
     s_cnf_checks = !cnf_checks;
     s_engine_checks = !engine_checks;
-    s_slice_checks = !slice_checks;
     s_prov_checks = !prov_checks;
     s_bugs = List.rev !bugs;
   }
@@ -500,9 +428,9 @@ let write_reproducers ~dir summary =
 
 let pp_summary ppf s =
   Format.fprintf ppf
-    "fuzz seed %d: %d iteration(s), %d cnf / %d engine / %d slice / %d \
-     provenance check(s), %d bug(s)"
-    s.s_seed s.s_iters s.s_cnf_checks s.s_engine_checks s.s_slice_checks s.s_prov_checks
+    "fuzz seed %d: %d iteration(s), %d cnf / %d engine / %d provenance \
+     check(s), %d bug(s)"
+    s.s_seed s.s_iters s.s_cnf_checks s.s_engine_checks s.s_prov_checks
     (List.length s.s_bugs);
   List.iter
     (fun b ->

@@ -1,6 +1,6 @@
 (** Differential fuzzing with shrinking (docs/HARDENING.md).
 
-    One seeded loop, four differentials per iteration:
+    One seeded loop, three differentials per iteration:
 
     - {b CNF}: a random or structured formula ({!Gen}) solved by a
       portfolio of pipeline configurations (preprocessing on/off,
@@ -9,14 +9,10 @@
       evaluated on the original clauses, UNSAT answers DRAT-certified.
     - {b engine}: a random Datalog program ({!Workloads.Randprog})
       through the flat engine vs the structural reference engine
-      (model set and ranks).
+      ({!Oracle.seminaive}): model set, ranks and model order.
     - {b provenance}: the SAT-based [why_UN] enumeration (preprocessing
       on/off) vs the powerset oracle ({!Oracle.why_un_powerset}) on a
       tiny database, for every derived IDB fact.
-    - {b slice}: the query-relevance slice of the tiny instance for
-      every IDB predicate — {!Whyprov_analysis.Absint.certify} must
-      hold, and the why-sets of every derived query fact must agree
-      between the sliced and unsliced pipelines.
 
     A disagreement is greedily minimized (clauses/literals, or
     rules/facts) and rendered as a reproducer whose header records
@@ -68,20 +64,17 @@ val check_model_order : Datalog.Database.t -> Datalog.Database.t -> (unit, strin
     reverse [db] order. *)
 
 val check_engine : Workloads.Randprog.t -> (unit, string) result
-val check_slice : Workloads.Randprog.t -> (unit, string) result
 val check_provenance : Workloads.Randprog.t -> (unit, string) result
 (** The Datalog differentials. [check_engine] also checks both models
     with {!check_model_order}. [check_provenance] expects the
-    (deduplicated) database within the powerset oracle's reach
-    ([check_slice] silently skips its why-set comparison beyond that,
-    but always checks the certificate).
+    (deduplicated) database within the powerset oracle's reach.
     @raise Invalid_argument beyond 9 facts ([check_provenance] only). *)
 
 type bug = {
   seed : int;
   iter : int;
   kind : string;
-      (** "cnf", "engine", "slice", "provenance" *)
+      (** "cnf", "engine", "provenance" *)
   detail : string;                    (** instance family / solver label *)
   message : string;
   cnf : Gen.cnf option;               (** shrunk, for [kind = "cnf"] *)
@@ -93,7 +86,6 @@ type summary = {
   s_iters : int;
   s_cnf_checks : int;
   s_engine_checks : int;
-  s_slice_checks : int;
   s_prov_checks : int;
   s_bugs : bug list;  (** in discovery order *)
 }

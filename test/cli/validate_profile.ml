@@ -1,11 +1,9 @@
 (* Validates a `whyprov --profile=FILE` / `whyprov profile` dump: the
-   file must parse as JSON, carry the whyprov.profile/2 schema, record
+   file must parse as JSON, carry the whyprov.profile/3 schema, record
    at least one run, and its rules must satisfy the profile's internal
    arithmetic — per-atom "out" counts summing to the rule's "tuples",
    "duplicates" = "emitted" - "derived" (docs/OBSERVABILITY.md,
-   "Rule-level profiles"). If "audit" is passed as a second argument,
-   the document must also embed an audit section whose predicate rows
-   all have q-error >= 1. *)
+   "Rule-level profiles"). *)
 
 module Json = Util.Metrics.Json
 
@@ -23,7 +21,6 @@ let list key obj =
 
 let () =
   let path = Sys.argv.(1) in
-  let want_audit = Array.length Sys.argv > 2 && Sys.argv.(2) = "audit" in
   let ic = open_in_bin path in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -32,7 +29,7 @@ let () =
     with Json.Parse_error msg -> fail "%s: invalid JSON: %s" path msg
   in
   (match Json.member "schema" json with
-  | Some (Json.Str v) when v = Datalog.Profile.schema_version -> ()
+  | Some (Json.Str "whyprov.profile/3") -> ()
   | _ -> fail "%s: missing or wrong schema version" path);
   if num "runs" json < 1.0 then fail "%s: no runs recorded" path;
   let rules = list "rules" json in
@@ -47,18 +44,4 @@ let () =
         fail "%s: rule %d: atom counts do not sum to tuples" path id;
       if num "duplicates" r <> num "emitted" r -. num "derived" r then
         fail "%s: rule %d: duplicates <> emitted - derived" path id)
-    rules;
-  if want_audit then begin
-    let audit =
-      match Json.member "audit" json with
-      | Some a -> a
-      | None -> fail "%s: no audit section" path
-    in
-    let preds = list "preds" audit in
-    if preds = [] then fail "%s: audit has no predicate rows" path;
-    List.iter
-      (fun p ->
-        if num "q_error" p < 1.0 then
-          fail "%s: audit q-error below 1" path)
-      preds
-  end
+    rules

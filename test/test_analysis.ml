@@ -1,8 +1,9 @@
 (* Tests for the static analyzer (lib/analysis): diagnostic codes, the
    classifier lattice, analysis-driven encoding selection, and the
    differential guarantees the selection layer rests on — dropping the
-   acyclicity clauses or taking the FO-rewrite fast path must never
-   change the enumerated why-provenance. *)
+   acyclicity clauses or taking the FO-rewrite fast path (whole-program
+   or over the query's cone) must never change the enumerated
+   why-provenance. *)
 
 module D = Datalog
 module P = Provenance
@@ -396,6 +397,86 @@ let test_fo_path_rejects_non_subset () =
   Alcotest.(check bool) "candidate outside the database rejected" false
     (P.Explain.why_provenance ~variant:`Any q db goal candidate)
 
+let parse src =
+  let program, facts = D.Parser.program_of_string src in
+  (program, D.Database.of_list facts)
+
+let sym = D.Symbol.intern
+
+(* --- The cone-widened FO path ------------------------------------------ *)
+
+(* Recursive program whose q-cone is non-recursive and constant-free:
+   the whole-program gate refuses, the cone gate accepts. *)
+let cone_src =
+  {|
+  p(X,Y) :- e(X,Y).
+  q(X) :- p(X,Y), f(Y).
+  tc(X,Y) :- e(X,Y).
+  tc(X,Z) :- tc(X,Y), e(Y,Z).
+|}
+
+let test_fo_cone_gate () =
+  let program, _ = parse (cone_src ^ "e(a,b). f(b).") in
+  Alcotest.(check bool)
+    "whole program refused" false
+    (A.Selection.fo_eligible program);
+  (match A.Selection.fo_cone program (sym "q") with
+  | Some cone ->
+    Alcotest.(check bool) "cone non-recursive" false (D.Program.is_recursive cone);
+    Alcotest.(check bool)
+      "cone omits tc" false
+      (List.mem (sym "tc") (D.Program.idb cone))
+  | None -> Alcotest.fail "expected a q-cone");
+  Alcotest.(check bool)
+    "tc cone refused (recursive)" true
+    (A.Selection.fo_cone program (sym "tc") = None)
+
+(* The cone-widened FO membership path decides exactly what the general
+   SAT-backed path decides, on random databases and candidates. *)
+let prop_cone_fo =
+  let gen =
+    QCheck.Gen.(
+      let pool = [| "a"; "b"; "c"; "d" |] in
+      let* n_e = int_range 1 6 in
+      let* e_facts =
+        list_repeat n_e
+          (let* x = oneofa pool in
+           let* y = oneofa pool in
+           return (D.Fact.of_strings "e" [ x; y ]))
+      in
+      let* n_f = int_range 1 3 in
+      let* f_facts =
+        list_repeat n_f
+          (let* y = oneofa pool in
+           return (D.Fact.of_strings "f" [ y ]))
+      in
+      let* mask = int_bound 1023 in
+      return (e_facts @ f_facts, mask))
+  in
+  let arb =
+    QCheck.make gen ~print:(fun (facts, mask) ->
+        Printf.sprintf "%s mask=%d"
+          (String.concat " " (List.map D.Fact.to_string facts))
+          mask)
+  in
+  QCheck.Test.make ~count:60 ~name:"cone FO membership = SAT membership" arb
+    (fun (facts, mask) ->
+      let program, _ = parse cone_src in
+      let db = D.Database.of_list facts in
+      let q = P.Explain.query program "q" in
+      let candidate =
+        List.filteri (fun i _ -> mask land (1 lsl i) <> 0) facts
+        |> D.Fact.Set.of_list
+      in
+      D.Eval.answers program (sym "q") db
+      |> List.for_all (fun goal ->
+             let fo =
+               P.Explain.why_provenance ~variant:`Unambiguous q db goal
+                 candidate
+             in
+             let sat = P.Membership.why_un program db goal candidate in
+             fo = sat))
+
 let suite =
   let tc = Alcotest.test_case in
   ( "analysis",
@@ -418,4 +499,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_auto_encoding_equals_powerset;
       QCheck_alcotest.to_alcotest prop_fo_path_equals_membership;
       tc "fo path rejects non-subset" `Quick test_fo_path_rejects_non_subset;
+      tc "fo_cone gate" `Quick test_fo_cone_gate;
+      QCheck_alcotest.to_alcotest prop_cone_fo;
     ] )

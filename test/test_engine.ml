@@ -1,6 +1,6 @@
 (* Differential tests for the interned flat-tuple engine ({!Engine})
    against the structural reference implementation
-   ({!Eval.seminaive_structural}): the same model facts, the same
+   ({!Harden.Oracle.seminaive}): the same model facts, the same
    derivation rank for every fact, and bit-identical backward
    rule-instance extraction. Models are compared as sorted fact lists —
    the two engines agree on the set and on every rank, but the join
@@ -32,7 +32,7 @@ let instances program model f =
    how many model facts get their rule instances cross-checked. *)
 let differential ?(extract = 12) name program db =
   let r_struct = D.Fact.Table.create 64 in
-  let m_struct = D.Eval.seminaive_structural ~ranks:r_struct program db in
+  let m_struct = Harden.Oracle.seminaive ~ranks:r_struct program db in
   let sorted_struct =
     List.sort D.Fact.compare (D.Database.to_list m_struct)
   in
@@ -112,7 +112,7 @@ let test_model_order () =
         | Ok () -> ()
         | Error msg -> Alcotest.failf "seed %d, %s engine: %s" seed engine msg)
       [ ("flat", D.Engine.seminaive program db);
-        ("structural", D.Eval.seminaive_structural program db) ]
+        ("structural", Harden.Oracle.seminaive program db) ]
   done
 
 (* [Symbol.to_string (Symbol.intern s) = s] — the round-trip every flat

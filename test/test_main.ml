@@ -23,6 +23,5 @@ let () =
       Test_batch.suite;
       Test_tracing.suite;
       Test_harden.suite;
-      Test_absint.suite;
       Test_profile.suite;
     ]

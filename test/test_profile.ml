@@ -1,5 +1,4 @@
-(* Tests for the rule-level profiler ({!Datalog.Profile}) and the
-   estimate-vs-actual plan audit.
+(* Tests for the rule-level profiler ({!Datalog.Profile}).
 
    The load-bearing contracts (profile.mli):
    - reconciliation: per-rule [firings] and [derived] sum exactly to the
@@ -7,13 +6,9 @@
      per-rule [tuples] to [eval.tuples_matched], on all five paper
      workloads;
    - determinism: the [to_json ~times:false] document is byte-identical
-     across repeated runs of the same instance;
-   - audit sanity: every q-error is >= 1, extensional predicates (whose
-     estimates are exact) pin to q-error 1.0, and the audit itself is
-     deterministic. *)
+     across repeated runs of the same instance. *)
 
 module D = Datalog
-module A = Whyprov_analysis
 module W = Workloads
 module M = Util.Metrics
 
@@ -37,17 +32,14 @@ let workloads () =
       (List.hd (W.Doctors.scenarios ())).W.Scenario.program,
       W.Doctors.database ~facts:300 ~seed:15 () ) ]
 
-(* Run one profiled fixpoint from a clean slate and return the snapshot
-   (plus the model, for audits). *)
+(* Run one profiled fixpoint from a clean slate and return the snapshot. *)
 let profiled program db =
   D.Profile.reset ();
   D.Profile.set_enabled true;
-  let model =
-    Fun.protect
-      ~finally:(fun () -> D.Profile.set_enabled false)
-      (fun () -> D.Eval.seminaive program db)
-  in
-  (D.Profile.snapshot (), model)
+  Fun.protect
+    ~finally:(fun () -> D.Profile.set_enabled false)
+    (fun () -> ignore (D.Eval.seminaive program db));
+  D.Profile.snapshot ()
 
 let sum f rules = List.fold_left (fun acc r -> acc + f r) 0 rules
 
@@ -58,7 +50,7 @@ let test_reconciliation () =
   List.iter
     (fun (name, program, db) ->
       M.reset ();
-      let prof, _model = profiled program db in
+      let prof = profiled program db in
       Alcotest.(check int)
         (name ^ ": firings = eval.rule_firings")
         (M.get_counter "eval.rule_firings")
@@ -78,7 +70,7 @@ let test_reconciliation () =
 let test_scc_partition () =
   List.iter
     (fun (name, program, db) ->
-      let prof, _ = profiled program db in
+      let prof = profiled program db in
       Alcotest.(check int)
         (name ^ ": scc derived partition")
         (sum (fun r -> r.D.Profile.r_derived) prof.D.Profile.rules)
@@ -98,7 +90,7 @@ let test_scc_partition () =
 let test_rule_consistency () =
   List.iter
     (fun (name, program, db) ->
-      let prof, _ = profiled program db in
+      let prof = profiled program db in
       List.iter
         (fun r ->
           Alcotest.(check int)
@@ -129,8 +121,8 @@ let canonical prof =
 let test_repeat_determinism () =
   List.iter
     (fun (name, program, db) ->
-      let first, _ = profiled program db in
-      let second, _ = profiled program db in
+      let first = profiled program db in
+      let second = profiled program db in
       Alcotest.(check string)
         (name ^ ": repeated profile identical")
         (canonical first) (canonical second))
@@ -138,7 +130,7 @@ let test_repeat_determinism () =
 
 let test_accumulation () =
   let _, program, db = List.hd (workloads ()) in
-  let one, _ = profiled program db in
+  let one = profiled program db in
   D.Profile.reset ();
   D.Profile.set_enabled true;
   ignore (D.Eval.seminaive program db);
@@ -161,66 +153,6 @@ let test_disabled_is_noop () =
     "no rules recorded when disabled" 0
     (List.length prof.D.Profile.rules)
 
-(* --- The estimate-vs-actual audit -------------------------------------- *)
-
-let audited (name, program, db) =
-  let analysis = A.Absint.analyze program db in
-  let est = A.Absint.stats analysis in
-  let prof, model = profiled program db in
-  let actual = D.Stats.of_database model in
-  (name, program, est, actual, prof, D.Profile.audit ~est ~actual)
-
-(* q-error is max(est/act, act/est): >= 1 by construction, and exactly 1
-   for extensional predicates the estimator saw — their estimates are
-   exact row counts. (Extensional predicates the program never mentions
-   are reported with estimate 0, per profile.mli, and are excluded.) *)
-let test_audit_qerror () =
-  List.iter
-    (fun w ->
-      let name, program, _est, _actual, _prof, audit = audited w in
-      Alcotest.(check bool)
-        (name ^ ": audit covers every model predicate")
-        true
-        (audit.D.Profile.a_preds <> []);
-      List.iter
-        (fun p ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s %s: q-error >= 1" name
-               (D.Symbol.name p.D.Profile.pa_pred))
-            true
-            (p.D.Profile.pa_qerr >= 1.0);
-          if
-            (not (D.Program.is_idb program p.D.Profile.pa_pred))
-            && p.D.Profile.pa_est > 0.0
-          then
-            Alcotest.(check (float 1e-9))
-              (Printf.sprintf "%s %s: extensional q-error pins to 1" name
-                 (D.Symbol.name p.D.Profile.pa_pred))
-              1.0 p.D.Profile.pa_qerr)
-        audit.D.Profile.a_preds)
-    (workloads ())
-
-(* Worst-first ordering and repeat-run determinism of the audit JSON. *)
-let test_audit_deterministic () =
-  List.iter
-    (fun w ->
-      let name, _, _, _, _, audit1 = audited w in
-      let _, _, _, _, _, audit2 = audited w in
-      let rec sorted = function
-        | a :: (b :: _ as rest) ->
-          a.D.Profile.pa_qerr >= b.D.Profile.pa_qerr && sorted rest
-        | _ -> true
-      in
-      Alcotest.(check bool)
-        (name ^ ": predicate audit worst-first")
-        true
-        (sorted audit1.D.Profile.a_preds);
-      Alcotest.(check string)
-        (name ^ ": audit deterministic")
-        (M.Json.to_string (D.Profile.audit_to_json audit1))
-        (M.Json.to_string (D.Profile.audit_to_json audit2)))
-    (workloads ())
-
 let suite =
   ( "profile",
     [
@@ -230,6 +162,4 @@ let suite =
       Alcotest.test_case "repeat determinism" `Quick test_repeat_determinism;
       Alcotest.test_case "runs accumulate" `Quick test_accumulation;
       Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
-      Alcotest.test_case "audit q-errors" `Quick test_audit_qerror;
-      Alcotest.test_case "audit deterministic" `Quick test_audit_deterministic;
     ] )
