@@ -554,17 +554,16 @@ let engine () =
 
 (* One row per (scenario, db, tuple): the formula size before and after
    Sat.Preprocess (variables eliminated, clauses subsumed), then the
-   exhaustive-enumeration wall time in three configurations — raw
-   formula, preprocessed (the default), and preprocessed with
-   assumption-minimized blocking clauses. The member counts of the
-   three runs must agree: preprocessing freezes the db-fact selectors,
+   exhaustive-enumeration wall time of the raw formula and of the
+   preprocessed one (the default). The member counts of the two runs
+   must agree: preprocessing freezes the db-fact selectors,
    so why_UN is invariant (the qcheck differentials in
    test_preprocess.ml prove this exhaustively on small instances). *)
 let preprocess () =
-  header "Preprocess — SatELite-style simplification (BVE + subsumption + probing)";
-  row "  %-14s %-22s | %6s %6s %5s %5s %5s | %9s %9s %9s | %7s %s\n" "scenario"
-    "tuple" "cls" "cls'" "elim" "subs" "strv" "enum-raw" "enum-pre" "enum-min"
-    "membs" "agree";
+  header "Preprocess — SatELite-style simplification (BVE + subsumption + equivalent literals)";
+  row "  %-14s %-22s | %6s %6s %5s %5s %5s | %9s %9s | %7s %s\n" "scenario"
+    "tuple" "cls" "cls'" "elim" "subs" "strv" "enum-raw" "enum-pre" "membs"
+    "agree";
   let bench_one scenario db_name db =
     let program = scenario.W.Scenario.program in
     let model = D.Eval.seminaive program db in
@@ -572,15 +571,13 @@ let preprocess () =
       (fun goal ->
         stats_begin ();
         let closure = P.Closure.build_with_model program ~model db goal in
-        let measure ~preprocess ~minimize =
+        let measure ~preprocess =
           try
             let encoding, encode_s =
               time (fun () ->
                   P.Encode.make ~preprocess ~max_fill:config.max_fill closure)
             in
-            let e =
-              P.Enumerate.of_parts ~minimize_blocking:minimize closure encoding
-            in
+            let e = P.Enumerate.of_parts closure encoding in
             let members, enum_s =
               time (fun () ->
                   P.Enumerate.to_list ~limit:config.member_limit e)
@@ -588,16 +585,11 @@ let preprocess () =
             Some (encoding, encode_s, enum_s, List.length members)
           with P.Encode.Too_large _ -> None
         in
-        match
-          ( measure ~preprocess:false ~minimize:false,
-            measure ~preprocess:true ~minimize:false,
-            measure ~preprocess:true ~minimize:true )
-        with
+        match (measure ~preprocess:false, measure ~preprocess:true) with
         | Some (raw_enc, raw_encode_s, raw_s, raw_n),
-          Some (pre_enc, pre_encode_s, pre_s, pre_n),
-          Some (_, _, min_s, min_n) ->
+          Some (pre_enc, pre_encode_s, pre_s, pre_n) ->
           let raw_st = P.Encode.stats raw_enc in
-          let agree = raw_n = pre_n && pre_n = min_n in
+          let agree = raw_n = pre_n in
           (* Post-simplification size comes from the preprocessor's own
              stats: Encode.stats.clauses always describes the original
              formula so the observability schema stays encoding-stable. *)
@@ -622,22 +614,20 @@ let preprocess () =
                 ("subsumed_clauses", Num (float_of_int ps.Sat.Preprocess.subsumed_clauses));
                 ("strengthened_clauses",
                  Num (float_of_int ps.Sat.Preprocess.strengthened_clauses));
-                ("failed_literals", Num (float_of_int ps.Sat.Preprocess.failed_literals));
                 ("rounds", Num (float_of_int ps.Sat.Preprocess.rounds));
                 ("encode_raw_s", Num raw_encode_s);
                 ("encode_pre_s", Num pre_encode_s);
                 ("enum_raw_s", Num raw_s);
                 ("enum_pre_s", Num pre_s);
-                ("enum_min_s", Num min_s);
                 ("members", Num (float_of_int pre_n));
                 ("identical", Bool agree);
               ];
-          row "  %-14s %-22s | %6d %6d %5d %5d %5d | %9s %9s %9s | %7d %s\n"
+          row "  %-14s %-22s | %6d %6d %5d %5d %5d | %9s %9s | %7d %s\n"
             scenario.W.Scenario.name (D.Fact.to_string goal)
             ps.Sat.Preprocess.original_clauses ps.Sat.Preprocess.clauses
             ps.Sat.Preprocess.eliminated_vars ps.Sat.Preprocess.subsumed_clauses
             ps.Sat.Preprocess.strengthened_clauses (time_str raw_s)
-            (time_str pre_s) (time_str min_s) pre_n
+            (time_str pre_s) pre_n
             (if agree then "yes" else "NO — BUG")
         | _ ->
           row "  %-14s %-22s | formula BLOW-UP\n" scenario.W.Scenario.name

@@ -64,7 +64,6 @@ let preprocess_tests closure =
       subsumption;
       self_subsumption = subsumption;
       bve;
-      probing = false;
       bve_max_elim;
     }
   in

@@ -97,12 +97,12 @@ let () =
       let s = Sat.Preprocess.stats p in
       Printf.eprintf
         "c preprocess: clauses %d->%d literals %d->%d eliminated=%d fixed=%d \
-         subsumed=%d strengthened=%d failed=%d rounds=%d\n"
+         subsumed=%d strengthened=%d rounds=%d\n"
         s.Sat.Preprocess.original_clauses s.Sat.Preprocess.clauses
         s.Sat.Preprocess.original_literals s.Sat.Preprocess.literals
         s.Sat.Preprocess.eliminated_vars s.Sat.Preprocess.fixed_vars
         s.Sat.Preprocess.subsumed_clauses s.Sat.Preprocess.strengthened_clauses
-        s.Sat.Preprocess.failed_literals s.Sat.Preprocess.rounds);
+        s.Sat.Preprocess.rounds);
     let solver = Sat.Solver.create () in
     Sat.Solver.ensure_vars solver nvars;
     List.iter (Sat.Solver.add_clause solver) clauses;

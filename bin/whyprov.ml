@@ -209,17 +209,20 @@ let check_derivable closure fact =
     die "%a is not derivable (not in the materialized model)" D.Fact.pp fact
 
 let cmd_explain () path query_pred tuple limit use_tc smallest witness
-    no_preprocess minimize =
+    no_preprocess =
   let program, db = load_checked ~query:query_pred path in
   let q = P.Explain.query program query_pred in
   let fact = goal q tuple in
   let closure = P.Closure.build program db fact in
   check_derivable closure fact;
-  let preprocess = not no_preprocess in
+  (* No flag: leave the acyclicity choice to the analyzer. *)
+  let acyclicity = if use_tc then Some P.Encode.Transitive_closure else None in
+  let enumeration () =
+    P.Enumerate.of_closure ?acyclicity ~smallest_first:smallest
+      ~preprocess:(not no_preprocess) closure
+  in
   if witness then begin
-    let enumeration =
-      P.Enumerate.of_closure ~preprocess ~minimize_blocking:minimize closure
-    in
+    let enumeration = enumeration () in
     let rec loop i =
       if i <= limit then
         match P.Enumerate.next_with_witness enumeration with
@@ -231,17 +234,11 @@ let cmd_explain () path query_pred tuple limit use_tc smallest witness
     in
     loop 1
   end
-  else if use_tc || smallest || no_preprocess || minimize then begin
-    (* No flag: leave the acyclicity choice to the analyzer. The
-       preprocessing/minimization toggles force the SAT enumeration
-       path (the default path may answer via the closed-form
-       explanation, where those knobs have no meaning). *)
-    let acyclicity = if use_tc then Some P.Encode.Transitive_closure else None in
-    let enumeration =
-      P.Enumerate.of_closure ?acyclicity ~smallest_first:smallest ~preprocess
-        ~minimize_blocking:minimize closure
-    in
-    let members = P.Enumerate.to_list ~limit enumeration in
+  else if use_tc || smallest || no_preprocess then begin
+    (* [Explain.explain_of_closure] enumerates the same way but takes
+       none of these options, so a flagged run lists the members itself
+       (without the total line). *)
+    let members = P.Enumerate.to_list ~limit (enumeration ()) in
     List.iteri
       (fun i m -> Format.printf "%2d. %a@." (i + 1) D.Fact.pp_set m)
       members
@@ -251,8 +248,7 @@ let cmd_explain () path query_pred tuple limit use_tc smallest witness
     Format.printf "%a@." P.Explain.pp_explanation explanation
   end
 
-let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
-    minimize =
+let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess =
   let program, db = load_checked ~query:query_pred path in
   let q = P.Explain.query program query_pred in
   let explicit = tuples <> [] && not all in
@@ -264,7 +260,7 @@ let cmd_batch () path query_pred tuples all jobs limit budget no_preprocess
   let conflict_budget = if budget > 0 then Some budget else None in
   let outcome =
     P.Batch.run ~jobs ~limit ?conflict_budget ~preprocess:(not no_preprocess)
-      ~minimize_blocking:minimize program db spec
+      program db spec
   in
   (* Stdout is tuple-ordered and independent of --jobs: the paired
      smoke tests diff a --jobs 1 run against a --jobs 2 run. *)
@@ -501,8 +497,21 @@ let query_arg =
 let tuple_arg =
   Arg.(required & opt (some string) None & info [ "t"; "tuple" ] ~docv:"C1,C2,…" ~doc:"Answer tuple (comma-separated constants).")
 
+(* Counts reject an out-of-range value as a cmdliner usage error (exit
+   124) instead of running with a meaningless count. *)
+let int_conv ~what ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_conv ~what:"positive" (fun n -> n >= 1)
+let non_negative_int = int_conv ~what:"non-negative" (fun n -> n >= 0)
+
 let limit_arg =
-  Arg.(value & opt int 100 & info [ "limit" ] ~docv:"N" ~doc:"Maximum number of members to enumerate.")
+  Arg.(value & opt positive_int 100 & info [ "limit" ] ~docv:"N" ~doc:"Maximum number of members to enumerate, at least 1.")
 
 let tc_arg =
   Arg.(value & flag & info [ "tc-acyclicity" ] ~doc:"Use the transitive-closure acyclicity encoding instead of vertex elimination.")
@@ -520,18 +529,9 @@ let no_preprocess_arg =
     & info [ "no-preprocess" ]
         ~doc:
           "Load the raw CNF formula instead of simplifying it first \
-           (SatELite-style variable elimination, subsumption and probing). \
-           The enumerated member set is identical either way.")
-
-let minimize_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "minimize-blocking" ]
-        ~doc:
-          "Shrink each member's blocking clause by assumption-based core \
-           reduction before adding it (bounded side-solves; identical member \
-           set, shorter clauses).")
+           (SatELite-style variable elimination, subsumption and \
+           equivalent-literal substitution). The enumerated member set is \
+           identical either way.")
 
 let tuples_arg =
   Arg.(
@@ -549,15 +549,6 @@ let all_arg =
               $(b,--tuple) is given).")
 
 let jobs_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ ->
-        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
     & opt positive_int 1
@@ -569,7 +560,7 @@ let jobs_arg =
 let budget_arg =
   Arg.(
     value
-    & opt int 0
+    & opt non_negative_int 0
     & info [ "budget" ] ~docv:"N"
         ~doc:"Per-tuple solver conflict budget; 0 (default) means \
               unbounded solving.")
@@ -684,7 +675,7 @@ let answers_cmd =
 
 let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc:"Enumerate the why-provenance (unambiguous proof trees) of an answer")
-    Term.(const cmd_explain $ stats_term $ file_arg $ query_arg $ tuple_arg $ limit_arg $ tc_arg $ smallest_arg $ witness_arg $ no_preprocess_arg $ minimize_arg)
+    Term.(const cmd_explain $ stats_term $ file_arg $ query_arg $ tuple_arg $ limit_arg $ tc_arg $ smallest_arg $ witness_arg $ no_preprocess_arg)
 
 let batch_cmd =
   Cmd.v
@@ -695,8 +686,7 @@ let batch_cmd =
           several worker domains")
     Term.(
       const cmd_batch $ stats_term $ file_arg $ query_arg $ tuples_arg
-      $ all_arg $ jobs_arg $ limit_arg $ budget_arg $ no_preprocess_arg
-      $ minimize_arg)
+      $ all_arg $ jobs_arg $ limit_arg $ budget_arg $ no_preprocess_arg)
 
 let check_cmd =
   Cmd.v

@@ -85,7 +85,9 @@ diff test/cli/expected_progress.txt "$prog"
 echo "== preprocess parity smoke (--no-preprocess must not change answers)"
 p1=$(mktemp -t whyprov-pre1.XXXXXX)
 p2=$(mktemp -t whyprov-pre2.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2"' EXIT
+p3=$(mktemp -t whyprov-pre3.XXXXXX)
+p4=$(mktemp -t whyprov-pre4.XXXXXX)
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4"' EXIT
 
 # explain: same member sets (and, in --smallest mode, the same order —
 # members come out in nondecreasing cardinality and ties are broken by
@@ -108,6 +110,18 @@ dune exec --no-build bin/whyprov.exe -- \
   batch examples/reach.dl -q tc --all --jobs 2 --no-preprocess \
   | sed 's/^ *[0-9]*\. //' | sort > "$p2"
 diff "$p1" "$p2"
+
+# explain at scale: the uncapped enumeration of tc(v1,v6) on the dense
+# TC communities (164 members), same member set raw and preprocessed.
+# Only the member lines are kept: --no-preprocess prints no total line.
+dune exec --no-build bin/whyprov.exe -- \
+  explain test/cli/tc_communities.dl -q tc -t v1,v6 --limit 1000 \
+  | sed -n 's/^ *[0-9]*\. //p' | sort > "$p3"
+dune exec --no-build bin/whyprov.exe -- \
+  explain test/cli/tc_communities.dl -q tc -t v1,v6 --limit 1000 --no-preprocess \
+  | sed -n 's/^ *[0-9]*\. //p' | sort > "$p4"
+test "$(wc -l < "$p3")" -eq 164
+diff "$p3" "$p4"
 
 # satsolve: SAT/UNSAT parity (exit 10/20) on the bundled DIMACS
 # fixtures, preprocessed vs raw.
@@ -150,7 +164,7 @@ dune exec --no-build test/cli/check_workloads.exe > /dev/null
 
 echo "== check golden (unreachable rules and unused predicates on sliceable.dl)"
 a1=$(mktemp -t whyprov-check1.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4" "$a1"' EXIT
 
 # WP103 on the two rules that cannot contribute to the query, WP101 on
 # the unused predicate; same golden file as the dune test rule, which
@@ -186,7 +200,7 @@ fi
 
 echo "== profile smoke (rule-level profiler, docs/OBSERVABILITY.md)"
 pr1=$(mktemp -t whyprov-prof1.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$pr1"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1"' EXIT
 
 # --profile must not change explain's stdout, and its JSON document
 # must validate (schema, per-rule arithmetic; validate_profile.ml).
@@ -210,7 +224,7 @@ echo "== bench regression gate (--check, EXPERIMENTS.md)"
 # it: the same run must pass, and an injected 2x slowdown must fail.
 bb=$(mktemp -t whyprov-bench-base.XXXXXX)
 bslow=$(mktemp -t whyprov-bench-slow.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$pr1" "$bb" "$bslow"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$bb" "$bslow"' EXIT
 dune exec --no-build bench/main.exe -- \
   --scale 0.05 --stats-out "$bb" engine > /dev/null
 dune exec --no-build bench/main.exe -- \
@@ -257,7 +271,7 @@ fi
 # oracle). Two runs must agree byte-for-byte, and find nothing.
 f1=$(mktemp -t whyfuzz-f1.XXXXXX)
 f2=$(mktemp -t whyfuzz-f2.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$pr1" "$bb" "$bslow" "$f1" "$f2"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$bb" "$bslow" "$f1" "$f2"' EXIT
 dune exec --no-build bin/whyfuzz.exe -- \
   fuzz --seed 42 --iters 50 --quiet > "$f1"
 dune exec --no-build bin/whyfuzz.exe -- \

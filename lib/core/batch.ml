@@ -71,14 +71,14 @@ let timed f =
    domain: it reads the (frozen) closure and writes only into its own
    solver instance. No new symbols are interned here — interning is a
    global table and stays on the coordinating domain. *)
-let enumerate_task ?acyclicity ?max_fill ?preprocess ?minimize_blocking ~limit
-    ~conflict_budget closure =
+let enumerate_task ?acyclicity ?max_fill ?preprocess ~limit ~conflict_budget
+    closure =
   if not (Closure.derivable closure) then ([], Not_derivable)
   else
     match Encode.make ?acyclicity ?max_fill ?preprocess closure with
     | exception Encode.Too_large _ -> ([], Too_large)
     | encoding ->
-      let enumeration = Enumerate.of_parts ?minimize_blocking closure encoding in
+      let enumeration = Enumerate.of_parts closure encoding in
       let members = ref [] in
       let rec loop produced =
         if produced >= limit then Limit_reached
@@ -102,7 +102,7 @@ let enumerate_task ?acyclicity ?max_fill ?preprocess ?minimize_blocking ~limit
       (List.rev !members, status)
 
 let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
-    ?preprocess ?minimize_blocking program db spec =
+    ?preprocess program db spec =
   Tracing.with_span "batch.run" @@ fun () ->
   Metrics.time m_run_time @@ fun () ->
   Metrics.incr m_runs;
@@ -144,8 +144,8 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
     Tracing.with_span ~args:targs "batch.task" @@ fun () ->
     let (members, status), task_s =
       timed (fun () ->
-          enumerate_task ?acyclicity ?max_fill ?preprocess ?minimize_blocking
-            ~limit ~conflict_budget closures.(i))
+          enumerate_task ?acyclicity ?max_fill ?preprocess ~limit
+            ~conflict_budget closures.(i))
     in
     results.(i) <-
       Some { fact = facts.(i); members; status; rank = fact_ranks.(i); task_s }

@@ -64,7 +64,6 @@ val run :
   ?acyclicity:Encode.acyclicity ->
   ?max_fill:int ->
   ?preprocess:bool ->
-  ?minimize_blocking:bool ->
   Program.t ->
   Database.t ->
   spec ->
@@ -75,12 +74,11 @@ val run :
     per tuple (default: unlimited). [conflict_budget] bounds each
     solver descent of a tuple, turning budget overruns into
     [Budget_exhausted] instead of unbounded solving. [acyclicity],
-    [max_fill] and [preprocess] are passed to {!Encode.make};
-    [minimize_blocking] to {!Enumerate.of_parts}. The model's iteration
-    order depends only on [(program, db)] ({!Datalog.Eval.seminaive}),
-    so every tuple's members come out in the same order on every run,
-    whatever [jobs] is. The materialization
-    honours {!Datalog.Profile} when enabled — [whyprov batch
-    --profile] reaches the profiler through this call. *)
+    [max_fill] and [preprocess] are passed to {!Encode.make}. The
+    model's iteration order depends only on [(program, db)]
+    ({!Datalog.Eval.seminaive}), so every tuple's members come out in
+    the same order on every run, whatever [jobs] is. The
+    materialization honours {!Datalog.Profile} when enabled —
+    [whyprov batch --profile] reaches the profiler through this call. *)
 
 val pp_status : Format.formatter -> status -> unit

@@ -16,8 +16,6 @@ let m_gave_up = Metrics.counter "enum.gave_up"
 let m_card_raises = Metrics.counter "enum.card_bound_raises"
 let m_membership_checks = Metrics.counter "enum.membership_checks"
 let m_solve_us = Metrics.histogram "enum.solve_us"
-let m_minimized_lits = Metrics.counter "enum.blocking_minimized_literals"
-let m_minimize_solves = Metrics.counter "enum.minimize_solves"
 
 (* One clock source for the per-descent delay: the histogram sample and
    the enum.solve trace span bracket the same call, so they can't
@@ -41,19 +39,9 @@ type t = {
      database facts, and the current cardinality bound. *)
   card_outputs : Sat.Lit.t array option;
   mutable card_bound : int;
-  (* Shrink each member's blocking clause by assumption-based core
-     reduction before adding it. *)
-  minimize : bool;
 }
 
-(* Caps for the minimization side-solves: at most this many per-literal
-   drop tests per member, each under this conflict budget. A timed-out
-   test just keeps its literal — minimization degrades, never blocks. *)
-let minimize_max_tests = 64
-let minimize_budget = 1000
-
-let of_parts ?(smallest_first = false) ?(minimize_blocking = false) closure
-    encoding =
+let of_parts ?(smallest_first = false) closure encoding =
   let card_outputs =
     if not smallest_first then None
     else begin
@@ -73,103 +61,15 @@ let of_parts ?(smallest_first = false) ?(minimize_blocking = false) closure
     produced_set = Set_of_sets.empty;
     card_outputs;
     card_bound = 0;
-    minimize = minimize_blocking;
   }
 
-let of_closure ?acyclicity ?max_fill ?smallest_first ?preprocess
-    ?minimize_blocking closure =
-  of_parts ?smallest_first ?minimize_blocking closure
+let of_closure ?acyclicity ?max_fill ?smallest_first ?preprocess closure =
+  of_parts ?smallest_first closure
     (Encode.make ?acyclicity ?max_fill ?preprocess closure)
 
-let create ?acyclicity ?max_fill ?smallest_first ?preprocess ?minimize_blocking
-    program db fact =
+let create ?acyclicity ?max_fill ?smallest_first ?preprocess program db fact =
   of_closure ?acyclicity ?max_fill ?smallest_first ?preprocess
-    ?minimize_blocking
     (Closure.build program db fact)
-
-(* Assumption-based core reduction of a member's blocking clause.
-
-   The full blocking clause of [member] M (already added) excludes
-   exactly M. Dropping a literal widens the excluded region, so every
-   drop must be justified by an UNSAT answer covering exactly the extra
-   region:
-
-   - dropping [¬x_f] (f ∈ M, accumulated drop set D): leaving the
-     variables of D ∪ {f} free while assuming the rest of M positive
-     and all of S \ M negative asks for a member N with
-     M \ (D ∪ {f}) ⊆ N ⊆ M; UNSAT proves the whole sublattice
-     member-free (M itself is already blocked), and the final
-     successful test subsumes all earlier ones;
-   - dropping the [x_g] tail (g ∈ S \ M) as a group: assuming only
-     M \ D positive (everything else free) asks for any member
-     N ⊇ M \ D; UNSAT licenses the pure negative clause.
-
-   A SAT or out-of-budget answer just keeps the literal. Every excluded
-   assignment is thereby a non-member (or an already-blocked member),
-   so the enumerated member set is unchanged — only reached with fewer
-   descents. *)
-let minimized_blocking t solver member =
-  let enc = t.encoding in
-  let facts = Encode.db_facts enc in
-  let neg_outside =
-    Array.to_list facts
-    |> List.filter_map (fun f ->
-           if Fact.Set.mem f member then None
-           else Option.map Sat.Lit.neg (Encode.fact_var enc f))
-  in
-  let member_list = Fact.Set.elements member in
-  let dropped = ref Fact.Set.empty in
-  let tests = ref 0 in
-  let limited assumptions =
-    Metrics.incr m_minimize_solves;
-    Sat.Solver.solve_limited ~assumptions ~conflict_budget:minimize_budget
-      solver
-  in
-  List.iter
-    (fun f ->
-      if !tests < minimize_max_tests then begin
-        incr tests;
-        let excluded = Fact.Set.add f !dropped in
-        let keep_pos =
-          List.filter_map
-            (fun h ->
-              if Fact.Set.mem h excluded then None
-              else Option.map Sat.Lit.pos (Encode.fact_var enc h))
-            member_list
-        in
-        match limited (keep_pos @ neg_outside) with
-        | Some Sat.Solver.Unsat -> dropped := excluded
-        | Some Sat.Solver.Sat | None -> ()
-      end)
-    member_list;
-  if Fact.Set.is_empty !dropped then None
-  else begin
-    let keep_pos =
-      List.filter_map
-        (fun h ->
-          if Fact.Set.mem h !dropped then None
-          else Option.map Sat.Lit.pos (Encode.fact_var enc h))
-        member_list
-    in
-    let drop_outside =
-      match limited keep_pos with Some Sat.Solver.Unsat -> true | _ -> false
-    in
-    let clause =
-      List.filter_map
-        (fun h ->
-          if Fact.Set.mem h !dropped then None
-          else Option.map Sat.Lit.neg (Encode.fact_var enc h))
-        member_list
-      @
-      if drop_outside then []
-      else
-        Array.to_list facts
-        |> List.filter_map (fun f ->
-               if Fact.Set.mem f member then None
-               else Option.map Sat.Lit.pos (Encode.fact_var enc f))
-    in
-    Some clause
-  end
 
 let record_member ?(want_witness = false) t solver =
   let model = Sat.Solver.model solver in
@@ -182,15 +82,6 @@ let record_member ?(want_witness = false) t solver =
   Metrics.incr m_members;
   Metrics.incr m_blocking_clauses;
   Metrics.add m_blocking_literals (List.length blocking);
-  if t.minimize then begin
-    match minimized_blocking t solver member with
-    | None -> ()
-    | Some clause ->
-      Metrics.add m_minimized_lits (List.length blocking - List.length clause);
-      Metrics.incr m_blocking_clauses;
-      Metrics.add m_blocking_literals (List.length clause);
-      Sat.Solver.add_clause solver clause
-  end;
   (* One instant per model found / blocking clause added: in the trace,
      these separate the blocking-clause rounds inside an enum.next span. *)
   if Tracing.is_enabled () then
@@ -203,47 +94,47 @@ let record_member ?(want_witness = false) t solver =
   t.produced_set <- Set_of_sets.add member t.produced_set;
   (member, witness)
 
-let next t =
+let exhaust t =
+  t.exhausted <- true;
+  Metrics.incr m_exhausted;
+  Tracing.instant "enum.exhausted"
+
+(* One enumeration step, shared by [next] and [next_with_witness]. In
+   smallest-first mode the cardinality bound is raised only when no
+   member of the current size remains, so members come out in
+   non-decreasing support size. *)
+let step ~want_witness t =
   if t.exhausted then None
   else
     Tracing.with_span "enum.next" @@ fun () ->
     Metrics.time m_next_time @@ fun () ->
     let solver = Encode.solver t.encoding in
-    match t.card_outputs with
-    | None -> (
-      match timed_solve solver with
-      | Sat.Solver.Unsat ->
-        t.exhausted <- true;
-        Metrics.incr m_exhausted;
-        Tracing.instant "enum.exhausted";
-        None
-      | Sat.Solver.Sat -> Some (fst (record_member t solver)))
-    | Some outputs ->
-      (* Raise the cardinality bound only when no member of the current
-         size remains, so members come out in non-decreasing support
-         size. *)
-      let n = Array.length outputs in
-      let rec attempt () =
-        let assumptions =
-          if t.card_bound < n then [ Sat.Lit.negate outputs.(t.card_bound) ]
-          else []
-        in
-        match timed_solve ~assumptions solver with
-        | Sat.Solver.Sat -> Some (fst (record_member t solver))
-        | Sat.Solver.Unsat ->
-          if t.card_bound >= n then begin
-            t.exhausted <- true;
-            Metrics.incr m_exhausted;
-            Tracing.instant "enum.exhausted";
-            None
-          end
-          else begin
-            t.card_bound <- t.card_bound + 1;
-            Metrics.incr m_card_raises;
-            attempt ()
-          end
+    let below_cap () =
+      match t.card_outputs with
+      | Some outputs when t.card_bound < Array.length outputs -> Some outputs
+      | _ -> None
+    in
+    let rec attempt () =
+      let assumptions =
+        match below_cap () with
+        | Some outputs -> [ Sat.Lit.negate outputs.(t.card_bound) ]
+        | None -> []
       in
-      attempt ()
+      match timed_solve ~assumptions solver with
+      | Sat.Solver.Sat -> Some (record_member ~want_witness t solver)
+      | Sat.Solver.Unsat -> (
+        match below_cap () with
+        | Some _ ->
+          t.card_bound <- t.card_bound + 1;
+          Metrics.incr m_card_raises;
+          attempt ()
+        | None ->
+          exhaust t;
+          None)
+    in
+    attempt ()
+
+let next t = Option.map fst (step ~want_witness:false t)
 
 let next_limited ~conflict_budget t =
   if t.exhausted then `Exhausted
@@ -256,9 +147,7 @@ let next_limited ~conflict_budget t =
       Metrics.incr m_gave_up;
       `Gave_up
     | Some Sat.Solver.Unsat ->
-      t.exhausted <- true;
-      Metrics.incr m_exhausted;
-      Tracing.instant "enum.exhausted";
+      exhaust t;
       `Exhausted
     | Some Sat.Solver.Sat -> `Member (fst (record_member t solver))
 
@@ -290,18 +179,7 @@ let member t candidate =
       | Sat.Solver.Unsat -> false)
 
 let next_with_witness t =
-  if t.exhausted then None
-  else
-    Tracing.with_span "enum.next" @@ fun () ->
-    Metrics.time m_next_time @@ fun () ->
-    let solver = Encode.solver t.encoding in
-    match timed_solve solver with
-    | Sat.Solver.Unsat ->
-      t.exhausted <- true;
-      Metrics.incr m_exhausted;
-      Tracing.instant "enum.exhausted";
-      None
-    | Sat.Solver.Sat -> (
-      match record_member ~want_witness:true t solver with
-      | member, Some dag -> Some (member, dag)
-      | _, None -> assert false)
+  match step ~want_witness:true t with
+  | None -> None
+  | Some (member, Some dag) -> Some (member, dag)
+  | Some (_, None) -> assert false

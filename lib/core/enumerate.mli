@@ -16,7 +16,6 @@ val create :
   ?max_fill:int ->
   ?smallest_first:bool ->
   ?preprocess:bool ->
-  ?minimize_blocking:bool ->
   Program.t ->
   Database.t ->
   Fact.t ->
@@ -27,24 +26,19 @@ val create :
     totalizer over the database-fact variables is added and members are
     produced in non-decreasing support size (O(|S|²) extra clauses —
     meant for closures with up to a few thousand database facts).
-    [?preprocess] is forwarded to {!Encode.make} (default on);
-    [~minimize_blocking:true] additionally shrinks each member's
-    blocking clause by assumption-based core reduction (bounded
-    side-solves; identical member set, shorter clauses). *)
+    [?preprocess] is forwarded to {!Encode.make} (default on). *)
 
 val of_closure :
   ?acyclicity:Encode.acyclicity ->
   ?max_fill:int ->
   ?smallest_first:bool ->
   ?preprocess:bool ->
-  ?minimize_blocking:bool ->
   Closure.t ->
   t
 (** Same, reusing a downward closure built by the caller (used by the
     benchmark harness to time the phases separately). *)
 
-val of_parts :
-  ?smallest_first:bool -> ?minimize_blocking:bool -> Closure.t -> Encode.t -> t
+val of_parts : ?smallest_first:bool -> Closure.t -> Encode.t -> t
 (** Wraps an already-built encoding (the harness times closure and
     formula construction separately). The encoding must come from the
     given closure. *)
@@ -54,7 +48,8 @@ val next : t -> Fact.Set.t option
     Members are produced without repetition, in solver order. *)
 
 val next_with_witness : t -> (Datalog.Fact.Set.t * Proof_dag.t) option
-(** Like {!next}, additionally reconstructing the compressed proof DAG
+(** Like {!next} (same members in the same order, smallest-first
+    included), additionally reconstructing the compressed proof DAG
     (Lemma 44) witnessing the member; unravelling it gives an
     unambiguous proof tree with exactly that support. *)
 

@@ -15,7 +15,6 @@ let m_eliminated = Metrics.counter "preprocess.eliminated_vars"
 let m_fixed = Metrics.counter "preprocess.fixed_vars"
 let m_subsumed = Metrics.counter "preprocess.subsumed_clauses"
 let m_strengthened = Metrics.counter "preprocess.strengthened_clauses"
-let m_failed = Metrics.counter "preprocess.failed_literals"
 let m_equivalent = Metrics.counter "preprocess.equivalent_vars"
 let m_resolvents = Metrics.counter "preprocess.resolvents"
 let m_rounds = Metrics.histogram "preprocess.rounds"
@@ -25,12 +24,10 @@ type config = {
   subsumption : bool;
   self_subsumption : bool;
   bve : bool;
-  probing : bool;
   big : bool;
   bve_growth : int;
   bve_max_occ : int;
   bve_max_elim : int;
-  probe_limit : int;
   max_rounds : int;
 }
 
@@ -39,12 +36,10 @@ let default =
     subsumption = true;
     self_subsumption = true;
     bve = true;
-    probing = true;
     big = true;
     bve_growth = 0;
     bve_max_occ = 400;
     bve_max_elim = max_int;
-    probe_limit = 4096;
     max_rounds = 3;
   }
 
@@ -58,7 +53,6 @@ type stats = {
   fixed_vars : int;
   subsumed_clauses : int;
   strengthened_clauses : int;
-  failed_literals : int;
   equivalent_vars : int;
   resolvents_added : int;
   rounds : int;
@@ -99,15 +93,9 @@ type t = {
   mutable n_eliminated : int;
   mutable n_subsumed : int;
   mutable n_strengthened : int;
-  mutable n_failed : int;
   mutable n_equivalent : int;
   mutable n_resolvents : int;
   mutable n_rounds : int;
-  (* probing scratch: epoch-stamped temporary assignment *)
-  tparity : int array;
-  tstamp : int array;
-  mutable epoch : int;
-  ttrail : Lit.t Vec.t;
 }
 
 (* --- DRAT ------------------------------------------------------------- *)
@@ -339,80 +327,6 @@ let subsumption_pass t =
       if t.cfg.self_subsumption && not c.deleted then self_subsume t c;
       propagate_units t
     end
-  done
-
-(* --- Failed-literal probing -------------------------------------------- *)
-
-let tvalue t l =
-  let v = Lit.var l in
-  if t.assigns.(v) <> v_undef then lit_value t l
-  else if t.tstamp.(v) = t.epoch then
-    if t.tparity.(v) = l land 1 then 1 else 0
-  else v_undef
-
-let tassign t l =
-  let v = Lit.var l in
-  t.tparity.(v) <- l land 1;
-  t.tstamp.(v) <- t.epoch;
-  Vec.push t.ttrail l
-
-(* Assume [l] and propagate without watches (occurrence-list scans);
-   returns [true] when a conflict was reached, i.e. [l] failed. *)
-let probe_literal t l =
-  t.epoch <- t.epoch + 1;
-  Vec.clear t.ttrail;
-  tassign t l;
-  let conflict = ref false in
-  let head = ref 0 in
-  while (not !conflict) && !head < Vec.length t.ttrail do
-    let p = Vec.get t.ttrail !head in
-    incr head;
-    occ_iter t (Lit.negate p) (fun c ->
-        if not !conflict then begin
-          let satisfied = ref false in
-          let unassigned = ref 0 in
-          let last = ref 0 in
-          Array.iter
-            (fun x ->
-              match tvalue t x with
-              | 1 -> satisfied := true
-              | 0 -> ()
-              | _ ->
-                incr unassigned;
-                last := x)
-            c.lits;
-          if not !satisfied then
-            if !unassigned = 0 then conflict := true
-            else if !unassigned = 1 && tvalue t !last = v_undef then tassign t !last
-        end)
-  done;
-  !conflict
-
-let probe_pass t =
-  let probes = ref 0 in
-  let v = ref 0 in
-  while (not t.unsat) && !v < t.nvars && !probes < t.cfg.probe_limit do
-    if t.assigns.(!v) = v_undef && not t.eliminated.(!v) then begin
-      let has_occ =
-        Vec.length t.occ.(Lit.pos !v) > 0 || Vec.length t.occ.(Lit.neg !v) > 0
-      in
-      if has_occ then
-        List.iter
-          (fun l ->
-            if (not t.unsat) && t.assigns.(!v) = v_undef && !probes < t.cfg.probe_limit
-            then begin
-              incr probes;
-              if probe_literal t l then begin
-                t.n_failed <- t.n_failed + 1;
-                t.changed <- true;
-                log_add t [| Lit.negate l |];
-                push_unit t (Lit.negate l);
-                propagate_units t
-              end
-            end)
-          [ Lit.pos !v; Lit.neg !v ]
-    end;
-    incr v
   done
 
 (* --- Binary-implication-graph equivalent-literal substitution ---------- *)
@@ -741,14 +655,9 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
       n_eliminated = 0;
       n_subsumed = 0;
       n_strengthened = 0;
-      n_failed = 0;
       n_equivalent = 0;
       n_resolvents = 0;
       n_rounds = 0;
-      tparity = Array.make (max 1 nvars) 0;
-      tstamp = Array.make (max 1 nvars) 0;
-      epoch = 0;
-      ttrail = Vec.create ();
     }
   in
   t.orig_clauses <- List.length clauses;
@@ -770,7 +679,6 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
     t.n_rounds <- t.n_rounds + 1;
     t.changed <- false;
     if t.cfg.subsumption || t.cfg.self_subsumption then subsumption_pass t;
-    if (not t.unsat) && t.cfg.probing then probe_pass t;
     if (not t.unsat) && t.cfg.big then big_pass t;
     if (not t.unsat) && t.cfg.bve then bve_pass t;
     propagate_units t;
@@ -779,7 +687,6 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
   Metrics.add m_eliminated t.n_eliminated;
   Metrics.add m_subsumed t.n_subsumed;
   Metrics.add m_strengthened t.n_strengthened;
-  Metrics.add m_failed t.n_failed;
   Metrics.add m_equivalent t.n_equivalent;
   Metrics.add m_resolvents t.n_resolvents;
   Metrics.observe_int m_rounds t.n_rounds;
@@ -854,7 +761,6 @@ let stats t =
     fixed_vars = !fixed;
     subsumed_clauses = t.n_subsumed;
     strengthened_clauses = t.n_strengthened;
-    failed_literals = t.n_failed;
     equivalent_vars = t.n_equivalent;
     resolvents_added = t.n_resolvents;
     rounds = t.n_rounds;
@@ -865,7 +771,6 @@ let proof t = match t.drat with Some b -> Buffer.contents b | None -> ""
 let pp_stats ppf s =
   Format.fprintf ppf
     "%d -> %d clauses (%d literals), %d eliminated, %d fixed, %d subsumed, %d \
-     strengthened, %d failed literals, %d equivalent, %d rounds"
+     strengthened, %d equivalent, %d rounds"
     s.original_clauses s.clauses s.literals s.eliminated_vars s.fixed_vars
-    s.subsumed_clauses s.strengthened_clauses s.failed_literals s.equivalent_vars
-    s.rounds
+    s.subsumed_clauses s.strengthened_clauses s.equivalent_vars s.rounds

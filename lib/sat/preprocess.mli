@@ -7,8 +7,6 @@
     - {b backward subsumption} and {b self-subsuming resolution},
       driven by per-literal occurrence lists with 62-bit clause
       signatures as a cheap subset pre-filter;
-    - {b failed-literal probing}: assume a literal, propagate; a
-      conflict yields the negated literal as a top-level unit;
     - {b equivalent-literal substitution}: strongly connected
       components of the binary-implication graph (the 2-clause
       digraph with edges [¬a → b] and [¬b → a] per clause [a ∨ b])
@@ -25,9 +23,10 @@
     variables that {!Encode.db_of_model}, blocking clauses and
     membership assumptions read, or any DIMACS variable the caller
     wants reported faithfully. The [frozen] predicate passed to
-    {!simplify} exempts those variables from BVE (they still
-    participate in propagation, subsumption and probing, all of which
-    preserve the full model set over the current variables).
+    {!simplify} exempts those variables from BVE and from
+    substitution (they still participate in propagation and
+    subsumption, both of which preserve the full model set over the
+    current variables).
 
     {b Model reconstruction.} Eliminated variables are pushed on a
     reconstruction stack together with the clauses in which they
@@ -46,7 +45,7 @@
     identical bit-for-bit.
 
     {b DRAT.} With [~drat:true] every derived clause (resolvents,
-    strengthenings, probed units) is recorded as a RUP addition and
+    strengthenings, equivalences) is recorded as a RUP addition and
     every removed clause as a deletion, in derivation order. Prepending
     this trace to the solver's own proof (see
     {!Solver.append_proof}) makes an UNSAT answer on the simplified
@@ -57,10 +56,9 @@ type config = {
   subsumption : bool;       (** backward subsumption *)
   self_subsumption : bool;  (** self-subsuming resolution (strengthening) *)
   bve : bool;               (** bounded variable elimination *)
-  probing : bool;           (** failed-literal probing *)
   big : bool;
       (** equivalent-literal substitution over the binary-implication
-          graph (SCC collapse), run after probing, before BVE *)
+          graph (SCC collapse), run after subsumption, before BVE *)
   bve_growth : int;
       (** extra clauses an elimination may add beyond the clauses it
           removes (SatELite uses 0) *)
@@ -70,7 +68,6 @@ type config = {
   bve_max_elim : int;
       (** stop after eliminating this many variables (micro-benchmarks
           use 1; [max_int] otherwise) *)
-  probe_limit : int;        (** maximum literal probes per round *)
   max_rounds : int;         (** simplification rounds until fixpoint *)
 }
 
@@ -88,7 +85,6 @@ type stats = {
   fixed_vars : int;         (** variables assigned at top level *)
   subsumed_clauses : int;
   strengthened_clauses : int;  (** self-subsumption hits *)
-  failed_literals : int;
   equivalent_vars : int;
       (** variables substituted away by binary-implication-graph SCC
           collapse (counted into the reconstruction stack like BVE) *)

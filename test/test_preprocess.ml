@@ -154,7 +154,6 @@ let prop_idempotent =
         s.Sat.Preprocess.eliminated_vars = 0
         && s.Sat.Preprocess.subsumed_clauses = 0
         && s.Sat.Preprocess.strengthened_clauses = 0
-        && s.Sat.Preprocess.failed_literals = 0
         && s.Sat.Preprocess.clauses = s.Sat.Preprocess.original_clauses
       end)
 
@@ -263,11 +262,6 @@ let prop_enum_smallest_first =
     (fun program db goal ->
       P.Enumerate.create ~smallest_first:true program db goal)
 
-let prop_enum_minimized_blocking =
-  differential ~name:"minimized blocking: preprocessed = raw = oracle"
-    (fun program db goal ->
-      P.Enumerate.create ~minimize_blocking:true program db goal)
-
 let prop_batch_preprocessed_equals_raw =
   (* The batch front end with a worker pool: per-tuple member lists must
      be identical with preprocessing on and off, whatever domain hosts
@@ -297,9 +291,9 @@ let prop_batch_preprocessed_equals_raw =
 let test_pure_literal () =
   (* x0 occurs only positively: BVE's 0-resolvent case deletes both
      clauses and reconstruction must set x0 so they hold. x1 is frozen
-     and the other techniques are off, so x0 is the only move —
-     otherwise the preprocessor (correctly) eliminates x1 or probes x0
-     to a unit instead. *)
+     and subsumption is off, so x0 is the only move — otherwise the
+     preprocessor (correctly) eliminates x1 or strengthens the pair to
+     the unit x0 instead. *)
   let clauses =
     [ [ Sat.Lit.pos 0; Sat.Lit.pos 1 ]; [ Sat.Lit.pos 0; Sat.Lit.neg 1 ] ]
   in
@@ -308,7 +302,6 @@ let test_pure_literal () =
       Sat.Preprocess.default with
       subsumption = false;
       self_subsumption = false;
-      probing = false;
     }
   in
   let p = Sat.Preprocess.simplify ~config ~nvars:2 ~frozen:(fun v -> v = 1) clauses in
@@ -346,7 +339,6 @@ let suite =
         prop_inprocessing_config_sound;
         prop_enum_preprocessed_equals_raw;
         prop_enum_smallest_first;
-        prop_enum_minimized_blocking;
         prop_batch_preprocessed_equals_raw;
       ]
     @ [
