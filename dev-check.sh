@@ -198,6 +198,18 @@ elif command -v jq > /dev/null 2>&1; then
     "$out" > /dev/null
 fi
 
+echo "== answer smoke (whybench explain-sparse and cold-start, benchmark/README.md)"
+# The two Andersen workloads lean hardest on the model's column
+# indexes; whybench checks every answer with its solver-free oracles
+# and reports "correct":true on its last line only if all were right.
+for w in explain-sparse cold-start; do
+  if ! sh benchmark/run.sh --workload "$w" --seconds 1 | tail -n 1 \
+       | grep -q '"correct":true'; then
+    echo "dev-check: whybench $w gave a wrong answer or failed" >&2
+    exit 1
+  fi
+done
+
 echo "== profile smoke (rule-level profiler, docs/OBSERVABILITY.md)"
 pr1=$(mktemp -t whyprov-prof1.XXXXXX)
 trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1"' EXIT

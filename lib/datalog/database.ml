@@ -75,14 +75,11 @@ let iter f t = KeyMap.iter (fun (pred, _) rel -> iter_rel f pred rel) t.rels
 let iter_pred t p f =
   KeyMap.iter (fun (q, _) rel -> if Symbol.equal p q then iter_rel f q rel) t.rels
 
-(* The column-[pos] bucket of [c], building the column index on first
-   use; [None] when no row holds [c] there. *)
+(* The column-[pos] bucket handle of [c], building the column index on
+   first use; negative when no row holds [c] there. *)
 let bucket rel (pos, c) =
   Flatrel.ensure_index rel pos;
   Flatrel.bucket rel pos c
-
-let bucket_size rel bound =
-  match bucket rel bound with Some rows -> Util.Vec.length rows | None -> 0
 
 let estimate t p ~arity bound =
   match find t p arity with
@@ -90,7 +87,10 @@ let estimate t p ~arity bound =
   | Some rel -> (
     match bound with
     | [] -> Flatrel.length rel
-    | _ -> List.fold_left (fun acc b -> min acc (bucket_size rel b)) max_int bound)
+    | _ ->
+      List.fold_left
+        (fun acc ((pos, _) as b) -> min acc (Flatrel.bucket_length rel pos (bucket rel b)))
+        max_int bound)
 
 let iter_matching t p ~arity bound f =
   match find t p arity with
@@ -100,30 +100,23 @@ let iter_matching t p ~arity bound f =
     | [] -> iter_rel f p rel
     | _ ->
       (* Scan the smallest index bucket among the bound positions and
-         filter on the others. *)
-      let best =
+         filter on the others; each bound column is looked up once. *)
+      let pos0, h0, n0 =
         List.fold_left
-          (fun acc b ->
-            let size = bucket_size rel b in
-            match acc with
-            | Some (_, best_size) when best_size <= size -> acc
-            | _ -> Some (b, size))
-          None bound
+          (fun ((_, _, best_n) as acc) ((pos, _) as b) ->
+            let h = bucket rel b in
+            let n = Flatrel.bucket_length rel pos h in
+            if n < best_n then (pos, h, n) else acc)
+          (-1, -1, max_int) bound
       in
-      match best with
-      | None -> ()
-      | Some (((pos0, _) as b0), _) -> (
-        Metrics.incr m_index_probes;
-        match bucket rel b0 with
-        | None -> ()
-        | Some rows ->
-          Metrics.incr m_index_hits;
-          let rest = List.filter (fun (pos, _) -> pos <> pos0) bound in
-          Util.Vec.iter
-            (fun row ->
-              if List.for_all (fun (pos, c) -> Flatrel.get rel row pos = c) rest then
-                f (Flatrel.fact rel ~pred:p row))
-            rows))
+      Metrics.incr m_index_probes;
+      if n0 > 0 then begin
+        Metrics.incr m_index_hits;
+        let rest = List.filter (fun (pos, _) -> pos <> pos0) bound in
+        Flatrel.iter_bucket rel pos0 h0 (fun row ->
+            if List.for_all (fun (pos, c) -> Flatrel.get rel row pos = c) rest then
+              f (Flatrel.fact rel ~pred:p row))
+      end)
 
 let to_list t =
   let acc = ref [] in

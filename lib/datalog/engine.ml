@@ -236,17 +236,16 @@ let run_task ~model ~limits ~ranges task =
           (* Probe the bound column with the smallest index bucket; an
              empty bucket on any bound column means zero matches. The
              scratch refs are per-instruction, reset on entry. *)
-          let best : int Util.Vec.t option ref = ref None in
+          let best = ref (-1) and best_col = ref 0 in
           let best_n = ref max_int in
           let consider col v =
-            match Flatrel.bucket rel col v with
-            | None -> best_n := 0
-            | Some rows ->
-              let nr = Util.Vec.length rows in
-              if nr < !best_n then begin
-                best := Some rows;
-                best_n := nr
-              end
+            let h = Flatrel.bucket rel col v in
+            let nr = Flatrel.bucket_length rel col h in
+            if nr < !best_n then begin
+              best := h;
+              best_col := col;
+              best_n := nr
+            end
           in
           let rec pick_consts k =
             if k < nconsts && !best_n > 0 then begin
@@ -263,16 +262,13 @@ let run_task ~model ~limits ~ranges task =
             end
           in
           fun () ->
-            best := None;
             best_n := max_int;
             pick_consts 0;
             pick_checks 0;
             stats.s_probes <- stats.s_probes + 1;
             if !best_n > 0 then begin
               stats.s_hits <- stats.s_hits + 1;
-              match !best with
-              | Some rows -> Util.Vec.iter try_row rows
-              | None -> ()
+              Flatrel.iter_bucket rel !best_col !best try_row
             end
         end
     end

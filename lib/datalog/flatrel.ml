@@ -3,7 +3,22 @@ module Metrics = Util.Metrics
 let m_index_builds = Metrics.counter "eval.index.builds"
 let m_index_entries = Metrics.counter "eval.index.entries"
 
-type index = (int, int Util.Vec.t) Hashtbl.t
+(* A column index. [slots] is an open-addressing table over the
+   column's distinct constants; a slot is 0 when empty, else it packs
+   the constant's last row + 1 (low [last_bits] bits) and its row count
+   (the bits above). The constant itself is not stored: it is the cell
+   at that last row. [next] chains the rows of each constant in a
+   circle, ascending, with the last row linking back to the first, so
+   appending a row is O(1) and iteration starts at [next.(last)]. *)
+type index = {
+  mutable slots : int array;
+  mutable smask : int;        (* Array.length slots - 1, a power of two *)
+  mutable keys : int;         (* occupied slots *)
+  mutable next : int array;   (* indexed by row; cells of unindexed rows unused *)
+}
+
+let last_bits = 31
+let last_mask = (1 lsl last_bits) - 1
 
 type t = {
   arity : int;
@@ -87,13 +102,69 @@ let grow_data t =
     t.data <- data
   end
 
-(* A new bucket starts at one slot: most constants of a model column
-   occur in few rows, and [Vec]'s default first growth (16 slots) would
-   make the index several times larger than the rows it covers. *)
-let index_insert idx c row =
-  match Hashtbl.find_opt idx c with
-  | Some v -> Util.Vec.push v row
-  | None -> Hashtbl.add idx c (Util.Vec.make 1 row)
+(* Multiplicative hash of one constant; the xor-shift folds the high
+   product bits into the low ones the slot mask keeps. *)
+let hash_const c =
+  let h = c * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+(* The slot holding constant [c] of column [col], or [lnot] of the
+   empty slot where it would go (negative). Loops over refs rather than
+   a local recursive closure so a probe allocates nothing. *)
+let find_slot t idx col c =
+  let slots = idx.slots and mask = idx.smask and data = t.data and k = t.arity in
+  let s = ref (hash_const c land mask) in
+  let v = ref (Array.unsafe_get slots !s) in
+  while
+    !v <> 0 && Array.unsafe_get data ((((!v land last_mask) - 1) * k) + col) <> c
+  do
+    s := (!s + 1) land mask;
+    v := Array.unsafe_get slots !s
+  done;
+  if !v = 0 then lnot !s else !s
+
+let grow_slots t idx col =
+  let old = idx.slots in
+  let size = 2 * Array.length old in
+  idx.slots <- Array.make size 0;
+  idx.smask <- size - 1;
+  Array.iter
+    (fun v ->
+      if v <> 0 then begin
+        let c = Array.unsafe_get t.data ((((v land last_mask) - 1) * t.arity) + col) in
+        idx.slots.(lnot (find_slot t idx col c)) <- v
+      end)
+    old
+
+(* Room in [next] for rows below [hi]. Row ids must fit the slot's
+   [last_bits]-bit field. *)
+let reserve_next idx hi =
+  let len = Array.length idx.next in
+  if hi > len then begin
+    if hi >= last_mask then invalid_arg "Flatrel: too many rows for a column index";
+    let next = Array.make (max hi (2 * len)) 0 in
+    Array.blit idx.next 0 next 0 len;
+    idx.next <- next
+  end
+
+(* Links row [row] (already in [data], above every indexed row) into
+   its constant's chain. [next] must have room for it. *)
+let index_insert t idx col row =
+  let s = find_slot t idx col (Array.unsafe_get t.data ((row * t.arity) + col)) in
+  let next = idx.next in
+  if s >= 0 then begin
+    let v = idx.slots.(s) in
+    let last = (v land last_mask) - 1 in
+    next.(row) <- next.(last);
+    next.(last) <- row;
+    idx.slots.(s) <- (((v lsr last_bits) + 1) lsl last_bits) lor (row + 1)
+  end
+  else begin
+    next.(row) <- row;
+    idx.slots.(lnot s) <- (1 lsl last_bits) lor (row + 1);
+    idx.keys <- idx.keys + 1;
+    if 2 * idx.keys > idx.smask then grow_slots t idx col
+  end
 
 (* Insertion without index maintenance: the engine appends derived
    rows with this during a round and replays the appended range into
@@ -120,7 +191,9 @@ let add t buf off =
   if append t buf off then begin
     for col = 0 to t.arity - 1 do
       match t.indexes.(col) with
-      | Some idx -> index_insert idx buf.(off + col) row
+      | Some idx ->
+        reserve_next idx (row + 1);
+        index_insert t idx col row
       | None -> ()
     done;
     true
@@ -133,9 +206,10 @@ let ensure_index t col =
   match t.indexes.(col) with
   | Some _ -> ()
   | None ->
-    let idx : index = Hashtbl.create 64 in
+    let idx = { slots = Array.make 16 0; smask = 15; keys = 0; next = [||] } in
+    reserve_next idx t.nrows;
     for row = 0 to t.nrows - 1 do
-      index_insert idx (get t row col) row
+      index_insert t idx col row
     done;
     t.indexes.(col) <- Some idx;
     Metrics.incr m_index_builds;
@@ -145,8 +219,9 @@ let reindex_range t lo hi =
   for col = 0 to t.arity - 1 do
     match t.indexes.(col) with
     | Some idx ->
+      reserve_next idx hi;
       for row = lo to hi - 1 do
-        index_insert idx (get t row col) row
+        index_insert t idx col row
       done;
       Metrics.add m_index_entries (hi - lo)
     | None -> ()
@@ -159,7 +234,23 @@ let index_exn t col =
   | Some idx -> idx
   | None -> invalid_arg "Flatrel: column index not built"
 
-let bucket t col v = Hashtbl.find_opt (index_exn t col) v
+let bucket t col v = find_slot t (index_exn t col) col v
+
+let bucket_length t col h =
+  if h < 0 then 0 else (index_exn t col).slots.(h) lsr last_bits
+
+let iter_bucket t col h f =
+  if h >= 0 then begin
+    let idx = index_exn t col in
+    let last = (idx.slots.(h) land last_mask) - 1 in
+    let next = idx.next in
+    let r = ref (Array.unsafe_get next last) in
+    while !r <> last do
+      f !r;
+      r := Array.unsafe_get next !r
+    done;
+    f last
+  end
 
 let mem t buf off = lookup t buf off (ref 0) >= 0
 

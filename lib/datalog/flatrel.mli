@@ -8,13 +8,18 @@
     All constants are interned symbols ({!Symbol.t}), so a fact of
     arity [k] is [k] consecutive ints in one growable backing array.
     Rows are deduplicated through an open-addressing hash table of row
-    ids, and each column can carry a lazily built hash index from
-    constant to the row ids holding it, kept up to date by {!add} once
-    built. Index buckets start at one slot.
+    ids, and each column can carry a lazily built index from constant
+    to the row ids holding it, kept up to date by {!add} once built.
+    A column index is two flat [int array]s: an open-addressing slot
+    table over the column's distinct constants, each slot packing the
+    constant's last row and row count (2 to 4 words per distinct
+    constant at a load factor of at most 1/2), and a per-row chain
+    linking each row to the next row holding the same constant (1 to 2
+    words per row, the array grows by doubling).
 
     A relation is not domain-safe for writes: only reads ({!mem},
-    {!get}, {!fact}, and {!bucket} on a built index) may run on several
-    domains at once. *)
+    {!get}, {!fact}, and {!bucket}, {!bucket_length} and {!iter_bucket}
+    on a built index) may run on several domains at once. *)
 
 type t
 (** A relation: a bag-free set of same-arity rows over interned ints. *)
@@ -54,20 +59,31 @@ val drop_index : t -> int -> unit
 val get : t -> int -> int -> int
 (** [get rel row col] reads one cell. {b Unchecked} — this is the join
     runtime's innermost read, so callers must index rows they obtained
-    from {!length} or {!bucket} and columns below {!arity}. *)
+    from {!length} or {!iter_bucket} and columns below {!arity}. *)
 
 val ensure_index : t -> int -> unit
 (** [ensure_index rel col] builds the column-[col] index if absent:
-    a hash table from constant to the ids of the rows holding it at
-    [col], maintained by subsequent {!add}s. Ticks the
-    [eval.index.builds] / [eval.index.entries] metrics. *)
+    from each constant to the ids of the rows holding it at [col],
+    maintained by subsequent {!add}s. Ticks the [eval.index.builds] /
+    [eval.index.entries] metrics. *)
 
-val bucket : t -> int -> int -> int Util.Vec.t option
-(** [bucket rel col v] is the column-[col] index bucket for [v] — the
-    ids of the rows holding [v] at [col], ascending — or [None] when no
-    row does. One hash lookup; the join runtime sizes and scans the
-    bucket without a second one. The vector is owned by the index:
-    callers must not mutate it. The column index must have been built. *)
+val bucket : t -> int -> int -> int
+(** [bucket rel col v] is a handle on the column-[col] index bucket
+    for [v] — the ids of the rows holding [v] at [col] — or a negative
+    number when no row does. One hash lookup; {!bucket_length} and
+    {!iter_bucket} read the bucket through the handle without a second
+    one. A handle stays valid until the next write to that column's
+    index ({!add}, {!reindex_range}, {!drop_index}). The column index
+    must have been built. *)
+
+val bucket_length : t -> int -> int -> int
+(** [bucket_length rel col h] is the number of rows in bucket [h] of
+    column [col]; 0 for a negative handle. *)
+
+val iter_bucket : t -> int -> int -> (int -> unit) -> unit
+(** [iter_bucket rel col h f] calls [f] on the row ids of bucket [h] of
+    column [col] in ascending order; nothing for a negative handle.
+    Rows added by [f] itself are not visited. *)
 
 val mem : t -> int array -> int -> bool
 (** [mem rel buf off] is [true] iff the row [buf.(off) ..

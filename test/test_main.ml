@@ -7,6 +7,7 @@ let () =
       Test_preprocess.suite;
       Test_drat.suite;
       Test_datalog.suite;
+      Test_flatrel.suite;
       Test_engine.suite;
       Test_provenance.suite;
       Test_reductions.suite;
