@@ -55,13 +55,14 @@ let of_closure ?depth closure =
         else if level = 0 then zero
         else begin
           let summands =
-            List.map
+            Array.map
               (fun (edge : Closure.hyperedge) ->
                 intern
                   (Times
                      (List.sort Int.compare
                         (List.map (fun b -> build b (level - 1)) edge.Closure.body))))
               (Closure.hyperedges_of closure fact)
+            |> Array.to_list
           in
           intern (Plus (List.sort_uniq Int.compare summands))
         end

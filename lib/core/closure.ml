@@ -15,25 +15,32 @@ let m_cache_misses = Metrics.counter "closure.cache_misses"
 
 type hyperedge = {
   head : Fact.t;
+  head_id : int;
   rule : Rule.t;
   body : Fact.t list;
   targets : Fact.t list;
+  target_ids : int array;
 }
 
 type t = {
   program : Program.t;
   root : Fact.t;
-  edges_by_head : hyperedge list Fact.Table.t;
-  node_table : unit Fact.Table.t;
-  node_list : Fact.t list;
-  db_in_closure : Fact.t list;
+  nodes : Fact.t array;  (* sorted: a node's id is its index *)
+  ids : int Fact.Table.t;  (* node -> id *)
+  edges : hyperedge array array;  (* by head id *)
+  db_ids : int array;  (* ascending *)
   derivable : bool;
   n_edges : int;
 }
 
 (* The traversal is parameterized over how rule instances are obtained,
    so that batch enumeration can memoize [Eval.derivations] across the
-   closures of many answer tuples of the same materialization. *)
+   closures of many answer tuples of the same materialization.
+
+   Facts are numbered in discovery (breadth-first) order while the
+   traversal runs; once it ends, the nodes are sorted and every id —
+   table values and target ids alike — is renumbered to the sorted
+   position, so ids ascend with [Fact.compare]. *)
 let build_from ~derivations program db root_fact ~derivable =
   let targs =
     if Util.Tracing.is_enabled () then
@@ -43,55 +50,66 @@ let build_from ~derivations program db root_fact ~derivable =
   Util.Tracing.with_span ~args:targs "closure.build" @@ fun () ->
   Metrics.time m_build_time @@ fun () ->
   Metrics.incr m_builds;
-  let edges_by_head : hyperedge list Fact.Table.t = Fact.Table.create 1024 in
-  let visited : unit Fact.Table.t = Fact.Table.create 1024 in
-  let queue = Queue.create () in
-  let n_edges = ref 0 in
-  Fact.Table.add visited root_fact ();
-  Queue.add root_fact queue;
-  while not (Queue.is_empty queue) do
-    let fact = Queue.pop queue in
-    if Program.is_idb program (Fact.pred fact) then begin
-      let ds = derivations fact in
-      let edges =
-        List.map
-          (fun (rule, body) ->
-            let targets = List.sort_uniq Fact.compare body in
-            { head = fact; rule; body; targets })
-          ds
-      in
-      n_edges := !n_edges + List.length edges;
-      Fact.Table.replace edges_by_head fact edges;
-      List.iter
-        (fun edge ->
-          List.iter
-            (fun target ->
-              if not (Fact.Table.mem visited target) then begin
-                Fact.Table.add visited target ();
-                Queue.add target queue
-              end)
-            edge.targets)
-        edges
-    end
-  done;
-  let node_list =
-    Fact.Table.fold (fun f () acc -> f :: acc) visited []
-    |> List.sort Fact.compare
+  let ids : int Fact.Table.t = Fact.Table.create 16 in
+  let found = Util.Vec.create () in
+  (* Per discovered fact, in discovery order: its rule instances with
+     the discovery ids of their targets. *)
+  let instances = Util.Vec.create () in
+  let discover fact =
+    match Fact.Table.find ids fact with
+    | i -> i
+    | exception Not_found ->
+      let i = Util.Vec.length found in
+      Fact.Table.add ids fact i;
+      Util.Vec.push found fact;
+      i
   in
-  let db_in_closure = List.filter (Database.mem db) node_list in
-  Metrics.add m_nodes (List.length node_list);
+  ignore (discover root_fact);
+  let n_edges = ref 0 in
+  while Util.Vec.length instances < Util.Vec.length found do
+    let fact = Util.Vec.get found (Util.Vec.length instances) in
+    let ds =
+      if Program.is_idb program (Fact.pred fact) then derivations fact else []
+    in
+    n_edges := !n_edges + List.length ds;
+    Util.Vec.push instances
+      (List.map
+         (fun (rule, body) ->
+           let targets = List.sort_uniq Fact.compare body in
+           let target_ids = Array.make (List.length targets) 0 in
+           List.iteri (fun k f -> target_ids.(k) <- discover f) targets;
+           (rule, body, targets, target_ids))
+         ds)
+  done;
+  let found = Util.Vec.to_array found in
+  let n = Array.length found in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Fact.compare found.(i) found.(j)) order;
+  let rank = Array.make n 0 in
+  Array.iteri (fun id i -> rank.(i) <- id) order;
+  Fact.Table.filter_map_inplace (fun _ i -> Some rank.(i)) ids;
+  let nodes = Array.map (Array.get found) order in
+  let edges =
+    Array.mapi
+      (fun head_id i ->
+        Array.of_list
+          (List.map
+             (fun (rule, body, targets, target_ids) ->
+               Array.iteri (fun k t -> target_ids.(k) <- rank.(t)) target_ids;
+               { head = nodes.(head_id); head_id; rule; body; targets; target_ids })
+             (Util.Vec.get instances i)))
+      order
+  in
+  let db_ids =
+    List.init n Fun.id
+    |> List.filter (fun i -> Database.mem db nodes.(i))
+    |> Array.of_list
+  in
+  Metrics.add m_nodes n;
   Metrics.add m_rule_instances !n_edges;
-  Metrics.add m_db_facts (List.length db_in_closure);
-  {
-    program;
-    root = root_fact;
-    edges_by_head;
-    node_table = visited;
-    node_list;
-    db_in_closure;
-    derivable;
-    n_edges = !n_edges;
-  }
+  Metrics.add m_db_facts (Array.length db_ids);
+  { program; root = root_fact; nodes; ids; edges; db_ids; derivable;
+    n_edges = !n_edges }
 
 let build_with_model program ~model db root_fact =
   build_from
@@ -154,18 +172,19 @@ let cache_misses cache = cache.ic_misses
 
 let root t = t.root
 let program t = t.program
-let nodes t = t.node_list
-let num_nodes t = List.length t.node_list
+let nodes t = t.nodes
+let node_id t fact = Fact.Table.find t.ids fact
+let num_nodes t = Array.length t.nodes
 let num_hyperedges t = t.n_edges
 
 let hyperedges_of t fact =
-  Option.value ~default:[] (Fact.Table.find_opt t.edges_by_head fact)
+  match Fact.Table.find_opt t.ids fact with
+  | Some i -> t.edges.(i)
+  | None -> [||]
 
-let iter_hyperedges t f =
-  Fact.Table.iter (fun _ edges -> List.iter f edges) t.edges_by_head
-
-let db_facts t = t.db_in_closure
-let mem_node t fact = Fact.Table.mem t.node_table fact
+let iter_hyperedges t f = Array.iter (Array.iter f) t.edges
+let db_ids t = t.db_ids
+let db_facts t = Array.fold_right (fun i acc -> t.nodes.(i) :: acc) t.db_ids []
 let derivable t = t.derivable
 
 exception Cyclic
@@ -176,26 +195,25 @@ let graph_acyclic t =
      targets) excluded, because [Encode.make] prunes those. If this
      graph is a DAG, every subset of the z-edges is acyclic and the
      acyclicity clauses of the encoding are tautological. *)
-  let state : int Fact.Table.t = Fact.Table.create 256 in
+  let state = Array.make (num_nodes t) 0 in
   (* 1 = on the DFS stack, 2 = done *)
-  let rec visit f =
-    match Fact.Table.find_opt state f with
-    | Some 1 -> raise Cyclic
-    | Some _ -> ()
-    | None ->
-      Fact.Table.replace state f 1;
-      List.iter
+  let rec visit i =
+    match state.(i) with
+    | 1 -> raise Cyclic
+    | 2 -> ()
+    | _ ->
+      state.(i) <- 1;
+      Array.iter
         (fun e ->
-          if not (List.exists (Fact.equal e.head) e.targets) then
-            List.iter visit e.targets)
-        (hyperedges_of t f);
-      Fact.Table.replace state f 2
+          if not (Array.mem i e.target_ids) then Array.iter visit e.target_ids)
+        t.edges.(i);
+      state.(i) <- 2
   in
-  match List.iter visit t.node_list with
+  match Array.iteri (fun i _ -> visit i) t.nodes with
   | () -> true
   | exception Cyclic -> false
 
 let pp_stats ppf t =
   Format.fprintf ppf "closure of %a: %d nodes, %d hyperedges, %d db facts"
     Fact.pp t.root (num_nodes t) t.n_edges
-    (List.length t.db_in_closure)
+    (Array.length t.db_ids)

@@ -16,9 +16,11 @@ open Datalog
 
 type hyperedge = {
   head : Fact.t;
+  head_id : int;         (** [node_id head] *)
   rule : Rule.t;
-  body : Fact.t list;   (** ground body, in body-atom order *)
+  body : Fact.t list;    (** ground body, in body-atom order *)
   targets : Fact.t list; (** the set [T]: deduplicated, sorted body facts *)
+  target_ids : int array; (** the ids of [targets], ascending *)
 }
 
 type t
@@ -66,22 +68,48 @@ val cache_misses : instance_cache -> int
 val root : t -> Fact.t
 val program : t -> Program.t
 
-val nodes : t -> Fact.t list
-(** All facts reachable from the root (including the root), sorted. *)
+(** {2 Node numbering and iteration order}
+
+    The closure is a numbered hypergraph. Its nodes are kept sorted by
+    [Fact.compare], and a node's id is its index in {!nodes}; the id is
+    also the variable of [x_α] in {!Encode}. A hyperedge carries the ids
+    of its head and of its target set, so consumers never look facts up.
+
+    {!iter_hyperedges} visits heads in ascending id and, for each head,
+    its rule instances in {!Datalog.Eval.derivations} order. The
+    encoder allocates its edge and hyperedge variables by this order
+    (walking it from the end), so it reaches the order members are
+    enumerated in. Like {!Datalog.Database.iter}'s order, it is part of
+    the interface: it depends only on the program, the model and the
+    root, not on whether the build went through an {!instance_cache}. *)
+
+val nodes : t -> Fact.t array
+(** All facts reachable from the root (including the root), sorted;
+    index [i] holds the node with id [i]. Callers must not mutate the
+    array. *)
+
+val node_id : t -> Fact.t -> int
+(** The id of a node. @raise Not_found if the fact is not a node. *)
 
 val num_nodes : t -> int
 val num_hyperedges : t -> int
+(** Both O(1). *)
 
-val hyperedges_of : t -> Fact.t -> hyperedge list
-(** Hyperedges whose head is the given fact (empty for database facts). *)
+val hyperedges_of : t -> Fact.t -> hyperedge array
+(** Hyperedges whose head is the given fact, in
+    {!Datalog.Eval.derivations} order (empty for database facts and
+    non-nodes). Callers must not mutate the array. *)
 
 val iter_hyperedges : t -> (hyperedge -> unit) -> unit
+(** All hyperedges, heads in ascending id, each head's in
+    {!hyperedges_of} order. *)
+
+val db_ids : t -> int array
+(** The ids of {!db_facts}, ascending. Callers must not mutate it. *)
 
 val db_facts : t -> Fact.t list
 (** The set [S]: database facts occurring in the closure, sorted. These
     are the only facts that can appear in a member of [why_UN]. *)
-
-val mem_node : t -> Fact.t -> bool
 
 val derivable : t -> bool
 (** [true] iff the root is actually derivable ([root ∈ Σ(D)]). *)

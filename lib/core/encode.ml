@@ -55,11 +55,12 @@ type stats = {
 
 type t = {
   solver : Sat.Solver.t;
-  node_var : int Fact.Table.t;
   db_facts_arr : Fact.t array;
+  db_vars : int array;  (* x variables of [db_facts_arr], index-aligned *)
   stats : stats;
   captured : Sat.Lit.t list list option;
-  y_witness : (int, Closure.hyperedge) Hashtbl.t;
+  yvars : int array;
+  y_witness : Closure.hyperedge array;  (* rule instance of [yvars.(k)] *)
   root_fact : Fact.t;
   pre : Sat.Preprocess.t option;
 }
@@ -104,95 +105,68 @@ let make ?acyclicity ?(elimination_order = Min_degree)
     incr nclauses;
     Metrics.incr !clause_group
   in
-  let node_list = Closure.nodes closure in
-  let n = List.length node_list in
-  let nodes = Array.of_list node_list in
-  let id_of : int Fact.Table.t = Fact.Table.create (2 * n) in
-  Array.iteri (fun i f -> Fact.Table.add id_of f i) nodes;
-  (* x_α variables: one per node, allocated first so that node i has
-     variable i. *)
+  (* x_α variables: one per node, allocated first so that the node with
+     closure id i has variable i. *)
+  let nodes = Closure.nodes closure in
+  let n = Array.length nodes in
   Sat.Solver.ensure_vars solver n;
-  let node_var : int Fact.Table.t = Fact.Table.create (2 * n) in
-  Array.iteri (fun i f -> Fact.Table.add node_var f i) nodes;
   let xvar i = i in
   (* Hyperedges, pruned of self-loops (a hyperedge whose head occurs in
-     its own target set can never appear in a compressed DAG). *)
-  let hyperedges = ref [] in
-  let n_hyper = ref 0 in
-  let seen_hyper = Hashtbl.create 1024 in
+     its own target set can never appear in a compressed DAG); distinct
+     rule instances with the same target set are equivalent for the
+     encoding, so the first one in closure order stands for them all
+     (it is the rule instance [witness_dag] reconstructs). *)
+  let size = Closure.num_hyperedges closure in
+  let seen_hyper = Hashtbl.create size in
+  let kept = ref [] in
   Closure.iter_hyperedges closure (fun edge ->
-      let head_id = Fact.Table.find id_of edge.Closure.head in
-      let target_ids =
-        List.sort Int.compare
-          (List.map (fun f -> Fact.Table.find id_of f) edge.Closure.targets)
-      in
-      (* Self-loop hyperedges can never appear in a compressed DAG;
-         distinct rule instances with the same target set are equivalent
-         for the encoding. *)
-      if (not (List.mem head_id target_ids))
-         && not (Hashtbl.mem seen_hyper (head_id, target_ids))
+      let key = (edge.Closure.head_id, edge.Closure.target_ids) in
+      if (not (Array.mem edge.Closure.head_id edge.Closure.target_ids))
+         && not (Hashtbl.mem seen_hyper key)
       then begin
-        Hashtbl.add seen_hyper (head_id, target_ids) ();
-        incr n_hyper;
-        hyperedges := (head_id, target_ids) :: !hyperedges
+        Hashtbl.add seen_hyper key ();
+        kept := edge :: !kept
       end);
-  let hyperedges = !hyperedges in
+  (* Kept in reverse closure order: the z and y variables below are
+     allocated from the last hyperedge to the first. Allocating them
+     in closure order instead costs about a third more conflicts per
+     member on dense cyclic graphs (EXPERIMENTS.md, "Numbered downward
+     closures"). *)
+  let hyperedges = Array.of_list !kept in
+  let n_hyper = Array.length hyperedges in
   (* z_(α,β) variables: one per distinct directed edge occurring in some
      hyperedge. *)
-  let zvar : (int, int) Pair_table.t = Pair_table.create 1024 in
+  let zvar : (int, int) Pair_table.t = Pair_table.create size in
   let key i j = (i * n) + j in
-  let out_neighbors : (int, int list ref) Hashtbl.t = Hashtbl.create 256 in
-  let in_neighbors : (int, int list ref) Hashtbl.t = Hashtbl.create 256 in
-  let note tbl i j =
-    match Hashtbl.find_opt tbl i with
-    | Some l -> if not (List.mem j !l) then l := j :: !l
-    | None -> Hashtbl.add tbl i (ref [ j ])
-  in
-  List.iter
-    (fun (head_id, target_ids) ->
-      List.iter
-        (fun target ->
-          if not (Pair_table.mem zvar (key head_id target)) then begin
-            let v = Sat.Solver.new_var solver in
-            Pair_table.add zvar (key head_id target) v;
-            note out_neighbors head_id target;
-            note in_neighbors target head_id
+  let out_neighbors = Array.make n [] in
+  let in_neighbors = Array.make n [] in
+  Array.iter
+    (fun (edge : Closure.hyperedge) ->
+      let i = edge.head_id in
+      Array.iter
+        (fun j ->
+          if not (Pair_table.mem zvar (key i j)) then begin
+            Pair_table.add zvar (key i j) (Sat.Solver.new_var solver);
+            out_neighbors.(i) <- j :: out_neighbors.(i);
+            in_neighbors.(j) <- i :: in_neighbors.(j)
           end)
-        target_ids)
+        edge.target_ids)
     hyperedges;
   let n_edges = Pair_table.length zvar in
   let z i j = Pair_table.find zvar (key i j) in
   (* y_e variables: one per hyperedge. *)
-  let yvars =
-    List.map (fun edge -> (Sat.Solver.new_var solver, edge)) hyperedges
-  in
-  (* Keep one representative full hyperedge (rule + ordered body) per
-     deduplicated (head, targets) pair, for witness reconstruction. *)
-  let y_witness : (int, Closure.hyperedge) Hashtbl.t = Hashtbl.create 256 in
-  let repr_of : (int * int list, int) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun (yv, (head_id, target_ids)) -> Hashtbl.replace repr_of (head_id, target_ids) yv)
-    yvars;
-  Closure.iter_hyperedges closure (fun edge ->
-      let head_id = Fact.Table.find id_of edge.Closure.head in
-      let target_ids =
-        List.sort Int.compare
-          (List.map (fun f -> Fact.Table.find id_of f) edge.Closure.targets)
-      in
-      match Hashtbl.find_opt repr_of (head_id, target_ids) with
-      | Some yv -> if not (Hashtbl.mem y_witness yv) then Hashtbl.add y_witness yv edge
-      | None -> ());
-  Metrics.add m_hyperedges !n_hyper;
+  let yvars = Array.map (fun _ -> Sat.Solver.new_var solver) hyperedges in
+  Metrics.add m_hyperedges n_hyper;
   Metrics.add m_vars_node n;
   Metrics.add m_vars_edge n_edges;
-  Metrics.add m_vars_hyperedge (List.length yvars);
+  Metrics.add m_vars_hyperedge n_hyper;
   if Util.Tracing.is_enabled () then
     Util.Tracing.instant "encode.sizes"
       ~args:
         [
           ("nodes", Metrics.Json.Num (float_of_int n));
           ("edges", Metrics.Json.Num (float_of_int n_edges));
-          ("hyperedges", Metrics.Json.Num (float_of_int !n_hyper));
+          ("hyperedges", Metrics.Json.Num (float_of_int n_hyper));
         ];
   let open Sat.Lit in
   (* φ_graph: an edge forces both endpoints. *)
@@ -208,60 +182,36 @@ let make ?acyclicity ?(elimination_order = Min_degree)
      node has at least one incoming edge. *)
   clause_group := m_clauses_root;
   Util.Tracing.with_span "encode.phi_root" (fun () ->
-      let root_id = Fact.Table.find id_of (Closure.root closure) in
+      let root_id = Closure.node_id closure (Closure.root closure) in
       add_clause [ pos (xvar root_id) ];
-      (match Hashtbl.find_opt in_neighbors root_id with
-      | Some preds -> List.iter (fun i -> add_clause [ neg (z i root_id) ]) !preds
-      | None -> ());
-      Array.iteri
-        (fun i _ ->
-          if i <> root_id then begin
-            let incoming =
-              match Hashtbl.find_opt in_neighbors i with
-              | Some preds -> List.map (fun p -> pos (z p i)) !preds
-              | None -> []
-            in
-            add_clause (neg (xvar i) :: incoming)
-          end)
-        nodes);
+      List.iter (fun i -> add_clause [ neg (z i root_id) ]) in_neighbors.(root_id);
+      for i = 0 to n - 1 do
+        if i <> root_id then
+          add_clause (neg (xvar i) :: List.map (fun p -> pos (z p i)) in_neighbors.(i))
+      done);
   (* φ_proof: every chosen intensional node picks a hyperedge, and a
      picked hyperedge determines the exact out-edge set of its head. *)
   clause_group := m_clauses_proof;
   Util.Tracing.with_span "encode.phi_proof" (fun () ->
-      let edges_of_head : (int, (int * int list) list ref) Hashtbl.t =
-        Hashtbl.create 256
-      in
-      List.iter
-        (fun (yv, (head_id, target_ids)) ->
-          match Hashtbl.find_opt edges_of_head head_id with
-          | Some l -> l := (yv, target_ids) :: !l
-          | None -> Hashtbl.add edges_of_head head_id (ref [ (yv, target_ids) ]))
-        yvars;
+      let edges_of_head = Array.make n [] in
+      Array.iteri
+        (fun k (edge : Closure.hyperedge) ->
+          edges_of_head.(edge.head_id) <- pos yvars.(k) :: edges_of_head.(edge.head_id))
+        hyperedges;
       Array.iteri
         (fun i f ->
-          if Program.is_idb (Closure.program closure) (Fact.pred f) then begin
-            let choices =
-              match Hashtbl.find_opt edges_of_head i with
-              | Some l -> List.map (fun (yv, _) -> pos yv) !l
-              | None -> []
-            in
-            add_clause (neg (xvar i) :: choices)
-          end)
+          if Program.is_idb (Closure.program closure) (Fact.pred f) then
+            add_clause (neg (xvar i) :: edges_of_head.(i)))
         nodes;
-      List.iter
-        (fun (yv, (head_id, target_ids)) ->
-          let all_targets =
-            match Hashtbl.find_opt out_neighbors head_id with
-            | Some l -> !l
-            | None -> []
-          in
+      Array.iteri
+        (fun k (edge : Closure.hyperedge) ->
+          let yv = yvars.(k) and i = edge.head_id in
           List.iter
-            (fun target ->
-              if List.mem target target_ids then
-                add_clause [ neg yv; pos (z head_id target) ]
-              else add_clause [ neg yv; neg (z head_id target) ])
-            all_targets)
-        yvars);
+            (fun j ->
+              if Array.mem j edge.target_ids then add_clause [ neg yv; pos (z i j) ]
+              else add_clause [ neg yv; neg (z i j) ])
+            out_neighbors.(i))
+        hyperedges);
   (* φ_acyclic. *)
   clause_group := m_clauses_acyclic;
   let vars_before_acyclic = Sat.Solver.num_vars solver in
@@ -276,7 +226,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
     ()
   | Transitive_closure ->
     (* t_(i,j) for every ordered pair over nodes incident to edges. *)
-    let tvar : (int, int) Pair_table.t = Pair_table.create 1024 in
+    let tvar : (int, int) Pair_table.t = Pair_table.create n_edges in
     let tv i j =
       match Pair_table.find_opt tvar (key i j) with
       | Some v -> v
@@ -312,7 +262,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
     (* The potential-edge layer is distinct from the structural z
        variables: compositions may only force auxiliary e variables,
        never structural edges (z(i,j) ⇒ e(i,j) one way only). *)
-    let evar : (int, int) Pair_table.t = Pair_table.create 1024 in
+    let evar : (int, int) Pair_table.t = Pair_table.create n_edges in
     Pair_table.iter
       (fun k zv ->
         let ev = Sat.Solver.new_var solver in
@@ -416,7 +366,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
   Metrics.add m_vars_acyclic (Sat.Solver.num_vars solver - vars_before_acyclic);
   Metrics.add m_fill_edges !fill_edges;
   Metrics.observe_int m_elim_width !elimination_width;
-  let db_facts_arr = Array.of_list (Closure.db_facts closure) in
+  let db_vars = Closure.db_ids closure in
   let built = List.rev !built in
   let pre =
     if not preprocess then begin
@@ -433,12 +383,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
          [witness_dag] re-extends models over them. *)
       let nvars = Sat.Solver.num_vars solver in
       let frozen = Array.make nvars false in
-      Array.iter
-        (fun f ->
-          match Fact.Table.find_opt node_var f with
-          | Some v -> frozen.(v) <- true
-          | None -> ())
-        db_facts_arr;
+      Array.iter (fun v -> frozen.(v) <- true) db_vars;
       let p =
         Sat.Preprocess.simplify ~drat:proof_logging ~nvars
           ~frozen:(fun v -> v < nvars && frozen.(v))
@@ -454,16 +399,17 @@ let make ?acyclicity ?(elimination_order = Min_degree)
   in
   {
     solver;
-    node_var;
-    db_facts_arr;
+    db_facts_arr = Array.map (fun v -> nodes.(v)) db_vars;
+    db_vars;
     captured = (if capture then Some !captured else None);
-    y_witness;
+    yvars;
+    y_witness = hyperedges;
     root_fact = Closure.root closure;
     pre;
     stats =
       {
         nodes = n;
-        hyperedges = !n_hyper;
+        hyperedges = n_hyper;
         edges = n_edges;
         variables = Sat.Solver.num_vars solver;
         clauses = !nclauses;
@@ -475,32 +421,31 @@ let make ?acyclicity ?(elimination_order = Min_degree)
 
 let solver t = t.solver
 let db_facts t = t.db_facts_arr
-let fact_var t f = Fact.Table.find_opt t.node_var f
+let db_vars t = t.db_vars
 
 let db_of_model t model =
-  Array.fold_left
-    (fun acc f ->
-      let v = Fact.Table.find t.node_var f in
-      if v < Array.length model && model.(v) then Fact.Set.add f acc else acc)
-    Fact.Set.empty t.db_facts_arr
+  let member = ref Fact.Set.empty in
+  Array.iteri
+    (fun k v ->
+      if v < Array.length model && model.(v) then
+        member := Fact.Set.add t.db_facts_arr.(k) !member)
+    t.db_vars;
+  !member
 
-let blocking_clause t member =
-  Array.to_list t.db_facts_arr
-  |> List.map (fun f ->
-         let v = Fact.Table.find t.node_var f in
-         if Fact.Set.mem f member then Sat.Lit.neg v else Sat.Lit.pos v)
+let literals t positive =
+  Array.to_list
+    (Array.mapi
+       (fun k v -> if positive t.db_facts_arr.(k) then Sat.Lit.pos v else Sat.Lit.neg v)
+       t.db_vars)
+
+let blocking_clause t member = literals t (fun f -> not (Fact.Set.mem f member))
 
 let assumptions_for t candidate =
   let in_closure =
     Array.fold_left (fun acc f -> Fact.Set.add f acc) Fact.Set.empty t.db_facts_arr
   in
   if not (Fact.Set.subset candidate in_closure) then None
-  else
-    Some
-      (Array.to_list t.db_facts_arr
-      |> List.map (fun f ->
-             let v = Fact.Table.find t.node_var f in
-             if Fact.Set.mem f candidate then Sat.Lit.pos v else Sat.Lit.neg v))
+  else Some (literals t (fun f -> Fact.Set.mem f candidate))
 
 let stats t = t.stats
 
@@ -518,11 +463,11 @@ let witness_dag t model =
     | None -> model
   in
   let chosen : Closure.hyperedge Fact.Table.t = Fact.Table.create 64 in
-  Hashtbl.iter
-    (fun yv edge ->
+  Array.iteri
+    (fun k yv ->
       if yv < Array.length model && model.(yv) then
-        Fact.Table.replace chosen edge.Closure.head edge)
-    t.y_witness;
+        Fact.Table.replace chosen t.y_witness.(k).Closure.head t.y_witness.(k))
+    t.yvars;
   let nodes = ref [] in
   let ids : int Fact.Table.t = Fact.Table.create 64 in
   let next_id = ref 0 in

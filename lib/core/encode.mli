@@ -86,8 +86,9 @@ val solver : t -> Sat.Solver.t
 val db_facts : t -> Fact.t array
 (** The set [S] of database facts in the closure, in a fixed order. *)
 
-val fact_var : t -> Fact.t -> int option
-(** SAT variable [x_α] of a closure node, if [α] is one. *)
+val db_vars : t -> int array
+(** The SAT variables [x_α] of {!db_facts}, index-aligned. A node's
+    variable is its {!Closure.node_id}. Callers must not mutate it. *)
 
 val db_of_model : t -> bool array -> Fact.Set.t
 (** [db(τ)]: the database facts whose variable is true in the model. *)

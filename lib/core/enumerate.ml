@@ -46,11 +46,7 @@ let of_parts ?(smallest_first = false) closure encoding =
     if not smallest_first then None
     else begin
       let solver = Encode.solver encoding in
-      let lits =
-        Array.to_list (Encode.db_facts encoding)
-        |> List.filter_map (fun f ->
-               Option.map Sat.Lit.pos (Encode.fact_var encoding f))
-      in
+      let lits = Array.to_list (Array.map Sat.Lit.pos (Encode.db_vars encoding)) in
       Some (Sat.Cardinality.outputs solver lits)
     end
   in

@@ -23,7 +23,7 @@ let why_of_closure ?(max_members = max_int) closure =
         r
     in
     (* Database facts support themselves. *)
-    List.iter
+    Array.iter
       (fun fact ->
         let r = family_of fact in
         if Program.is_edb program (Fact.pred fact) then begin
@@ -34,9 +34,9 @@ let why_of_closure ?(max_members = max_int) closure =
     let changed = ref true in
     while !changed do
       changed := false;
-      List.iter
+      Array.iter
         (fun fact ->
-          List.iter
+          Array.iter
             (fun (edge : Closure.hyperedge) ->
               (* Cartesian combination of the support families of the
                  body facts. The full body (with multiplicity) matters:

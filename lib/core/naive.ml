@@ -159,7 +159,7 @@ let why_un program db fact =
       | f :: rest ->
         if Fact.Map.mem f assigned then go assigned rest
         else
-          List.iter
+          Array.iter
             (fun (edge : Closure.hyperedge) ->
               let targets = edge.Closure.targets in
               let fresh =

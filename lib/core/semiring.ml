@@ -97,7 +97,7 @@ module Eval (Semiring : S) = struct
       | None -> Semiring.zero
     in
     (* Database facts are leaves with their annotation. *)
-    List.iter
+    Array.iter
       (fun fact ->
         if Program.is_edb program (Fact.pred fact) then
           Fact.Table.replace values fact (annotate fact))
@@ -110,11 +110,11 @@ module Eval (Semiring : S) = struct
       incr rounds;
       if !rounds > 100_000 then
         invalid_arg "Semiring.Eval.provenance: iteration did not converge";
-      List.iter
+      Array.iter
         (fun fact ->
           if Program.is_idb program (Fact.pred fact) then begin
             let value =
-              List.fold_left
+              Array.fold_left
                 (fun acc (edge : Closure.hyperedge) ->
                   let product =
                     List.fold_left

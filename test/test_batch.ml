@@ -242,33 +242,75 @@ let test_batch_budget_exhausted () =
 
 (* --- Shared instance cache ----------------------------------------------- *)
 
+(* The numbering contract of [Closure] (closure.mli, "Node numbering
+   and iteration order"): nodes sorted with [node_id nodes.(i) = i];
+   hyperedges iterated head by head in ascending id, each carrying its
+   head's id and the ids of its sorted, deduplicated body; the O(1)
+   counts and the db ids agree with what iteration yields. *)
+let closure_numbering_ok c =
+  let nodes = P.Closure.nodes c in
+  let n = Array.length nodes in
+  let ok = ref (n = P.Closure.num_nodes c) in
+  Array.iteri
+    (fun i f ->
+      if P.Closure.node_id c f <> i then ok := false;
+      if i > 0 && D.Fact.compare nodes.(i - 1) f >= 0 then ok := false)
+    nodes;
+  let last_head = ref (-1) and count = ref 0 in
+  P.Closure.iter_hyperedges c (fun (e : P.Closure.hyperedge) ->
+      incr count;
+      if e.P.Closure.head_id < !last_head then ok := false;
+      last_head := e.P.Closure.head_id;
+      if not (D.Fact.equal nodes.(e.P.Closure.head_id) e.P.Closure.head) then
+        ok := false;
+      let targets = List.sort_uniq D.Fact.compare e.P.Closure.body in
+      if not (List.equal D.Fact.equal targets e.P.Closure.targets) then ok := false;
+      if Array.to_list e.P.Closure.target_ids <> List.map (P.Closure.node_id c) targets
+      then ok := false);
+  !ok
+  && !count = P.Closure.num_hyperedges c
+  && List.map (P.Closure.node_id c) (P.Closure.db_facts c)
+     = Array.to_list (P.Closure.db_ids c)
+
+(* Everything observable about a closure, hyperedges in iteration order,
+   so two builds compare equal only if they iterate identically. *)
 let closure_fingerprint c =
-  let edges =
-    List.concat_map
-      (fun f ->
-        List.map
-          (fun (e : P.Closure.hyperedge) -> (f, e.P.Closure.body))
-          (P.Closure.hyperedges_of c f))
-      (P.Closure.nodes c)
-  in
+  let edges = ref [] in
+  P.Closure.iter_hyperedges c (fun (e : P.Closure.hyperedge) ->
+      edges :=
+        ( e.P.Closure.head_id,
+          e.P.Closure.head,
+          Format.asprintf "%a" D.Rule.pp e.P.Closure.rule,
+          e.P.Closure.body,
+          e.P.Closure.target_ids )
+        :: !edges);
   ( P.Closure.root c,
-    List.sort D.Fact.compare (P.Closure.nodes c),
-    List.sort D.Fact.compare (P.Closure.db_facts c),
-    List.sort compare edges )
+    P.Closure.nodes c,
+    P.Closure.db_facts c,
+    List.rev !edges )
 
 let test_cached_closure_equals_standalone () =
-  let db = edge_db [ ("b0", "b1"); ("b1", "b2"); ("b2", "b3"); ("b0", "b2") ] in
-  let model = D.Eval.seminaive tc_program db in
-  let cache = P.Closure.instance_cache tc_program ~model in
-  D.Database.iter_pred model (D.Symbol.intern "tc") (fun goal ->
-      let standalone = P.Closure.build tc_program db goal in
-      let cached = P.Closure.build_cached cache db goal in
-      Alcotest.(check bool)
-        (Printf.sprintf "closure of %s identical" (D.Fact.to_string goal))
-        true
-        (closure_fingerprint standalone = closure_fingerprint cached));
-  Alcotest.(check bool) "cache was shared across tuples" true
-    (P.Closure.cache_hits cache > 0)
+  List.iter
+    (fun edges ->
+      let db = edge_db edges in
+      let model = D.Eval.seminaive tc_program db in
+      let cache = P.Closure.instance_cache tc_program ~model in
+      D.Database.iter_pred model (D.Symbol.intern "tc") (fun goal ->
+          let standalone = P.Closure.build tc_program db goal in
+          let cached = P.Closure.build_cached cache db goal in
+          let name = D.Fact.to_string goal in
+          Alcotest.(check bool) (name ^ " numbered") true
+            (closure_numbering_ok standalone && closure_numbering_ok cached);
+          Alcotest.(check bool) (name ^ " identical") true
+            (closure_fingerprint standalone = closure_fingerprint cached));
+      Alcotest.(check bool) "cache was shared across tuples" true
+        (P.Closure.cache_hits cache > 0))
+    [
+      [ ("b0", "b1"); ("b1", "b2"); ("b2", "b3"); ("b0", "b2") ];
+      (* cyclic, with heads of several instances and self-loops *)
+      [ ("c3", "c0"); ("c0", "c1"); ("c1", "c2"); ("c2", "c0"); ("c1", "c3");
+        ("c2", "c2"); ("c0", "c3") ];
+    ]
 
 (* --- Statuses, ranks, ordering ------------------------------------------- *)
 

@@ -238,30 +238,37 @@ let prop_linear_members_are_paths =
 
 let prop_closure_derivations_complete =
   (* The downward closure records, for every reachable intensional fact,
-     exactly the rule instances the engine can derive it with. *)
+     exactly the rule instances the engine can derive it with, in the
+     engine's order, and keeps the numbering contract of closure.mli;
+     a build through a shared instance cache iterates identically. *)
   QCheck.Test.make ~count:60 ~name:"closure hyperedges = engine derivations"
     arb_acc_db (fun facts ->
       let db = D.Database.of_list facts in
       let model = D.Eval.seminaive acc_program db in
+      let cache = P.Closure.instance_cache acc_program ~model in
       let ok = ref true in
       D.Database.iter_pred model (D.Symbol.intern "a") (fun goal ->
           let closure = P.Closure.build acc_program db goal in
-          List.iter
+          Array.iter
             (fun fact ->
               if Datalog.Program.is_idb acc_program (D.Fact.pred fact) then begin
                 let via_closure =
                   P.Closure.hyperedges_of closure fact
+                  |> Array.to_list
                   |> List.map (fun (e : P.Closure.hyperedge) -> e.P.Closure.body)
-                  |> List.sort compare
                 in
                 let via_engine =
-                  D.Eval.derivations acc_program model fact
-                  |> List.map snd |> List.sort compare
+                  D.Eval.derivations acc_program model fact |> List.map snd
                 in
                 if via_closure <> via_engine then ok := false
               end)
-            (P.Closure.nodes closure))
-          ;
+            (P.Closure.nodes closure);
+          let cached = P.Closure.build_cached cache db goal in
+          if not
+               (Test_batch.closure_numbering_ok closure
+               && Test_batch.closure_fingerprint closure
+                  = Test_batch.closure_fingerprint cached)
+          then ok := false);
       !ok)
 
 (* --- Fact ordering laws --------------------------------------------------- *)

@@ -257,7 +257,7 @@ let test_closure_example1 () =
   Alcotest.(check int) "db facts" 5 (List.length (P.Closure.db_facts closure));
   (* a(d) has exactly one hyperedge: {a(a), t(a,a,d)}. *)
   Alcotest.(check int) "root hyperedges" 1
-    (List.length (P.Closure.hyperedges_of closure fact_ad))
+    (Array.length (P.Closure.hyperedges_of closure fact_ad))
 
 let test_closure_underivable () =
   let closure =
@@ -289,7 +289,7 @@ let test_closure_multi_rule_heads () =
   let goal = D.Fact.of_strings "q" [ "a" ] in
   let closure = P.Closure.build program db goal in
   Alcotest.(check int) "two hyperedges" 2
-    (List.length (P.Closure.hyperedges_of closure goal));
+    (Array.length (P.Closure.hyperedges_of closure goal));
   let family = P.Enumerate.to_list (P.Enumerate.create program db goal) in
   check_supports "two singleton members"
     [ support_set [ ("e", [ "a" ]) ]; support_set [ ("f", [ "a" ]) ] ]
@@ -303,10 +303,10 @@ let test_duplicate_body_fact () =
   let goal = D.Fact.of_strings "q" [ "a" ] in
   let closure = P.Closure.build program db goal in
   (match P.Closure.hyperedges_of closure goal with
-  | [ edge ] ->
+  | [| edge |] ->
     Alcotest.(check int) "body length 3" 3 (List.length edge.P.Closure.body);
     Alcotest.(check int) "targets deduped" 2 (List.length edge.P.Closure.targets)
-  | other -> Alcotest.failf "expected one hyperedge, got %d" (List.length other));
+  | other -> Alcotest.failf "expected one hyperedge, got %d" (Array.length other));
   check_supports "one member"
     [ support_set [ ("e", [ "a"; "b" ]); ("g", [ "b" ]) ] ]
     (P.Enumerate.to_list (P.Enumerate.create program db goal))
