@@ -856,15 +856,7 @@ let corpus () =
   in
   row "  %-18s %-4s | %4s %5s %8s %5s | %9s %9s\n" "config" "pre" "sat"
     "unsat" "timeout" "fail" "total" "max";
-  let d = Sat.Solver.default_config in
-  let configs =
-    [
-      ("default", d);
-      ("fast-restarts", { d with restart_base = 16; restart_factor = 1.5 });
-      ("no-inprocessing", { d with vivify_interval = 0; otf_subsume = false });
-      ("tiny-db", { d with max_learnts = 16; max_learnts_growth_pct = 10 });
-    ]
-  in
+  let configs = Harden.Fuzz.panel_configs in
   List.iter
     (fun (name, cfg) ->
       List.iter

@@ -17,14 +17,7 @@ module Metrics = Util.Metrics
 (* Named solver configurations                                         *)
 (* ------------------------------------------------------------------ *)
 
-let named_configs =
-  let d = Sat.Solver.default_config in
-  [
-    ("default", d);
-    ("fast-restarts", { d with restart_base = 16; restart_factor = 1.5 });
-    ("no-inprocessing", { d with vivify_interval = 0; otf_subsume = false });
-    ("tiny-db", { d with max_learnts = 16; max_learnts_growth_pct = 10 });
-  ]
+let named_configs = Harden.Fuzz.panel_configs
 
 let config_of_name name =
   match List.assoc_opt name named_configs with

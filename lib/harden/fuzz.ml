@@ -3,10 +3,14 @@
    Two differential loops driven by one seed:
 
    - CNF: random and structured formulas solved by a portfolio of
-     solver configurations (preprocessing on/off, inprocessing
-     permutations), each checked against the truth-table oracle
-     (Sat.Reference), with SAT models evaluated on the original
-     clauses and UNSAT answers DRAT-certified.
+     solver configurations (preprocessing on/off, on-the-fly
+     subsumption on/off, restart and learnt-database variants), each
+     checked against the truth-table oracle (Sat.Reference), with SAT
+     models evaluated on the original clauses and UNSAT answers
+     DRAT-certified; each configuration also enumerates the models
+     with blocking clauses, the incremental use the why-provenance
+     enumerator makes of the solver, and must count them like the
+     oracle.
 
    - Datalog: random programs (Workloads.Randprog) run through the
      flat engine against the structural reference engine
@@ -27,6 +31,7 @@ module Metrics = Util.Metrics
 
 let m_iters = Metrics.counter "harden.fuzz.iters"
 let m_cnf_checks = Metrics.counter "harden.fuzz.cnf_checks"
+let m_enum_checks = Metrics.counter "harden.fuzz.enum_checks"
 let m_engine_checks = Metrics.counter "harden.fuzz.engine_checks"
 let m_prov_checks = Metrics.counter "harden.fuzz.prov_checks"
 let m_bugs = Metrics.counter "harden.fuzz.bugs"
@@ -42,6 +47,7 @@ type cnf_answer =
 type cnf_solver = {
   cs_name : string;
   cs_solve : nvars:int -> L.t list list -> cnf_answer;
+  cs_enumerate : limit:int -> nvars:int -> L.t list list -> bool array list;
 }
 
 (* A full pipeline instance as one opaque answer function: preprocess
@@ -79,24 +85,59 @@ let pipeline_solver ~name ~config ~preprocess () =
       | Ok () -> A_unsat
       | Error e -> A_failed ("DRAT certification failed: " ^ e))
   in
-  { cs_name = name; cs_solve = solve }
+  (* Solve, block the model, solve again: every variable is frozen, so
+     the simplified formula keeps the whole model set. *)
+  let enumerate ~limit ~nvars clauses =
+    let clauses' =
+      if preprocess then
+        let p =
+          Sat.Preprocess.simplify ~nvars ~frozen:(fun _ -> true) clauses
+        in
+        if Sat.Preprocess.unsat p then None else Some (Sat.Preprocess.clauses p)
+      else Some clauses
+    in
+    match clauses' with
+    | None -> []
+    | Some clauses' ->
+      let solver = Sat.Solver.create ~config () in
+      Sat.Solver.ensure_vars solver nvars;
+      List.iter (Sat.Solver.add_clause solver) clauses';
+      let rec go n acc =
+        if n >= limit then acc
+        else
+          match Sat.Solver.solve solver with
+          | Sat.Solver.Unsat -> acc
+          | Sat.Solver.Sat ->
+            let m = Sat.Solver.model solver in
+            Sat.Solver.add_clause solver
+              (List.init nvars (fun v -> if m.(v) then L.neg v else L.pos v));
+            go (n + 1) (m :: acc)
+      in
+      List.rev (go 0 [])
+  in
+  { cs_name = name; cs_solve = solve; cs_enumerate = enumerate }
 
-let default_cnf_solvers () =
+let panel_configs =
   let d = Sat.Solver.default_config in
   [
-    pipeline_solver ~name:"default+pre" ~config:d ~preprocess:true ();
-    pipeline_solver ~name:"default+raw" ~config:d ~preprocess:false ();
-    pipeline_solver ~name:"fast-restarts+pre"
-      ~config:
-        { d with Sat.Solver.restart_base = 16; restart_factor = 1.5 }
-      ~preprocess:true ();
-    pipeline_solver ~name:"no-inprocessing+raw"
-      ~config:{ d with Sat.Solver.vivify_interval = 0; otf_subsume = false }
-      ~preprocess:false ();
-    pipeline_solver ~name:"tiny-db+pre"
-      ~config:
-        { d with Sat.Solver.max_learnts = 16; max_learnts_growth_pct = 10 }
-      ~preprocess:true ();
+    ("default", d);
+    ("fast-restarts", { d with restart_base = 16; restart_factor = 1.5 });
+    ("no-inprocessing", { d with otf_subsume = false });
+    ("tiny-db", { d with max_learnts = 16; max_learnts_growth_pct = 10 });
+  ]
+
+let default_cnf_solvers () =
+  let solver name ~preprocess =
+    pipeline_solver
+      ~name:(name ^ if preprocess then "+pre" else "+raw")
+      ~config:(List.assoc name panel_configs) ~preprocess ()
+  in
+  [
+    solver "default" ~preprocess:true;
+    solver "default" ~preprocess:false;
+    solver "fast-restarts" ~preprocess:true;
+    solver "no-inprocessing" ~preprocess:false;
+    solver "tiny-db" ~preprocess:true;
   ]
 
 let falsified_clause model clauses =
@@ -110,13 +151,41 @@ let falsified_clause model clauses =
   in
   go 0 clauses
 
+(* Models enumerated per solver: enough blocking clauses to push the
+   search through restarts and learnt-clause reductions on these small
+   formulas, few enough to keep an iteration cheap. *)
+let enum_limit = 256
+
+(* The enumeration must stop at UNSAT exactly when the oracle's models
+   run out (or reach [enum_limit]), and every model must satisfy the
+   original clauses; blocking makes them pairwise distinct. *)
+let check_enumeration s (cnf : Gen.cnf) ~expected_models =
+  Metrics.incr m_enum_checks;
+  let models = s.cs_enumerate ~limit:enum_limit ~nvars:cnf.nvars cnf.clauses in
+  match List.find_map (fun m -> falsified_clause m cnf.clauses) models with
+  | Some i ->
+    Error
+      (Printf.sprintf "[%s] enumerated model falsifies original clause %d"
+         s.cs_name i)
+  | None ->
+    let n = List.length models in
+    if n = min expected_models enum_limit then Ok ()
+    else
+      Error
+        (Printf.sprintf "[%s] enumerated %d model(s); oracle counts %d"
+           s.cs_name n expected_models)
+
 (* One solver's verdict on one formula, judged against the oracle.
    [Error message] describes the first discrepancy. *)
 let check_cnf_with solvers (cnf : Gen.cnf) =
-  let expected = Sat.Reference.brute_force ~nvars:cnf.nvars cnf.clauses <> None in
+  let expected_models = Sat.Reference.count_models ~nvars:cnf.nvars cnf.clauses in
+  let expected = expected_models > 0 in
   let rec go = function
     | [] -> Ok ()
     | s :: rest -> (
+      let next () =
+        Result.bind (check_enumeration s cnf ~expected_models) (fun () -> go rest)
+      in
       match s.cs_solve ~nvars:cnf.nvars cnf.clauses with
       | A_failed msg -> Error (Printf.sprintf "[%s] %s" s.cs_name msg)
       | A_sat model ->
@@ -125,7 +194,7 @@ let check_cnf_with solvers (cnf : Gen.cnf) =
             (Printf.sprintf "[%s] answered SAT; oracle says UNSAT" s.cs_name)
         else (
           match falsified_clause model cnf.clauses with
-          | None -> go rest
+          | None -> next ()
           | Some i ->
             Error
               (Printf.sprintf "[%s] model falsifies original clause %d"
@@ -134,7 +203,7 @@ let check_cnf_with solvers (cnf : Gen.cnf) =
         if expected then
           Error
             (Printf.sprintf "[%s] answered UNSAT; oracle says SAT" s.cs_name)
-        else go rest)
+        else next ())
   in
   Metrics.incr m_cnf_checks;
   go solvers

@@ -4,9 +4,12 @@
 
     - {b CNF}: a random or structured formula ({!Gen}) solved by a
       portfolio of pipeline configurations (preprocessing on/off,
-      inprocessing permutations), every answer judged against the
-      truth-table oracle ({!Sat.Reference.brute_force}), SAT models
-      evaluated on the original clauses, UNSAT answers DRAT-certified.
+      on-the-fly subsumption on/off, restart and learnt-database
+      variants), every answer judged against the truth-table oracle
+      ({!Sat.Reference.count_models}), SAT models evaluated on the
+      original clauses, UNSAT answers DRAT-certified; each
+      configuration also enumerates models with blocking clauses and
+      must find as many as the oracle counts.
     - {b engine}: a random Datalog program ({!Workloads.Randprog})
       through the flat engine vs the structural reference engine
       ({!Oracle.seminaive}): model set, ranks and model order.
@@ -29,8 +32,11 @@ type cnf_answer =
 type cnf_solver = {
   cs_name : string;
   cs_solve : nvars:int -> Sat.Lit.t list list -> cnf_answer;
+  cs_enumerate : limit:int -> nvars:int -> Sat.Lit.t list list -> bool array list;
+      (** At most [limit] models over the [nvars] variables, in the order
+          found; each is blocked before the next solve. *)
 }
-(** A full solving pipeline behind one function. Tests inject buggy
+(** A full solving pipeline behind two functions. Tests inject buggy
     ones to prove the harness catches and shrinks them. *)
 
 val pipeline_solver :
@@ -41,15 +47,24 @@ val pipeline_solver :
   cnf_solver
 (** The real pipeline: optional SatELite preprocessing, CDCL under
     [config], model reconstruction, DRAT certification of UNSATs
-    (failures surface as [A_failed]). *)
+    (failures surface as [A_failed]). Its enumeration preprocesses with
+    every variable frozen and reuses one incremental solver. *)
+
+val panel_configs : (string * Sat.Solver.config) list
+(** The named solver configurations the hardening checks cross:
+    [default]; [fast-restarts] (Luby base 16, factor 1.5);
+    [no-inprocessing] (on-the-fly subsumption off); [tiny-db] (16 learnt
+    clauses, growing 10% per reduction). [whyfuzz corpus --configs]
+    takes these names. *)
 
 val default_cnf_solvers : unit -> cnf_solver list
-(** Five configurations spanning preprocessing on/off, inprocessing
-    on/off, fast restarts, and an aggressively small learnt database. *)
+(** Five configurations spanning preprocessing on/off, on-the-fly
+    subsumption on/off, fast restarts, and an aggressively small learnt
+    database. *)
 
 val check_cnf_with : cnf_solver list -> Gen.cnf -> (unit, string) result
-(** Every solver against the oracle; [Error] describes the first
-    discrepancy. *)
+(** Every solver against the oracle, one solve and one enumeration
+    each; [Error] describes the first discrepancy. *)
 
 val shrink_cnf :
   failing:(Sat.Lit.t list list -> bool) ->

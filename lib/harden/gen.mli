@@ -80,7 +80,7 @@ val xor_chain : length:int -> sat:bool -> cnf
     inputs pinned by unit clauses: first input true (odd parity —
     satisfiable) with [~sat:true], all false (even parity —
     unsatisfiable) otherwise. Exercises exactly the clause shapes BVE
-    and vivification like to rewrite. *)
+    likes to rewrite. *)
 
 val grid_coloring : width:int -> height:int -> colors:int -> cnf
 (** Proper [colors]-coloring of the [width × height] grid graph:

@@ -20,8 +20,6 @@ let m_learnt_literals = Metrics.counter "sat.learnt_literals"
 let m_deleted_clauses = Metrics.counter "sat.deleted_clauses"
 let m_db_reductions = Metrics.counter "sat.db_reductions"
 let m_lbd = Metrics.histogram "sat.lbd"
-let m_vivified = Metrics.counter "sat.vivified_clauses"
-let m_vivified_lits = Metrics.counter "sat.vivified_literals"
 let m_otf_subsumed = Metrics.counter "sat.otf_subsumed"
 
 module Tracing = Util.Tracing
@@ -39,8 +37,6 @@ type config = {
   max_learnts_growth_pct : int;
   var_decay : float;
   cla_decay : float;
-  vivify_interval : int;
-  vivify_max_clauses : int;
   otf_subsume : bool;
 }
 
@@ -52,8 +48,6 @@ let default_config =
     max_learnts_growth_pct = 10;
     var_decay = 0.95;
     cla_decay = 0.999;
-    vivify_interval = 8192;
-    vivify_max_clauses = 64;
     otf_subsume = true;
   }
 
@@ -129,7 +123,6 @@ type clause = {
   mutable act : float;
   mutable lbd : int;
   mutable deleted : bool;
-  mutable vivified : bool;  (* already went through a vivification pass *)
 }
 
 type t = {
@@ -164,10 +157,7 @@ type t = {
   mutable n_learnt_clauses : int;
   mutable n_learnt_lits : int;
   mutable n_deleted : int;
-  mutable n_vivified : int;
-  mutable n_vivified_lits : int;
   mutable n_otf_subsumed : int;
-  mutable next_vivify_at : int;
   mutable lbd_sum : int;
   lbd_counts : int array;
   (* progress telemetry, armed per solve call *)
@@ -209,12 +199,7 @@ let create ?(config = default_config) () =
         n_learnt_clauses = 0;
         n_learnt_lits = 0;
         n_deleted = 0;
-        n_vivified = 0;
-        n_vivified_lits = 0;
         n_otf_subsumed = 0;
-        next_vivify_at =
-          (if config.vivify_interval > 0 then config.vivify_interval
-           else max_int);
         lbd_sum = 0;
         lbd_counts = Array.make lbd_bins 0;
         progress_stride = 0;
@@ -508,7 +493,7 @@ let analyze t confl =
   Array.iter (fun l -> Hashtbl.replace levels t.levels.(Lit.var l) ()) lits;
   let clause =
     { lits; learnt = true; act = 0.0; lbd = Hashtbl.length levels;
-      deleted = false; vivified = false }
+      deleted = false }
   in
   (clause, !btlevel)
 
@@ -547,7 +532,7 @@ let add_clause t lits =
       | _ ->
         let c =
           { lits = Array.of_list lits; learnt = false; act = 0.0; lbd = 0;
-            deleted = false; vivified = false }
+            deleted = false }
         in
         Vec.push t.clauses c;
         attach t c
@@ -628,103 +613,6 @@ let reduce_db t =
       end)
     sorted;
   Vec.filter_in_place (fun c -> not c.deleted) t.learnts
-
-(* --- Vivification ------------------------------------------------------
-
-   Learnt-clause distillation (Piette et al.): at decision level 0,
-   re-derive a clause under the negation of its own literals, one
-   decision level per literal. Three outcomes per literal:
-
-   - already true under the previous negations: the prefix plus this
-     literal is implied — keep it, drop the rest of the clause;
-   - already false: the literal is implied redundant — drop it;
-   - unassigned: decide its negation and propagate; a conflict means
-     the prefix alone is implied — keep it, drop the rest.
-
-   Each shortened clause is RUP against the clause set at that point
-   (the same propagations refute its negation), so the trace stays
-   DRAT-checkable. The clause stays attached throughout: the only way
-   it can influence its own distillation is by propagating its last
-   unassigned literal, which reproduces the full clause (no change). *)
-
-let vivify_clause t c =
-  assert (decision_level t = 0);
-  let lits = c.lits in
-  let len = Array.length lits in
-  let kept = Vec.create () in
-  (try
-     for i = 0 to len - 1 do
-       let l = lits.(i) in
-       match lit_value t l with
-       | 1 ->
-         Vec.push kept l;
-         raise Exit
-       | 0 -> ()
-       | _ ->
-         Vec.push kept l;
-         Vec.push t.trail_lim (Vec.length t.trail);
-         enqueue t (Lit.negate l) None;
-         if propagate t <> None then raise Exit
-     done
-   with Exit -> ());
-  backtrack t 0;
-  if Vec.length kept < len then Some (Vec.to_array kept) else None
-
-let apply_vivified t c kept =
-  t.n_vivified <- t.n_vivified + 1;
-  t.n_vivified_lits <- t.n_vivified_lits + (Array.length c.lits - Array.length kept);
-  Metrics.incr m_vivified;
-  Metrics.add m_vivified_lits (Array.length c.lits - Array.length kept);
-  match kept with
-  | [||] ->
-    c.deleted <- true;
-    t.ok <- false;
-    log_empty t
-  | [| l |] -> (
-    c.deleted <- true;
-    match lit_value t l with
-    | 1 ->
-      (* Root-satisfied; the next simplify collects the old clause. *)
-      log_delete t c.lits
-    | 0 ->
-      log_add t [| l |];
-      log_delete t c.lits;
-      t.ok <- false;
-      log_empty t
-    | _ ->
-      enqueue t l None (* logs the unit *);
-      log_delete t c.lits;
-      if propagate t <> None then begin
-        t.ok <- false;
-        log_empty t
-      end)
-  | lits ->
-    log_add t lits;
-    log_delete t c.lits;
-    c.deleted <- true;
-    let c' =
-      { lits; learnt = true; act = c.act;
-        lbd = min c.lbd (Array.length lits); deleted = false; vivified = true }
-    in
-    Vec.push t.learnts c';
-    attach t c'
-
-let vivify_round t =
-  assert (decision_level t = 0);
-  let budget = ref t.cfg.vivify_max_clauses in
-  let n = Vec.length t.learnts in
-  let i = ref 0 in
-  while t.ok && !budget > 0 && !i < n do
-    let c = Vec.get t.learnts !i in
-    incr i;
-    if (not c.deleted) && (not c.vivified) && Array.length c.lits >= 3 then begin
-      decr budget;
-      c.vivified <- true;
-      match vivify_clause t c with
-      | None -> ()
-      | Some kept -> apply_vivified t c kept
-    end
-  done
 
 (* --- Search ----------------------------------------------------------- *)
 
@@ -941,14 +829,6 @@ let solve_aux ?(assumptions = []) ?conflict_budget t =
              simplify t;
              t.simp_trail_size <- Vec.length t.trail
            end;
-           (* Inprocessing: distill a bounded batch of learnt clauses
-              every [vivify_interval] conflicts. *)
-           if t.ok && t.cfg.vivify_interval > 0
-              && t.n_conflicts >= t.next_vivify_at
-           then begin
-             vivify_round t;
-             t.next_vivify_at <- t.n_conflicts + t.cfg.vivify_interval
-           end;
            if not t.ok then result := Some Unsat
          end;
          if !result = None then begin
@@ -1022,8 +902,6 @@ type stats = {
   learnt_clauses : int;
   learnt_literals : int;
   deleted_clauses : int;
-  vivified_clauses : int;
-  vivified_literals : int;
   otf_subsumed : int;
   lbd : (int * int) list;
 }
@@ -1041,8 +919,6 @@ let stats t =
     learnt_clauses = t.n_learnt_clauses;
     learnt_literals = t.n_learnt_lits;
     deleted_clauses = t.n_deleted;
-    vivified_clauses = t.n_vivified;
-    vivified_literals = t.n_vivified_lits;
     otf_subsumed = t.n_otf_subsumed;
     lbd = !lbd;
   }

@@ -28,9 +28,8 @@ type result =
 
 (** Search-tuning knobs, gathered in one record so bench experiments
     can sweep them. {!default_config} reproduces the historical
-    constants. Setting [vivify_interval] to [0] disables inprocessing
-    vivification; [otf_subsume = false] disables on-the-fly
-    subsumption during conflict analysis. *)
+    constants. On-the-fly subsumption is the only inprocessing;
+    [otf_subsume = false] disables it. *)
 type config = {
   restart_base : int;       (** conflicts allowed in the first restart *)
   restart_factor : float;   (** Luby sequence base for restart budgets *)
@@ -39,9 +38,6 @@ type config = {
       (** percentage growth of the learnt cap after each reduction *)
   var_decay : float;        (** VSIDS variable-activity decay (0 < d <= 1) *)
   cla_decay : float;        (** learnt-clause activity decay (0 < d <= 1) *)
-  vivify_interval : int;
-      (** conflicts between learnt-clause vivification rounds; 0 = off *)
-  vivify_max_clauses : int; (** clauses distilled per vivification round *)
   otf_subsume : bool;
       (** delete a learnt conflicting clause subsumed by the clause just
           learnt from it (on-the-fly subsumption) *)
@@ -104,8 +100,6 @@ type stats = {
   learnt_clauses : int;
   learnt_literals : int;
   deleted_clauses : int;
-  vivified_clauses : int;   (** learnt clauses shortened by vivification *)
-  vivified_literals : int;  (** literals removed by vivification *)
   otf_subsumed : int;       (** clauses deleted by on-the-fly subsumption *)
   lbd : (int * int) list;
       (** Learnt-clause LBD distribution as [(lbd, count)] pairs,

@@ -144,12 +144,7 @@ let fixed_instances rng =
   ]
 
 let corpus_configs =
-  let d = Sat.Solver.default_config in
-  [
-    ("default", d);
-    ("fast-restarts", { d with restart_base = 16; restart_factor = 1.5 });
-    ("no-inprocessing", { d with vivify_interval = 0; otf_subsume = false });
-  ]
+  List.filter (fun (name, _) -> name <> "tiny-db") Fuzz.panel_configs
 
 let test_corpus_matrix () =
   let rng = Util.Rng.create 4242 in
@@ -236,22 +231,23 @@ let test_fuzz_deterministic_and_clean () =
 
 let buggy_solver () =
   let real = Fuzz.pipeline_solver ~name:"flipped-literal" ~config:Sat.Solver.default_config ~preprocess:false () in
+  let corrupt clauses =
+    match List.rev clauses with
+    | [] -> []
+    | last :: rest ->
+        let last' =
+          match last with
+          | l :: ls -> L.negate l :: ls
+          | [] -> []
+        in
+        List.rev (last' :: rest)
+  in
   {
     Fuzz.cs_name = "flipped-literal";
-    cs_solve =
-      (fun ~nvars clauses ->
-        let corrupted =
-          match List.rev clauses with
-          | [] -> []
-          | last :: rest ->
-              let last' =
-                match last with
-                | l :: ls -> L.negate l :: ls
-                | [] -> []
-              in
-              List.rev (last' :: rest)
-        in
-        real.Fuzz.cs_solve ~nvars corrupted);
+    cs_solve = (fun ~nvars clauses -> real.Fuzz.cs_solve ~nvars (corrupt clauses));
+    cs_enumerate =
+      (fun ~limit ~nvars clauses ->
+        real.Fuzz.cs_enumerate ~limit ~nvars (corrupt clauses));
   }
 
 let test_injected_bug_caught_and_shrunk () =
@@ -274,6 +270,44 @@ let test_injected_bug_caught_and_shrunk () =
           let reparsed = Gen.of_dimacs contents in
           Alcotest.(check bool) "round-trips" true
             (reparsed.Gen.clauses = cnf.Gen.clauses))
+    cnf_bugs
+
+(* A solver whose single solves are right but whose enumerations stop
+   after the first model: the shape of a learnt clause that goes wrong
+   only once blocking clauses arrive. Only the enumeration check can
+   see it, and every top-level CNF check must run that check. *)
+let early_unsat_solver () =
+  let real = Fuzz.pipeline_solver ~name:"early-unsat" ~config:Sat.Solver.default_config ~preprocess:false () in
+  {
+    real with
+    Fuzz.cs_enumerate =
+      (fun ~limit ~nvars clauses ->
+        real.Fuzz.cs_enumerate ~limit:(min limit 1) ~nvars clauses);
+  }
+
+let test_injected_early_unsat_caught () =
+  Util.Metrics.reset ();
+  Util.Metrics.set_enabled true;
+  let summary =
+    Fun.protect
+      ~finally:(fun () -> Util.Metrics.set_enabled false)
+      (fun () -> Fuzz.run ~solvers:[ early_unsat_solver () ] ~seed:5 ~iters:40 ())
+  in
+  let enum_checks = Util.Metrics.get_counter "harden.fuzz.enum_checks" in
+  Util.Metrics.reset ();
+  Alcotest.(check bool) "every check enumerates" true (enum_checks >= 40);
+  let cnf_bugs =
+    List.filter (fun b -> b.Fuzz.kind = "cnf") summary.Fuzz.s_bugs
+  in
+  Alcotest.(check bool) "bug found" true (cnf_bugs <> []);
+  List.iter
+    (fun bug ->
+      match bug.Fuzz.cnf with
+      | None -> Alcotest.fail "cnf bug carries no instance"
+      | Some cnf ->
+          (* Shrunk to a formula that still has two models. *)
+          Alcotest.(check bool) "two or more models" true
+            (Sat.Reference.count_models ~nvars:cnf.Gen.nvars cnf.Gen.clauses >= 2))
     cnf_bugs
 
 let test_shrink_cnf_minimal () =
@@ -341,6 +375,7 @@ let suite =
       tc "corpus survives corrupt file" `Quick test_corpus_dir_survives_corrupt_file;
       tc "fuzz deterministic and clean" `Quick test_fuzz_deterministic_and_clean;
       tc "injected bug caught and shrunk" `Quick test_injected_bug_caught_and_shrunk;
+      tc "injected early unsat caught" `Quick test_injected_early_unsat_caught;
       tc "shrink_cnf minimal" `Quick test_shrink_cnf_minimal;
       tc "datalog differentials" `Quick test_engine_and_prov_checks_pass;
       tc "dl reproducer round-trip" `Quick test_reproducer_dl_roundtrip;

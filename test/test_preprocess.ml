@@ -1,7 +1,8 @@
-(* SatELite-style preprocessor (Sat.Preprocess) and solver-inprocessing
+(* SatELite-style preprocessor (Sat.Preprocess) and incremental solver
    tests: equisatisfiability and model reconstruction against the
    truth-table oracle, frozen-variable projection preservation (the
-   property the why-provenance pipeline actually relies on), and
+   property the why-provenance pipeline actually relies on), blocking-
+   clause model counts across the solver panel, and
    end-to-end enumeration differentials — preprocessed vs raw vs the
    powerset oracle — in every front-end configuration. *)
 
@@ -181,24 +182,35 @@ let prop_dimacs_roundtrip_stable =
         && s.Sat.Preprocess.eliminated_vars = 0
       end)
 
+(* Random 3-CNFs over 12-16 variables, near and below the phase
+   transition: enough models that blocking them all drives the solver
+   through restarts and learnt-clause reductions. *)
+let arb_3cnf =
+  let gen =
+    QCheck.Gen.(
+      let* nvars = int_range 12 16 in
+      let* nclauses = int_range (3 * nvars) (9 * nvars / 2) in
+      let* clauses = list_repeat nclauses (list_repeat 3 (gen_lit nvars)) in
+      return (nvars, clauses))
+  in
+  QCheck.make gen ~print:(fun (nvars, clauses) ->
+      Sat.Dimacs.to_string ~nvars clauses)
+
 let prop_inprocessing_config_sound =
-  (* Aggressive inprocessing — vivify after every conflict, on-the-fly
-     subsumption on — must not change SAT/UNSAT answers. *)
-  QCheck.Test.make ~count:500 ~name:"aggressive vivification agrees with oracle"
-    arb_cnf (fun (nvars, clauses) ->
-      let config =
-        {
-          Sat.Solver.default_config with
-          vivify_interval = 1;
-          vivify_max_clauses = 1000;
-          max_learnts = 16;
-        }
-      in
-      let s = Sat.Solver.create ~config () in
-      Sat.Solver.ensure_vars s nvars;
-      List.iter (Sat.Solver.add_clause s) clauses;
-      (Sat.Solver.solve s = Sat.Solver.Sat)
-      = Reference_oracle.satisfiable ~nvars clauses)
+  (* A learnt clause that is not implied can survive one solve and
+     still end an enumeration early, once blocking clauses steer the
+     search onto it; only the full count shows it. *)
+  QCheck.Test.make ~count:400 ~name:"panel enumeration counts = oracle"
+    arb_3cnf (fun (nvars, clauses) ->
+      let expected = Sat.Reference.count_models ~nvars clauses in
+      List.for_all
+        (fun (name, config) ->
+          let s =
+            Harden.Fuzz.pipeline_solver ~name ~config ~preprocess:false ()
+          in
+          List.length (s.Harden.Fuzz.cs_enumerate ~limit:max_int ~nvars clauses)
+          = expected)
+        Harden.Fuzz.panel_configs)
 
 (* --- Enumeration differentials ------------------------------------------- *)
 
