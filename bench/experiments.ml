@@ -552,12 +552,27 @@ let engine () =
 
 (* --- Preprocessing: SatELite-style simplification payoff ----------------- *)
 
+(* Verdict on two enumerations of one tuple's why_UN, each capped at
+   [cap] members: exhausted runs must give the same set; a run that
+   stops below the cap while the other reaches it is a bug; two capped
+   runs come out in different solver orders, so [cross ()] checks each
+   prefix by membership under the other formula. *)
+let same_family ~cap ~cross m1 m2 =
+  let n1 = List.length m1 and n2 = List.length m2 in
+  if n1 < cap && n2 < cap then begin
+    let s1 = List.sort D.Fact.Set.compare m1 and s2 = List.sort D.Fact.Set.compare m2 in
+    if n1 = n2 && List.for_all2 D.Fact.Set.equal s1 s2 then "yes" else "NO — BUG"
+  end
+  else if n1 < cap || n2 < cap then "NO — BUG"
+  else if cross () then "yes (prefix)"
+  else "NO — BUG"
+
 (* One row per (scenario, db, tuple): the formula size before and after
    Sat.Preprocess (variables eliminated, clauses subsumed), then the
    exhaustive-enumeration wall time of the raw formula and of the
-   preprocessed one (the default). The member counts of the two runs
-   must agree: preprocessing freezes the db-fact selectors,
-   so why_UN is invariant (the qcheck differentials in
+   preprocessed one (the default). The member families of the two runs
+   must agree ([same_family]): preprocessing freezes the db-fact
+   selectors, so why_UN is invariant (the qcheck differentials in
    test_preprocess.ml prove this exhaustively on small instances). *)
 let preprocess () =
   header "Preprocess — SatELite-style simplification (BVE + subsumption + equivalent literals)";
@@ -582,14 +597,24 @@ let preprocess () =
               time (fun () ->
                   P.Enumerate.to_list ~limit:config.member_limit e)
             in
-            Some (encoding, encode_s, enum_s, List.length members)
+            Some (encoding, encode_s, enum_s, members)
           with P.Encode.Too_large _ -> None
         in
         match (measure ~preprocess:false, measure ~preprocess:true) with
-        | Some (raw_enc, raw_encode_s, raw_s, raw_n),
-          Some (pre_enc, pre_encode_s, pre_s, pre_n) ->
+        | Some (raw_enc, raw_encode_s, raw_s, raw_m),
+          Some (pre_enc, pre_encode_s, pre_s, pre_m) ->
           let raw_st = P.Encode.stats raw_enc in
-          let agree = raw_n = pre_n in
+          let pre_n = List.length pre_m in
+          let cross () =
+            let members_under preprocess =
+              P.Enumerate.member
+                (P.Enumerate.of_closure ~preprocess ~max_fill:config.max_fill closure)
+            in
+            List.for_all (members_under true) raw_m
+            && List.for_all (members_under false) pre_m
+          in
+          let verdict = same_family ~cap:config.member_limit ~cross raw_m pre_m in
+          let agree = verdict <> "NO — BUG" in
           (* Post-simplification size comes from the preprocessor's own
              stats: Encode.stats.clauses always describes the original
              formula so the observability schema stays encoding-stable. *)
@@ -627,8 +652,7 @@ let preprocess () =
             ps.Sat.Preprocess.original_clauses ps.Sat.Preprocess.clauses
             ps.Sat.Preprocess.eliminated_vars ps.Sat.Preprocess.subsumed_clauses
             ps.Sat.Preprocess.strengthened_clauses (time_str raw_s)
-            (time_str pre_s) pre_n
-            (if agree then "yes" else "NO — BUG")
+            (time_str pre_s) pre_n verdict
         | _ ->
           row "  %-14s %-22s | formula BLOW-UP\n" scenario.W.Scenario.name
             (D.Fact.to_string goal))
@@ -773,30 +797,15 @@ let analysis () =
           let identical =
             match (auto, forced) with
             | Some (_, _, _, m1), Some (_, _, _, m2) ->
-              let n1 = List.length m1 and n2 = List.length m2 in
-              if n1 < 50 && n2 < 50 then begin
-                (* both exhausted: the families must coincide as sets *)
-                let s1 = List.sort D.Fact.Set.compare m1
-                and s2 = List.sort D.Fact.Set.compare m2 in
-                if n1 = n2 && List.for_all2 D.Fact.Set.equal s1 s2 then "yes"
-                else "NO — BUG"
-              end
-              else if n1 < 50 || n2 < 50 then
-                (* one exhausted below the cap while the other hit it *)
-                "NO — BUG"
-              else begin
-                (* both capped: solver order differs between encodings, so
-                   compare by membership of the auto prefix under the
-                   forced encoding *)
-                let checker =
-                  P.Enumerate.of_closure
-                    ~acyclicity:P.Encode.Vertex_elimination
-                    ~max_fill:config.max_fill closure
-                in
-                if List.for_all (P.Enumerate.member checker) m1 then
-                  "yes (prefix)"
-                else "NO — BUG"
-              end
+              (* The auto prefix checked under the forced encoding. *)
+              let cross () =
+                List.for_all
+                  (P.Enumerate.member
+                     (P.Enumerate.of_closure ~acyclicity:P.Encode.Vertex_elimination
+                        ~max_fill:config.max_fill closure))
+                  m1
+              in
+              same_family ~cap:50 ~cross m1 m2
             | _ -> "-"
           in
           (match (auto, forced) with

@@ -59,15 +59,19 @@ echo "== trace smoke (whyprov --trace / --progress on examples/reach.dl)"
 t1=$(mktemp -t whyprov-trace.XXXXXX)
 t2=$(mktemp -t whyprov-batch-trace.XXXXXX)
 prog=$(mktemp -t whyprov-progress.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog"' EXIT
+tstats=$(mktemp -t whyprov-trace-stats.XXXXXX)
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats"' EXIT
 dune exec --no-build bin/whyprov.exe -- \
-  explain examples/reach.dl -q tc -t a,c --trace "$t1" > /dev/null
+  explain examples/reach.dl -q tc -t a,c --trace "$t1" --stats-out "$tstats" > /dev/null
 
 # validate_trace parses the Chrome trace-event dump, checks per-domain
 # begin/end balance and timestamp monotonicity, and requires the listed
 # pipeline spans (docs/OBSERVABILITY.md, "Structured event tracing").
-dune exec --no-build test/cli/validate_trace.exe -- "$t1" \
-  eval.seminaive closure.build encode.build sat.solve enum.next
+# With --stats it also requires a timer for every span name in the
+# trace: one span feeds both, so they share one vocabulary.
+dune exec --no-build test/cli/validate_trace.exe -- "$t1" --stats "$tstats" \
+  analysis.check eval.seminaive closure.build encode.build encode.phi_graph \
+  sat.solve enum.next
 
 # Under the batch fan-out every worker domain's per-tuple spans must be
 # recorded and balanced.
@@ -87,7 +91,7 @@ p1=$(mktemp -t whyprov-pre1.XXXXXX)
 p2=$(mktemp -t whyprov-pre2.XXXXXX)
 p3=$(mktemp -t whyprov-pre3.XXXXXX)
 p4=$(mktemp -t whyprov-pre4.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4"' EXIT
 
 # explain: same member sets (and, in --smallest mode, the same order —
 # members come out in nondecreasing cardinality and ties are broken by
@@ -164,7 +168,7 @@ dune exec --no-build test/cli/check_workloads.exe > /dev/null
 
 echo "== check golden (unreachable rules and unused predicates on sliceable.dl)"
 a1=$(mktemp -t whyprov-check1.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4" "$a1"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1"' EXIT
 
 # WP103 on the two rules that cannot contribute to the query, WP101 on
 # the unused predicate; same golden file as the dune test rule, which
@@ -215,7 +219,7 @@ done
 
 echo "== profile smoke (rule-level profiler, docs/OBSERVABILITY.md)"
 pr1=$(mktemp -t whyprov-prof1.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1"' EXIT
 
 # --profile must not change explain's stdout, and its JSON document
 # must validate (schema, per-rule arithmetic; validate_profile.ml).
@@ -239,7 +243,7 @@ echo "== bench regression gate (--check, EXPERIMENTS.md)"
 # it: the same run must pass, and an injected 2x slowdown must fail.
 bb=$(mktemp -t whyprov-bench-base.XXXXXX)
 bslow=$(mktemp -t whyprov-bench-slow.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$bb" "$bslow"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$bb" "$bslow"' EXIT
 dune exec --no-build bench/main.exe -- \
   --scale 0.05 --stats-out "$bb" engine > /dev/null
 dune exec --no-build bench/main.exe -- \
@@ -286,7 +290,7 @@ fi
 # oracle). Two runs must agree byte-for-byte, and find nothing.
 f1=$(mktemp -t whyfuzz-f1.XXXXXX)
 f2=$(mktemp -t whyfuzz-f2.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$bb" "$bslow" "$f1" "$f2"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$bb" "$bslow" "$f1" "$f2"' EXIT
 dune exec --no-build bin/whyfuzz.exe -- \
   fuzz --seed 42 --iters 50 --quiet > "$f1"
 dune exec --no-build bin/whyfuzz.exe -- \

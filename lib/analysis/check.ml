@@ -3,7 +3,6 @@ module Metrics = Util.Metrics
 module Json = Util.Metrics.Json
 
 let m_checks = Metrics.counter "analysis.checks"
-let m_check_time = Metrics.timer "analysis.check"
 let m_diag_errors = Metrics.counter "analysis.diagnostics.errors"
 let m_diag_warnings = Metrics.counter "analysis.diagnostics.warnings"
 let m_diag_infos = Metrics.counter "analysis.diagnostics.infos"
@@ -530,7 +529,7 @@ let run_raw ?query clauses =
 
 let check_raw ?query clauses =
   Metrics.incr m_checks;
-  Metrics.time m_check_time (fun () -> run_raw ?query clauses)
+  Util.Tracing.with_span "analysis.check" (fun () -> run_raw ?query clauses)
 
 let syntax_error pos msg =
   let b = { diags = [] } in
@@ -539,7 +538,7 @@ let syntax_error pos msg =
 
 let check_string ?query ?(file = "") src =
   Metrics.incr m_checks;
-  Metrics.time m_check_time (fun () ->
+  Util.Tracing.with_span "analysis.check" (fun () ->
       match Parser.parse_raw ~file src with
       | clauses -> run_raw ?query clauses
       | exception Parser.Error (pos, msg) -> syntax_error pos msg)
@@ -554,7 +553,7 @@ let check_file ?query path = check_string ?query ~file:path (read_file path)
 
 let check_program ?query program =
   Metrics.incr m_checks;
-  Metrics.time m_check_time (fun () ->
+  Util.Tracing.with_span "analysis.check" (fun () ->
       let b = { diags = [] } in
       let query_sym =
         match query with

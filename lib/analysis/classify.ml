@@ -2,7 +2,6 @@ open Datalog
 module Metrics = Util.Metrics
 
 let m_classify = Metrics.counter "analysis.classifications"
-let m_classify_time = Metrics.timer "analysis.classify"
 
 type cls =
   | Nrdat
@@ -83,7 +82,7 @@ let strongly_connected_components preds succ =
 
 let classify program =
   Metrics.incr m_classify;
-  Metrics.time m_classify_time (fun () ->
+  Util.Tracing.with_span "analysis.classify" (fun () ->
       let preds = Program.schema program in
       let edges = Program.predicate_edges program in
       let succ_tbl = Hashtbl.create 32 in

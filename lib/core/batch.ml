@@ -1,18 +1,15 @@
 open Datalog
 
 (* Observability (docs/OBSERVABILITY.md, "Batch enumerator"). The
-   batch.* instruments are recorded from the coordinating domain only:
-   per-task figures are carried back from the workers in the results
-   array and aggregated after the joins, so these counters never race.
-   The deeper layers — encode.*, sat.*, enum.* — tick from inside the
-   worker domains and rely on [Util.Metrics] being domain-safe. *)
+   batch.* counters and histogram are recorded from the coordinating
+   domain only: per-task figures are carried back from the workers in
+   the results array and aggregated after the joins, so they never
+   race. The batch.task spans and the deeper layers — encode.*, sat.*,
+   enum.* — record from inside the worker domains and rely on
+   [Util.Metrics] being domain-safe. *)
 module Metrics = Util.Metrics
 module Tracing = Util.Tracing
 
-let m_run_time = Metrics.timer "batch.run"
-let m_materialize_time = Metrics.timer "batch.materialize"
-let m_closures_time = Metrics.timer "batch.closures"
-let m_fanout_time = Metrics.timer "batch.fanout"
 let m_runs = Metrics.counter "batch.runs"
 let m_tasks = Metrics.counter "batch.tasks"
 let m_workers = Metrics.counter "batch.workers"
@@ -104,12 +101,10 @@ let enumerate_task ?acyclicity ?max_fill ?preprocess ~limit ~conflict_budget
 let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
     ?preprocess program db spec =
   Tracing.with_span "batch.run" @@ fun () ->
-  Metrics.time m_run_time @@ fun () ->
   Metrics.incr m_runs;
   let ranks : int Fact.Table.t = Fact.Table.create 1024 in
   let model, materialize_s =
     Tracing.with_span "batch.materialize" @@ fun () ->
-    Metrics.time m_materialize_time @@ fun () ->
     timed (fun () -> Eval.seminaive ~ranks program db)
   in
   let facts =
@@ -123,7 +118,6 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
   let cache = Closure.instance_cache program ~model in
   let closures, closures_s =
     Tracing.with_span "batch.closures" @@ fun () ->
-    Metrics.time m_closures_time @@ fun () ->
     timed (fun () -> Array.map (Closure.build_cached cache db) facts)
   in
   let fact_ranks = Array.map (fun f -> Fact.Table.find_opt ranks f) facts in
@@ -150,7 +144,7 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
     results.(i) <-
       Some { fact = facts.(i); members; status; rank = fact_ranks.(i); task_s }
   in
-  let fanout () =
+  let (), fanout_s =
     Tracing.with_span "batch.fanout" @@ fun () ->
     timed @@ fun () ->
     if workers <= 1 then
@@ -176,7 +170,6 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
       List.iter Domain.join domains
     end
   in
-  let (), fanout_s = Metrics.time m_fanout_time fanout in
   let results =
     Array.to_list
       (Array.map

@@ -5,7 +5,6 @@ open Datalog
    per-build figures remain available through [pp_stats]/accessors. *)
 module Metrics = Util.Metrics
 
-let m_build_time = Metrics.timer "closure.build"
 let m_builds = Metrics.counter "closure.builds"
 let m_nodes = Metrics.counter "closure.nodes"
 let m_rule_instances = Metrics.counter "closure.rule_instances"
@@ -48,7 +47,6 @@ let build_from ~derivations program db root_fact ~derivable =
     else []
   in
   Util.Tracing.with_span ~args:targs "closure.build" @@ fun () ->
-  Metrics.time m_build_time @@ fun () ->
   Metrics.incr m_builds;
   let ids : int Fact.Table.t = Fact.Table.create 16 in
   let found = Util.Vec.create () in

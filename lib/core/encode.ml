@@ -8,7 +8,6 @@ open Datalog
    work it did. *)
 module Metrics = Util.Metrics
 
-let m_encode_time = Metrics.timer "encode.build"
 let m_encodes = Metrics.counter "encode.builds"
 let m_hyperedges = Metrics.counter "encode.hyperedges"
 let m_vars_node = Metrics.counter "encode.vars.node"
@@ -77,7 +76,6 @@ let make ?acyclicity ?(elimination_order = Min_degree)
     ?(max_fill = max_int) ?(capture = false) ?(proof_logging = false)
     ?(preprocess = true) closure =
   Util.Tracing.with_span "encode.build" @@ fun () ->
-  Metrics.time m_encode_time @@ fun () ->
   Metrics.incr m_encodes;
   let acyclicity =
     match acyclicity with

@@ -3,11 +3,11 @@ open Datalog
 (* Observability (docs/OBSERVABILITY.md, "Enumerator"). Each solver
    descent is timed into the enum.solve_us histogram — the per-witness
    delay distribution of the paper's Figures 2/4 — while the enum.next
-   timer carries the stage total (the sat.solve spans nest under it). *)
+   span carries the stage total (enum.solve and sat.solve nest under
+   it). *)
 module Metrics = Util.Metrics
 module Tracing = Util.Tracing
 
-let m_next_time = Metrics.timer "enum.next"
 let m_members = Metrics.counter "enum.members"
 let m_blocking_clauses = Metrics.counter "enum.blocking_clauses"
 let m_blocking_literals = Metrics.counter "enum.blocking_literals"
@@ -103,7 +103,6 @@ let step ~want_witness t =
   if t.exhausted then None
   else
     Tracing.with_span "enum.next" @@ fun () ->
-    Metrics.time m_next_time @@ fun () ->
     let solver = Encode.solver t.encoding in
     let below_cap () =
       match t.card_outputs with
@@ -136,7 +135,6 @@ let next_limited ~conflict_budget t =
   if t.exhausted then `Exhausted
   else
     Tracing.with_span "enum.next" @@ fun () ->
-    Metrics.time m_next_time @@ fun () ->
     let solver = Encode.solver t.encoding in
     match Sat.Solver.solve_limited ~conflict_budget solver with
     | None ->

@@ -4,7 +4,6 @@ module Tracing = Util.Tracing
 (* The "Datalog evaluation" instruments of docs/OBSERVABILITY.md. The
    registry is idempotent: [eval.tuples_matched] is the same counter
    the backward joins of [Eval.match_atom] tick. *)
-let m_seminaive_time = Metrics.timer "eval.seminaive"
 let m_runs = Metrics.counter "eval.seminaive.runs"
 let m_rounds = Metrics.counter "eval.rounds"
 let m_derived = Metrics.counter "eval.facts_derived"
@@ -280,15 +279,13 @@ let run_task ~model ~limits ~ranges task =
 (* ------------------------------------------------------------------ *)
 
 let round_span round f =
-  if not (Tracing.is_enabled ()) then f ()
-  else
-    Tracing.with_span
-      ~args:[ ("round", Metrics.Json.Num (float_of_int round)) ]
-      "eval.round" f
+  let args =
+    if Tracing.is_enabled () then [ ("round", Metrics.Json.Num (float_of_int round)) ] else []
+  in
+  Tracing.with_span ~args "eval.round" f
 
 let seminaive ?ranks program db =
   Tracing.with_span "eval.seminaive" @@ fun () ->
-  Metrics.time m_seminaive_time @@ fun () ->
   Metrics.incr m_runs;
   (* The model starts as a row-reversed copy of the database's
      relations: the order [of_list (to_list db)] gives (the structural

@@ -7,7 +7,6 @@ module Vec = Util.Vec
 module Metrics = Util.Metrics
 module Tracing = Util.Tracing
 
-let m_time = Metrics.timer "preprocess.simplify"
 let m_runs = Metrics.counter "preprocess.runs"
 let m_clauses_in = Metrics.counter "preprocess.clauses_in"
 let m_clauses_out = Metrics.counter "preprocess.clauses_out"
@@ -632,7 +631,6 @@ let bve_pass t =
 
 let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
   Tracing.with_span "preprocess.simplify" @@ fun () ->
-  Metrics.time m_time @@ fun () ->
   Metrics.incr m_runs;
   let t =
     {

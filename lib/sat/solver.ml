@@ -8,7 +8,6 @@ module Vec = Util.Vec
    orders of magnitude rarer than propagations. *)
 module Metrics = Util.Metrics
 
-let m_solve_time = Metrics.timer "sat.solve"
 let m_solve_calls = Metrics.counter "sat.solve_calls"
 let m_clauses_added = Metrics.counter "sat.clauses_added"
 let m_decisions = Metrics.counter "sat.decisions"
@@ -760,7 +759,6 @@ exception Out_of_budget
 
 let solve_aux ?(assumptions = []) ?conflict_budget t =
   Tracing.with_span "sat.solve" @@ fun () ->
-  Metrics.time m_solve_time @@ fun () ->
   Metrics.incr m_solve_calls;
   (* Arm the progress checkpoint for this call: a positive stride when
      a callback is installed or tracing is recording, [max_int]

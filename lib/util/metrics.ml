@@ -1,20 +1,22 @@
-(* Pipeline-wide observability: monotonic counters, wall-clock stage
-   timers with nesting, power-of-two histograms, and a global registry
-   with reset/snapshot and human/JSON renderers.
+(* Pipeline-wide observability: monotonic counters, per-name stage
+   timers, power-of-two histograms, and a global registry with
+   reset/snapshot and human/JSON renderers.
 
    Design constraints (see docs/OBSERVABILITY.md for the schema):
 
-   - Zero cost when disabled: every recording entry point checks a
-     single [enabled] flag before touching the clock or allocating.
+   - Zero cost when disabled: this module and [Tracing] share one
+     enable word, and every recording entry point of either is one
+     atomic load of it before touching the clock or allocating.
      Handle creation ([counter] / [histogram]) is allowed while
      disabled — it is a one-time registry insertion at module load.
+   - Timers have no entry point of their own: [Tracing]'s span
+     functions keep the per-domain span stack, read the clock, and
+     hand each closed span to [record_span] when stats are on.
    - Domain-safe recording: the batch enumerator fans per-tuple work
      out over OCaml 5 domains, and every worker records into the same
-     global instruments. Counters are [Atomic.t] (no lost increments),
+     global instruments. Counters are [Atomic.t] (no lost increments);
      timer/histogram mutations and registry traversals take a single
-     process-wide mutex (records are rare next to counter bumps), and
-     timer span nesting lives in domain-local storage so spans on one
-     domain never parent spans on another.
+     process-wide mutex (records are rare next to counter bumps).
    - No dependencies beyond [Unix.gettimeofday]; JSON is rendered and
      parsed by the tiny [Json] module below so that snapshots can be
      round-tripped in tests and validated by tooling without pulling a
@@ -273,10 +275,11 @@ type counter = {
   c_value : int Atomic.t;
 }
 
+(* Durations are whole microseconds, summed exactly; snapshots
+   convert them to seconds. *)
 type timer = {
-  t_name : string;
   mutable t_count : int;
-  mutable t_total : float;   (* inclusive wall seconds *)
+  mutable t_total : float;   (* inclusive *)
   mutable t_self : float;    (* total minus time spent in nested spans *)
   mutable t_max : float;     (* longest single span *)
 }
@@ -302,9 +305,18 @@ type metric =
 
 (* --- Registry --------------------------------------------------------- *)
 
-let enabled = Atomic.make false
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+(* The enable word shared with [Tracing]: one bit per sink. *)
+let stats_bit = 1
+let trace_bit = 2
+let enable_word = Atomic.make 0
+
+let rec set_bit bit on =
+  let w = Atomic.get enable_word in
+  let w' = if on then w lor bit else w land lnot bit in
+  if not (Atomic.compare_and_set enable_word w w') then set_bit bit on
+
+let set_enabled on = set_bit stats_bit on
+let is_enabled () = Atomic.get enable_word land stats_bit <> 0
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 
@@ -337,14 +349,6 @@ let counter name =
   | Counter c -> c
   | _ -> invalid_arg (Printf.sprintf "Metrics.counter: %s is not a counter" name)
 
-let timer name =
-  match
-    register name
-      (Timer { t_name = name; t_count = 0; t_total = 0.0; t_self = 0.0; t_max = 0.0 })
-  with
-  | Timer t -> t
-  | _ -> invalid_arg (Printf.sprintf "Metrics.timer: %s is not a timer" name)
-
 let histogram name =
   match
     register name
@@ -364,8 +368,8 @@ let histogram name =
 
 (* --- Recording -------------------------------------------------------- *)
 
-let incr c = if Atomic.get enabled then Atomic.incr c.c_value
-let add c n = if Atomic.get enabled then ignore (Atomic.fetch_and_add c.c_value n)
+let incr c = if is_enabled () then Atomic.incr c.c_value
+let add c n = if is_enabled () then ignore (Atomic.fetch_and_add c.c_value n)
 let counter_value c = Atomic.get c.c_value
 
 let bucket_of v =
@@ -379,7 +383,7 @@ let bucket_of v =
   end
 
 let observe h v =
-  if Atomic.get enabled then
+  if is_enabled () then
     locked @@ fun () ->
     h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
     h.h_count <- h.h_count + 1;
@@ -393,7 +397,7 @@ let observe_span_us h f =
   (* Wall-clock a thunk into a histogram, in microseconds. The shared
      replacement for hand-rolled [Unix.gettimeofday] bracketing: one
      clock source, exception-safe, free when recording is disabled. *)
-  if not (Atomic.get enabled) then f ()
+  if not (is_enabled ()) then f ()
   else begin
     let t0 = Unix.gettimeofday () in
     Fun.protect
@@ -401,57 +405,25 @@ let observe_span_us h f =
       f
   end
 
-(* Timer spans nest through an explicit stack; each frame accumulates
-   the inclusive time of its direct children so that the parent's
-   self-time can be computed on [stop]. Exceptions unwind the stack via
-   [Fun.protect], so a raising stage ([Encode.Too_large], solver budget
-   exhaustion, …) still records its span. The stack is domain-local:
-   spans running on a worker domain nest among themselves and never
-   under a span of another domain. *)
-type frame = {
-  f_timer : timer;
-  f_start : float;
-  mutable f_children : float;
-}
-
-let span_stack_key : frame list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let time t f =
-  if not (Atomic.get enabled) then f ()
-  else begin
-    let span_stack = Domain.DLS.get span_stack_key in
-    let frame = { f_timer = t; f_start = Unix.gettimeofday (); f_children = 0.0 } in
-    span_stack := frame :: !span_stack;
-    Fun.protect
-      ~finally:(fun () ->
-        let elapsed = Unix.gettimeofday () -. frame.f_start in
-        (match !span_stack with
-        | top :: rest when top == frame -> span_stack := rest
-        | _ ->
-          (* A nested span escaped (toggled [enabled] mid-flight?):
-             drop frames down to ours rather than corrupting totals. *)
-          let rec unwind = function
-            | top :: rest when top == frame -> rest
-            | _ :: rest -> unwind rest
-            | [] -> []
-          in
-          span_stack := unwind !span_stack);
-        (locked @@ fun () ->
-         t.t_count <- t.t_count + 1;
-         t.t_total <- t.t_total +. elapsed;
-         t.t_self <- t.t_self +. Float.max 0.0 (elapsed -. frame.f_children);
-         if elapsed > t.t_max then t.t_max <- elapsed);
-        match !span_stack with
-        | parent :: _ -> parent.f_children <- parent.f_children +. elapsed
-        | [] -> ())
-      f
-  end
+let record_span name ~total_us ~self_us =
+  locked @@ fun () ->
+  let t =
+    match Hashtbl.find_opt registry name with
+    | Some (Timer t) -> t
+    | Some _ -> invalid_arg (Printf.sprintf "Metrics: span %s is not a timer" name)
+    | None ->
+      let t = { t_count = 0; t_total = 0.0; t_self = 0.0; t_max = 0.0 } in
+      Hashtbl.add registry name (Timer t);
+      t
+  in
+  t.t_count <- t.t_count + 1;
+  t.t_total <- t.t_total +. total_us;
+  t.t_self <- t.t_self +. self_us;
+  if total_us > t.t_max then t.t_max <- total_us
 
 (* --- Reset / snapshot -------------------------------------------------- *)
 
 let reset () =
-  Domain.DLS.get span_stack_key := [];
   locked @@ fun () ->
   Hashtbl.iter
     (fun _ metric ->
@@ -501,7 +473,12 @@ let snapshot () =
           | Counter c -> Counter_value (Atomic.get c.c_value)
           | Timer t ->
             Timer_value
-              { count = t.t_count; total = t.t_total; self = t.t_self; max = t.t_max }
+              {
+                count = t.t_count;
+                total = t.t_total /. 1e6;
+                self = t.t_self /. 1e6;
+                max = t.t_max /. 1e6;
+              }
           | Histogram h ->
             let buckets = ref [] in
             for i = histogram_buckets - 1 downto 0 do
@@ -521,20 +498,10 @@ let snapshot () =
     registry []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let get_counter name =
-  match locked (fun () -> Hashtbl.find_opt registry name) with
-  | Some (Counter c) -> Atomic.get c.c_value
-  | _ -> 0
-
-let get_timer_count name =
-  match locked (fun () -> Hashtbl.find_opt registry name) with
-  | Some (Timer t) -> t.t_count
-  | _ -> 0
-
-let get_histogram_count name =
-  match locked (fun () -> Hashtbl.find_opt registry name) with
-  | Some (Histogram h) -> h.h_count
-  | _ -> 0
+let find name = locked (fun () -> Hashtbl.find_opt registry name)
+let get_counter name = match find name with Some (Counter c) -> Atomic.get c.c_value | _ -> 0
+let get_timer_count name = match find name with Some (Timer t) -> t.t_count | _ -> 0
+let get_histogram_count name = match find name with Some (Histogram h) -> h.h_count | _ -> 0
 
 (* --- Renderers --------------------------------------------------------- *)
 

@@ -1,24 +1,22 @@
-(** Pipeline-wide observability: counters, nested wall-clock stage
-    timers, power-of-two histograms, and a global registry with
-    reset/snapshot and human/JSON renderers.
+(** Pipeline-wide aggregates: counters, per-stage timers, power-of-two
+    histograms, and a global registry with reset/snapshot and
+    human/JSON renderers.
 
-    Every pipeline layer registers its instruments at module load and
-    records into them unconditionally; recording is a no-op (a single
-    flag check, no clock reads, no allocation) until {!set_enabled} is
-    called with [true]. The metric names, units and JSON shape are
-    specified in [docs/OBSERVABILITY.md]; that document is the contract
-    for the [--stats=json] output of the [whyprov] binary and for the
-    stats rows the bench harness emits.
+    Timers have no entry point here: a stage is timed only by a
+    {!Tracing} span, whose two clock reads feed both the trace and the
+    timer of the same name. This module and {!Tracing} share one enable
+    word, so every disabled entry point of either is one atomic load —
+    no clock read, no allocation. The metric names, units and JSON
+    shape are specified in [docs/OBSERVABILITY.md], the contract for
+    [whyprov --stats=json] and for the bench harness's stats rows.
 
     Recording is domain-safe: the batch enumerator ({!Provenance.Batch})
     runs per-tuple solver work on OCaml 5 domains, all of which record
     into the same registry. Counter updates are atomic (concurrent
-    increments are never lost), timer/histogram updates are serialized
-    by a process-wide mutex, and timer span nesting is tracked per
-    domain, so a worker's spans never nest under another domain's.
-    {!set_enabled}, {!reset} and snapshotting are meant to be driven
-    from a single coordinating domain while no other domain is
-    mid-span. *)
+    increments are never lost), and timer/histogram updates are
+    serialized by a process-wide mutex. {!set_enabled}, {!reset} and
+    snapshotting are meant to be driven from a single coordinating
+    domain while no other domain is mid-span. *)
 
 (** Minimal JSON values: exactly what snapshots need, plus a parser so
     that dumps can be validated and round-tripped without an external
@@ -52,36 +50,43 @@ end
 (** {1 Enablement} *)
 
 val set_enabled : bool -> unit
-(** Recording is disabled by default. Toggling mid-span is not
-    supported (spans started while enabled must stop while enabled). *)
+(** Turns the stats sink on or off (off by default). Toggling mid-span
+    is not supported. *)
 
 val is_enabled : unit -> bool
 (** Guard for instrumentation whose mere preparation would allocate
     (e.g. building a per-predicate metric name). *)
 
+val enable_word : int Atomic.t
+(** Shared with {!Tracing}: bit {!stats_bit} is {!set_enabled}, bit
+    {!trace_bit} is [Tracing.set_enabled]. Both go through {!set_bit}
+    (compare-and-set); never write the word directly. *)
+
+val stats_bit : int
+val trace_bit : int
+val set_bit : int -> bool -> unit
+
 (** {1 Instruments}
 
     Creation is idempotent: the same name always returns the same
     instrument. A name denotes one kind forever; re-registering it as a
-    different kind raises [Invalid_argument]. *)
+    different kind raises [Invalid_argument]. Timers are registered by
+    the first span of their name. *)
 
 type counter
-type timer
 type histogram
 
 val counter : string -> counter
-val timer : string -> timer
 val histogram : string -> histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 
-val time : timer -> (unit -> 'a) -> 'a
-(** [time t f] runs [f] inside a span of [t]: its inclusive wall time
-    accrues to [t]'s total, and is subtracted from the self-time of the
-    enclosing span, if any. Exception-safe: a raising [f] still records
-    its span. When disabled this is exactly [f ()]. *)
+val record_span : string -> total_us:float -> self_us:float -> unit
+(** Accrues one closed {!Tracing} span, in whole microseconds, to the
+    timer [name] (registered on first use). [self_us] excludes the
+    direct children. @raise Invalid_argument if [name] is another kind. *)
 
 val observe : histogram -> float -> unit
 (** Buckets are powers of two: observation [v] lands in the first
@@ -93,7 +98,7 @@ val observe_int : histogram -> int -> unit
 val observe_span_us : histogram -> (unit -> 'a) -> 'a
 (** [observe_span_us h f] runs [f] and records its wall-clock duration
     in microseconds into [h]. Exception-safe; exactly [f ()] when
-    recording is disabled. Unlike {!time} this does not participate in
+    recording is disabled. Unlike a span this does not participate in
     span nesting — use it for histogram-valued durations such as
     [enum.solve_us]. *)
 

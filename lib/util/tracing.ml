@@ -1,6 +1,7 @@
-(* Per-domain ring buffers of trace events, flushed to Chrome
-   trace-event JSON or JSONL. See tracing.mli for the contract and
-   docs/OBSERVABILITY.md for the schemas. *)
+(* Spans, the one way to time a stage, and per-domain ring buffers of
+   trace events, flushed to Chrome trace-event JSON or JSONL. A closed
+   span also feeds the Metrics timer of its name. See tracing.mli for
+   the contract and docs/OBSERVABILITY.md for the schemas. *)
 
 module Json = Metrics.Json
 
@@ -18,14 +19,24 @@ type event = {
   args : (string * Json.t) list;
 }
 
-(* A buffer is written only by the domain that owns it; the registry
-   below lets the coordinating domain read all of them after workers
-   have been joined. [ring] cells start as [dummy_event] and are
-   overwritten in place; [head] is the logical index of the oldest
-   live event, [len] the live count. *)
-type buffer = {
+(* A span frame: its begin timestamp and the inclusive time of its
+   direct children so far, for the timer's self time. *)
+type frame = {
+  f_name : string;
+  f_start : float;
+  mutable f_children : float;
+}
+
+(* One domain's open spans and ring buffer, touched only by that
+   domain; the registry below lets the coordinating domain read the
+   rings once workers are joined. The ring is allocated by the
+   domain's first trace event, so stats-only spans cost no buffer.
+   [head] is the logical index of the oldest live event, [len] the
+   live count. *)
+type state = {
   b_tid : int;
-  ring : event array;
+  mutable stack : frame list;
+  mutable ring : event array;
   mutable head : int;
   mutable len : int;
   mutable dropped : int;
@@ -34,82 +45,119 @@ type buffer = {
 
 let dummy_event = { ts_us = 0.; tid = 0; phase = Instant; name = ""; args = [] }
 
-let enabled = Atomic.make false
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+let set_enabled on = Metrics.set_bit Metrics.trace_bit on
+let is_enabled () = Atomic.get Metrics.enable_word land Metrics.trace_bit <> 0
 
-let default_capacity = 1 lsl 18
-let capacity = Atomic.make default_capacity
+let capacity = Atomic.make (1 lsl 18)
 let set_capacity n = Atomic.set capacity (max 16 n)
 
-(* Trace epoch: timestamps are microseconds since module init, which
-   keeps them small enough that float arithmetic is exact to well
-   under a microsecond. *)
+(* Timestamps are whole microseconds since module init, so timer
+   totals summed from E−B differences are exact. *)
 let epoch = Unix.gettimeofday ()
 
-let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
-
 let registry_lock = Mutex.create ()
-let registry : buffer list ref = ref []
+let registry : state list ref = ref []
 
-let buffer_key : buffer Domain.DLS.key =
+let state_key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let b =
-        {
-          b_tid = (Domain.self () :> int);
-          ring = Array.make (Atomic.get capacity) dummy_event;
-          head = 0;
-          len = 0;
-          dropped = 0;
-          last_ts = 0.;
-        }
-      in
-      Mutex.lock registry_lock;
-      registry := b :: !registry;
-      Mutex.unlock registry_lock;
-      b)
+      { b_tid = (Domain.self () :> int); stack = []; ring = [||]; head = 0; len = 0;
+        dropped = 0; last_ts = 0. })
 
-let push b ev =
-  let cap = Array.length b.ring in
-  if b.len < cap then begin
-    b.ring.((b.head + b.len) mod cap) <- ev;
-    b.len <- b.len + 1
+(* Clamped to the domain's last timestamp: per-domain streams are
+   non-decreasing even if the wall clock steps backwards. *)
+let now st =
+  let ts = Float.round ((Unix.gettimeofday () -. epoch) *. 1e6) in
+  let ts = if ts < st.last_ts then st.last_ts else ts in
+  st.last_ts <- ts;
+  ts
+
+(* Appends an event stamped now and returns the stamp. The ring is
+   allocated before the clock is read, so no span pays for it. *)
+let push st phase name args =
+  if Array.length st.ring = 0 then begin
+    st.ring <- Array.make (Atomic.get capacity) dummy_event;
+    Mutex.lock registry_lock;
+    registry := st :: !registry;
+    Mutex.unlock registry_lock
+  end;
+  let ts = now st in
+  let ev = { ts_us = ts; tid = st.b_tid; phase; name; args } in
+  let cap = Array.length st.ring in
+  if st.len < cap then begin
+    st.ring.((st.head + st.len) mod cap) <- ev;
+    st.len <- st.len + 1
   end
   else begin
     (* Wrap: overwrite the oldest event so the tail of a long run is
        retained. The exporters re-balance B/E pairs afterwards. *)
-    b.ring.(b.head) <- ev;
-    b.head <- (b.head + 1) mod cap;
-    b.dropped <- b.dropped + 1
+    st.ring.(st.head) <- ev;
+    st.head <- (st.head + 1) mod cap;
+    st.dropped <- st.dropped + 1
+  end;
+  ts
+
+(* The two halves of a span. Both sinks read the same two timestamps:
+   the trace gets them as its B/E pair, the timer their difference. *)
+let open_span st word args name =
+  let ts =
+    if word land Metrics.trace_bit <> 0 then push st Begin name args else now st
+  in
+  let fr = { f_name = name; f_start = ts; f_children = 0. } in
+  st.stack <- fr :: st.stack;
+  fr
+
+(* Pops down to [fr]: a nested span that escaped (toggled mid-flight?)
+   must not become the parent of later spans. *)
+let rec pop fr = function top :: rest -> if top == fr then rest else pop fr rest | [] -> []
+
+let close_span st fr =
+  st.stack <- pop fr st.stack;
+  let word = Atomic.get Metrics.enable_word in
+  if word <> 0 then begin
+    let ts =
+      if word land Metrics.trace_bit <> 0 then push st End fr.f_name [] else now st
+    in
+    let total = ts -. fr.f_start in
+    (match st.stack with
+    | parent :: _ -> parent.f_children <- parent.f_children +. total
+    | [] -> ());
+    if word land Metrics.stats_bit <> 0 then
+      Metrics.record_span fr.f_name ~total_us:total
+        ~self_us:(Float.max 0. (total -. fr.f_children))
   end
 
-let record phase name args =
-  let b = Domain.DLS.get buffer_key in
-  (* Clamp to the buffer's last timestamp: per-domain streams are
-     non-decreasing even if the wall clock steps backwards. *)
-  let ts = now_us () in
-  let ts = if ts < b.last_ts then b.last_ts else ts in
-  b.last_ts <- ts;
-  push b { ts_us = ts; tid = b.b_tid; phase; name; args }
-
 let begin_span ?(args = []) name =
-  if Atomic.get enabled then record Begin name args
+  let word = Atomic.get Metrics.enable_word in
+  if word <> 0 then ignore (open_span (Domain.DLS.get state_key) word args name)
 
-let end_span name = if Atomic.get enabled then record End name []
+let end_span _name =
+  if Atomic.get Metrics.enable_word <> 0 then begin
+    let st = Domain.DLS.get state_key in
+    match st.stack with fr :: _ -> close_span st fr | [] -> ()
+  end
 
 let with_span ?(args = []) name f =
-  if not (Atomic.get enabled) then f ()
+  let word = Atomic.get Metrics.enable_word in
+  if word = 0 then f ()
   else begin
-    record Begin name args;
-    Fun.protect ~finally:(fun () -> end_span name) f
+    let st = Domain.DLS.get state_key in
+    let fr = open_span st word args name in
+    match f () with
+    | v -> close_span st fr; v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_span st fr;
+      Printexc.raise_with_backtrace e bt
   end
 
 let instant ?(args = []) name =
-  if Atomic.get enabled then record Instant name args
+  if is_enabled () then ignore (push (Domain.DLS.get state_key) Instant name args)
 
 let counter name series =
-  if Atomic.get enabled then
-    record Counter name (List.map (fun (k, v) -> (k, Json.Num v)) series)
+  if is_enabled () then
+    ignore
+      (push (Domain.DLS.get state_key) Counter name
+         (List.map (fun (k, v) -> (k, Json.Num v)) series))
 
 let buffers () =
   Mutex.lock registry_lock;
@@ -138,30 +186,17 @@ let buffer_events b =
    domain's last timestamp, so every exported stream has matched,
    properly nested pairs. *)
 let balance_tid evs =
-  let out = ref [] in
-  let open_spans = ref [] in
-  let last = ref 0. in
-  List.iter
-    (fun ev ->
-      last := ev.ts_us;
-      match ev.phase with
-      | Begin ->
-          open_spans := ev :: !open_spans;
-          out := ev :: !out
-      | End -> (
-          match !open_spans with
-          | [] -> () (* orphaned end: its begin was overwritten *)
-          | _ :: rest ->
-              open_spans := rest;
-              out := ev :: !out)
-      | Instant | Counter -> out := ev :: !out)
-    evs;
-  let closers =
-    List.map
-      (fun b -> { b with phase = End; ts_us = !last; args = [] })
-      !open_spans
+  let out, open_spans, last =
+    List.fold_left
+      (fun (out, open_spans, _) ev ->
+        match (ev.phase, open_spans) with
+        | Begin, _ -> (ev :: out, ev :: open_spans, ev.ts_us)
+        | End, [] -> (out, [], ev.ts_us) (* orphaned end: its begin was overwritten *)
+        | End, _ :: rest -> (ev :: out, rest, ev.ts_us)
+        | (Instant | Counter), _ -> (ev :: out, open_spans, ev.ts_us))
+      ([], [], 0.) evs
   in
-  List.rev_append !out closers
+  List.rev_append out (List.map (fun b -> { b with phase = End; ts_us = last; args = [] }) open_spans)
 
 (* Merge across domains by timestamp; a stable sort keeps each
    domain's (monotone) stream in order under ties. *)

@@ -1,26 +1,29 @@
-(** Structured event tracing: begin/end spans, instant events and
-    counter samples recorded into per-domain ring buffers, exported as
-    Chrome trace-event JSON ([chrome://tracing] / Perfetto) and as a
+(** Spans, the one instrumentation primitive, and structured event
+    tracing: begin/end spans, instant events and counter samples
+    recorded into per-domain ring buffers, exported as Chrome
+    trace-event JSON ([chrome://tracing] / Perfetto) and as a
     human-readable JSONL stream.
 
-    Where {!Metrics} answers "how much, in aggregate", this layer
-    answers "what happened when": the timeline of semi-naive rounds,
-    closure constructions, encoding phases, per-model solver descents
-    and per-tuple batch tasks, with OCaml domains mapped to trace
-    [tid]s. The event vocabulary and the JSON schemas are documented in
-    [docs/OBSERVABILITY.md]; recording is driven by [whyprov --trace],
-    [satsolve --trace] and the bench harness's [--trace-out].
+    {b One span, two sinks.} A span is the only way pipeline code times
+    a stage. Its two clock reads (whole microseconds) feed the trace's
+    begin/end pair when tracing is on ({!set_enabled}), and the
+    {!Metrics} timer of the same name when stats are on: a timer's
+    total is exactly the sum of its pairs' end−begin differences, and
+    its self time excludes the spans nested directly in it on the same
+    domain. Instants and counter samples go to the trace only. The
+    vocabulary and the JSON schemas are in [docs/OBSERVABILITY.md].
 
-    {b Cost.} Recording is disabled by default; every entry point is a
-    single atomic-flag check before touching the clock or allocating
-    (verified by the [tracing:*] kernels in [bench/micro.ml]). Enabled,
-    an event is one cell write into the recording domain's own ring
+    {b Cost.} Both sinks are off by default and share one enable word
+    with {!Metrics}, so every entry point with both off is a single
+    atomic load (the [tracing:*] and [metrics:*] kernels in
+    [bench/micro.ml]). An enabled span does one domain-local lookup; a
+    trace event is one cell write into the recording domain's own ring
     buffer — no locks, no I/O.
 
-    {b Domain safety.} Each domain records into a buffer it owns
-    exclusively (created on first use, registered once under a mutex),
-    so emission is race-free by construction and a worker's spans can
-    never interleave with another domain's. {!set_enabled}, {!reset}
+    {b Domain safety.} Each domain keeps its open spans and its buffer
+    in one value it owns (the buffer is created by its first trace
+    event and registered once under a mutex), so a worker's spans never
+    nest or interleave with another domain's. {!set_enabled}, {!reset}
     and the export functions must be driven from a coordinating domain
     while no other domain is recording (the batch pool joins its
     workers before control returns, so flushing at process exit is
@@ -37,8 +40,9 @@
 (** {1 Enablement} *)
 
 val set_enabled : bool -> unit
-(** Off by default. Toggling while worker domains are mid-span leaves
-    their open spans to be closed synthetically by the exporters. *)
+(** Turns the trace sink on or off; off by default. Toggling while
+    worker domains are mid-span leaves their open spans to be closed
+    synthetically by the exporters. *)
 
 val is_enabled : unit -> bool
 (** Guard for call sites whose argument preparation would allocate
@@ -60,9 +64,11 @@ val reset : unit -> unit
     {!is_enabled}. *)
 
 val with_span : ?args:(string * Metrics.Json.t) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] brackets [f] in a begin/end pair on the calling
-    domain. Exception-safe: a raising [f] still closes the span. When
-    disabled this is exactly [f ()]. *)
+(** [with_span name f] runs [f] as a span [name] on the calling domain.
+    Exception-safe: a raising [f] still closes the span. With both
+    sinks off this is exactly [f ()]. [args] go to the trace only.
+    @raise Invalid_argument with stats on, if [name] is a {!Metrics}
+    counter or histogram. *)
 
 val begin_span : ?args:(string * Metrics.Json.t) list -> string -> unit
 

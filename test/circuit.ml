@@ -1,4 +1,5 @@
 open Datalog
+open Provenance
 
 type gate =
   | Input of Fact.t

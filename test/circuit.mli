@@ -14,9 +14,13 @@
     for the Boolean semiring (reachability converges), and depth equal
     to the Kleene convergence round suffices for any semiring; for
     non-recursive programs the circuit is exact at depth = predicate
-    stratification depth. Gates are hash-consed per (fact, level). *)
+    stratification depth. Gates are hash-consed per (fact, level).
+
+    Like {!Semiring}, it lives with the tests as a reference evaluator
+    (see [test_circuit.ml]). *)
 
 open Datalog
+open Provenance
 
 type t
 

@@ -5,26 +5,34 @@
    backwards (docs/OBSERVABILITY.md, "Structured event tracing").
    Extra arguments after the file are required name prefixes: at least
    one event must match each (the explain smoke requires the pipeline
-   spans, the batch smoke adds "batch.task"). *)
+   spans, the batch smoke adds "batch.task").
+
+   With --stats FILE, FILE is the `--stats-out` dump of the same run,
+   and every span name in the trace must have a timer in it: a span
+   feeds both sinks, so the two vocabularies are one. *)
 
 module Json = Util.Metrics.Json
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
-let () =
-  let path = Sys.argv.(1) in
-  let required =
-    if Array.length Sys.argv > 2 then
-      Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2))
-    else []
-  in
+let parse_file path =
   let ic = open_in_bin path in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let json =
-    try Json.parse src
-    with Json.Parse_error msg -> fail "%s: invalid JSON: %s" path msg
+  try Json.parse src
+  with Json.Parse_error msg -> fail "%s: invalid JSON: %s" path msg
+
+let () =
+  let rec args stats required = function
+    | "--stats" :: file :: rest -> args (Some file) required rest
+    | name :: rest -> args stats (name :: required) rest
+    | [] -> (stats, List.rev required)
   in
+  let path = Sys.argv.(1) in
+  let stats, required =
+    args None [] (List.tl (List.tl (Array.to_list Sys.argv)))
+  in
+  let json = parse_file path in
   let events =
     match Json.member "traceEvents" json with
     | Some (Json.List events) -> events
@@ -48,7 +56,7 @@ let () =
   in
   let stacks : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let last_ts : (int, float) Hashtbl.t = Hashtbl.create 8 in
-  let names = Hashtbl.create 64 in
+  let names = Hashtbl.create 64 and spans = Hashtbl.create 64 in
   List.iter
     (fun ev ->
       let ph = str ev "ph" in
@@ -68,7 +76,9 @@ let () =
         Hashtbl.replace last_ts tid ts;
         let depth = Option.value ~default:0 (Hashtbl.find_opt stacks tid) in
         match ph with
-        | "B" -> Hashtbl.replace stacks tid (depth + 1)
+        | "B" ->
+          Hashtbl.replace spans name ();
+          Hashtbl.replace stacks tid (depth + 1)
         | "E" ->
           if depth = 0 then
             fail "%s: tid %d: %S ends a span that never began" path tid name
@@ -89,4 +99,17 @@ let () =
       in
       if not (Hashtbl.fold (fun name () acc -> acc || matches name) names false)
       then fail "%s: no %s* event recorded" path prefix)
-    required
+    required;
+  Option.iter
+    (fun stats_path ->
+      let timers =
+        match Json.member "timers" (parse_file stats_path) with
+        | Some (Json.Obj timers) -> timers
+        | _ -> fail "%s: no timers object" stats_path
+      in
+      Hashtbl.iter
+        (fun name () ->
+          if not (List.mem_assoc name timers) then
+            fail "%s: span %S has no timer in %s" path name stats_path)
+        spans)
+    stats

@@ -1,4 +1,5 @@
 open Datalog
+open Provenance
 
 module type S = sig
   type t

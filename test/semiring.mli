@@ -15,9 +15,14 @@
 
     The {!Witness} instance recovers exactly [why(t̄, D, Q)] — tested
     against {!Materialize} — making the connection between the paper's
-    combinatorial definition and the algebraic view executable. *)
+    combinatorial definition and the algebraic view executable.
+
+    It reproduces related work, not the paper's pipeline, so it lives
+    with the tests as a reference evaluator (see [test_semiring.ml])
+    rather than in the [provenance] library. *)
 
 open Datalog
+open Provenance
 
 module type S = sig
   type t

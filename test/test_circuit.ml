@@ -19,11 +19,11 @@ let example1_db =
        [ ("s", [ "a" ]); ("t", [ "a"; "a"; "b" ]); ("t", [ "a"; "a"; "c" ]);
          ("t", [ "a"; "a"; "d" ]); ("t", [ "b"; "c"; "a" ]) ])
 
-module C_bool = P.Circuit.Eval (P.Semiring.Boolean)
-module C_trop = P.Circuit.Eval (P.Semiring.Tropical)
-module C_count = P.Circuit.Eval (P.Semiring.Counting)
-module C_wit = P.Circuit.Eval (P.Semiring.Witness)
-module S_trop = P.Semiring.Eval (P.Semiring.Tropical)
+module C_bool = Circuit.Eval (Semiring.Boolean)
+module C_trop = Circuit.Eval (Semiring.Tropical)
+module C_count = Circuit.Eval (Semiring.Counting)
+module C_wit = Circuit.Eval (Semiring.Witness)
+module S_trop = Semiring.Eval (Semiring.Tropical)
 
 let test_boolean_reachability () =
   let rng = Util.Rng.create 111 in
@@ -41,7 +41,7 @@ let test_boolean_reachability () =
       (fun c ->
         let goal = D.Fact.of_strings "a" [ c ] in
         let closure = P.Closure.build acc_program db goal in
-        let circuit = P.Circuit.of_closure closure in
+        let circuit = Circuit.of_closure closure in
         Alcotest.(check bool)
           (Printf.sprintf "derivability of %s" (D.Fact.to_string goal))
           (D.Eval.holds acc_program db goal)
@@ -66,12 +66,12 @@ let test_tropical_matches_fixpoint () =
     let model = D.Eval.seminaive program db in
     D.Database.iter_pred model (D.Symbol.intern "tc") (fun goal ->
         let closure = P.Closure.build program db goal in
-        let circuit = P.Circuit.of_closure closure in
-        let annotate _ = P.Semiring.Tropical.finite 1.0 in
+        let circuit = Circuit.of_closure closure in
+        let annotate _ = Semiring.Tropical.finite 1.0 in
         Alcotest.(check (float 1e-9))
           (Printf.sprintf "shortest path %s" (D.Fact.to_string goal))
-          (P.Semiring.Tropical.to_float (S_trop.provenance ~annotate closure))
-          (P.Semiring.Tropical.to_float (C_trop.eval ~annotate circuit)))
+          (Semiring.Tropical.to_float (S_trop.provenance ~annotate closure))
+          (Semiring.Tropical.to_float (C_trop.eval ~annotate circuit)))
   done
 
 let nonrec_program = parse_program {|
@@ -90,21 +90,21 @@ let test_counting_nonrecursive () =
   let model = D.Eval.seminaive nonrec_program db in
   D.Database.iter_pred model (D.Symbol.intern "p") (fun goal ->
       let closure = P.Closure.build nonrec_program db goal in
-      let circuit = P.Circuit.of_closure closure in
+      let circuit = Circuit.of_closure closure in
       Alcotest.(check string)
         (Printf.sprintf "tree count %s" (D.Fact.to_string goal))
         (string_of_int (P.Naive.count_trees nonrec_program db goal ~depth:5))
-        (P.Semiring.Counting.to_string (C_count.eval circuit)))
+        (Semiring.Counting.to_string (C_count.eval circuit)))
 
 let test_witness_example1 () =
   (* With enough unrolling, the witness semiring over the circuit gives
      the complete why-provenance of Example 2. *)
   let goal = D.Fact.of_strings "a" [ "d" ] in
   let closure = P.Closure.build acc_program example1_db goal in
-  let circuit = P.Circuit.of_closure ~depth:12 closure in
+  let circuit = Circuit.of_closure ~depth:12 closure in
   let family =
-    P.Semiring.Witness.members
-      (C_wit.eval ~annotate:P.Semiring.Witness.of_fact circuit)
+    Semiring.Witness.members
+      (C_wit.eval ~annotate:Semiring.Witness.of_fact circuit)
   in
   let expected = P.Materialize.why acc_program example1_db goal in
   Alcotest.(check int) "family size" (List.length expected) (List.length family);
@@ -115,14 +115,14 @@ let test_witness_example1 () =
 let test_sharing () =
   let goal = D.Fact.of_strings "a" [ "d" ] in
   let closure = P.Closure.build acc_program example1_db goal in
-  let small = P.Circuit.of_closure ~depth:3 closure in
-  let big = P.Circuit.of_closure ~depth:12 closure in
+  let small = Circuit.of_closure ~depth:3 closure in
+  let big = Circuit.of_closure ~depth:12 closure in
   Alcotest.(check bool) "hash-consing keeps circuits small" true
-    (P.Circuit.size big < 400);
+    (Circuit.size big < 400);
   Alcotest.(check bool) "bigger depth, more gates" true
-    (P.Circuit.size big >= P.Circuit.size small);
-  Alcotest.(check int) "depth recorded" 12 (P.Circuit.depth_used big);
-  let dot = P.Circuit.to_dot big in
+    (Circuit.size big >= Circuit.size small);
+  Alcotest.(check int) "depth recorded" 12 (Circuit.depth_used big);
+  let dot = Circuit.to_dot big in
   Alcotest.(check bool) "dot non-trivial" true (String.length dot > 100)
 
 let suite =

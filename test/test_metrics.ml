@@ -1,9 +1,11 @@
 (* Tests for the observability layer (Util.Metrics): counter/timer/
-   histogram semantics, span nesting, reset, the JSON renderer and
-   parser, and a pipeline smoke test asserting that a full whyprov run
-   touches at least one metric in every layer (docs/OBSERVABILITY.md). *)
+   histogram semantics, the timers fed by Util.Tracing spans, reset,
+   the JSON renderer and parser, and a pipeline smoke test asserting
+   that a full whyprov run touches at least one metric in every layer
+   (docs/OBSERVABILITY.md). *)
 
 module M = Util.Metrics
+module T = Util.Tracing
 module D = Datalog
 module P = Provenance
 
@@ -37,9 +39,9 @@ let test_disabled_is_noop () =
   M.incr c;
   M.add c 10;
   M.observe_int (M.histogram "test.disabled.hist") 5;
-  let r = M.time (M.timer "test.disabled.timer") (fun () -> 17) in
+  let r = T.with_span "test.disabled.timer" (fun () -> 17) in
   M.set_enabled true;
-  Alcotest.(check int) "time still runs f" 17 r;
+  Alcotest.(check int) "span still runs f" 17 r;
   Alcotest.(check int) "counter untouched" 0 (M.counter_value c);
   Alcotest.(check int) "timer untouched" 0
     (M.get_timer_count "test.disabled.timer");
@@ -48,11 +50,14 @@ let test_disabled_is_noop () =
 
 let test_kind_clash () =
   let _ = M.counter "test.clash" in
-  match M.timer "test.clash" with
+  (match M.histogram "test.clash" with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "re-registering a name as another kind must raise"
+  | _ -> Alcotest.fail "re-registering a name as another kind must raise");
+  match T.with_span "test.clash" ignore with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a span named like a counter must raise"
 
-(* --- Timers ------------------------------------------------------------- *)
+(* --- Timers (fed by spans) ---------------------------------------------- *)
 
 let find_timer name =
   match List.assoc_opt name (M.snapshot ()) with
@@ -60,16 +65,15 @@ let find_timer name =
   | _ -> Alcotest.fail (name ^ " missing from snapshot")
 
 let test_timer_nesting () =
-  let outer = M.timer "test.outer" and inner = M.timer "test.inner" in
   let spin () =
     (* Burn a little real wall time so self/total are distinguishable. *)
     let t0 = Unix.gettimeofday () in
     while Unix.gettimeofday () -. t0 < 0.002 do ignore (Sys.opaque_identity ()) done
   in
-  M.time outer (fun () ->
+  T.with_span "test.outer" (fun () ->
       spin ();
-      M.time inner spin;
-      M.time inner spin);
+      T.with_span "test.inner" spin;
+      T.with_span "test.inner" spin);
   let o_count, o_total, o_self, _ = find_timer "test.outer" in
   let i_count, i_total, _, i_max = find_timer "test.inner" in
   Alcotest.(check int) "outer spans" 1 o_count;
@@ -80,16 +84,17 @@ let test_timer_nesting () =
   Alcotest.(check bool) "max <= total" true (i_max <= i_total +. 1e-9)
 
 let test_timer_exception_safe () =
-  let t = M.timer "test.raises" in
-  (match M.time t (fun () -> failwith "boom") with
+  (match T.with_span "test.raises" (fun () -> failwith "boom") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "exception must propagate");
   Alcotest.(check int) "raising span still recorded" 1
     (M.get_timer_count "test.raises");
   (* The span stack must be clean: a fresh top-level span records a
      sensible self time rather than inheriting the aborted frame. *)
-  M.time t (fun () -> ());
-  Alcotest.(check int) "stack recovered" 2 (M.get_timer_count "test.raises")
+  T.with_span "test.raises" ignore;
+  Alcotest.(check int) "stack recovered" 2 (M.get_timer_count "test.raises");
+  let _, total, self, _ = find_timer "test.raises" in
+  Alcotest.(check bool) "no stale parent" true (self = total)
 
 (* --- Histograms --------------------------------------------------------- *)
 
@@ -191,7 +196,7 @@ let test_json_parse () =
 
 let test_json_roundtrip () =
   M.incr (M.counter "test.rt.counter");
-  M.time (M.timer "test.rt.timer") (fun () -> ());
+  T.with_span "test.rt.timer" ignore;
   M.observe_int (M.histogram "test.rt.hist") 7;
   let json = M.snapshot_to_json () in
   let reparsed = M.Json.parse (M.to_json_string ()) in

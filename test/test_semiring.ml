@@ -20,10 +20,10 @@ let example1_db =
        [ ("s", [ "a" ]); ("t", [ "a"; "a"; "b" ]); ("t", [ "a"; "a"; "c" ]);
          ("t", [ "a"; "a"; "d" ]); ("t", [ "b"; "c"; "a" ]) ])
 
-module Bool_eval = P.Semiring.Eval (P.Semiring.Boolean)
-module Count_eval = P.Semiring.Eval (P.Semiring.Counting)
-module Trop_eval = P.Semiring.Eval (P.Semiring.Tropical)
-module Witness_eval = P.Semiring.Eval (P.Semiring.Witness)
+module Bool_eval = Semiring.Eval (Semiring.Boolean)
+module Count_eval = Semiring.Eval (Semiring.Counting)
+module Trop_eval = Semiring.Eval (Semiring.Tropical)
+module Witness_eval = Semiring.Eval (Semiring.Witness)
 
 let test_boolean_is_derivability () =
   let rng = Util.Rng.create 51 in
@@ -50,11 +50,11 @@ let test_boolean_is_derivability () =
 let test_witness_is_why_provenance () =
   let goal = D.Fact.of_strings "a" [ "d" ] in
   let witness =
-    Witness_eval.provenance_of ~annotate:P.Semiring.Witness.of_fact acc_program
+    Witness_eval.provenance_of ~annotate:Semiring.Witness.of_fact acc_program
       example1_db goal
   in
   let via_materialize = P.Materialize.why acc_program example1_db goal in
-  let members = P.Semiring.Witness.members witness in
+  let members = Semiring.Witness.members witness in
   Alcotest.(check int) "family size" (List.length via_materialize)
     (List.length members);
   List.iter2
@@ -77,14 +77,14 @@ let test_witness_random () =
     let model = D.Eval.seminaive acc_program db in
     D.Database.iter_pred model (D.Symbol.intern "a") (fun goal ->
         let witness =
-          Witness_eval.provenance_of ~annotate:P.Semiring.Witness.of_fact
+          Witness_eval.provenance_of ~annotate:Semiring.Witness.of_fact
             acc_program db goal
         in
         let expected = P.Materialize.why acc_program db goal in
         Alcotest.(check int)
           (Printf.sprintf "family of %s" (D.Fact.to_string goal))
           (List.length expected)
-          (List.length (P.Semiring.Witness.members witness)))
+          (List.length (Semiring.Witness.members witness)))
   done
 
 let nonrec_program = parse_program {|
@@ -109,16 +109,16 @@ let test_counting_nonrecursive () =
       Alcotest.(check string)
         (Printf.sprintf "count of %s" (D.Fact.to_string goal))
         (string_of_int expected)
-        (P.Semiring.Counting.to_string counted))
+        (Semiring.Counting.to_string counted))
 
 let test_counting_saturates_on_recursion () =
   (* Example 1 has infinitely many proof trees of a(d): the counter must
      saturate rather than loop forever. *)
   let goal = D.Fact.of_strings "a" [ "d" ] in
   let counted = Count_eval.provenance_of acc_program example1_db goal in
-  Alcotest.(check bool) "saturated" true (P.Semiring.Counting.saturated counted);
+  Alcotest.(check bool) "saturated" true (Semiring.Counting.saturated counted);
   Alcotest.(check string) "prints infinity" "∞"
-    (P.Semiring.Counting.to_string counted)
+    (Semiring.Counting.to_string counted)
 
 let test_tropical_cheapest_derivation () =
   (* tc over a weighted graph: cheapest derivation = shortest path when
@@ -136,10 +136,10 @@ let test_tropical_cheapest_derivation () =
     let x = D.Symbol.name (D.Fact.args fact).(0)
     and y = D.Symbol.name (D.Fact.args fact).(1) in
     let _, _, w = List.find (fun (a, b, _) -> a = x && b = y) edges in
-    P.Semiring.Tropical.finite w
+    Semiring.Tropical.finite w
   in
   let cost goal_args =
-    P.Semiring.Tropical.to_float
+    Semiring.Tropical.to_float
       (Trop_eval.provenance_of ~annotate program db
          (D.Fact.of_strings "tc" goal_args))
   in
@@ -150,7 +150,7 @@ let test_tropical_cheapest_derivation () =
 let test_tropical_underivable_is_zero () =
   let goal = D.Fact.of_strings "a" [ "nope" ] in
   Alcotest.(check (float 1e-9)) "zero element" Float.infinity
-    (P.Semiring.Tropical.to_float
+    (Semiring.Tropical.to_float
        (Trop_eval.provenance_of acc_program example1_db goal))
 
 let suite =

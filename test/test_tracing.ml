@@ -323,10 +323,121 @@ let prop_concurrent_no_loss =
       && task_begins = List.length outcome.P.Batch.results
       && task_ends = task_begins)
 
+(* --- One span, two sinks ---------------------------------------------------- *)
+
+(* A random span program: nested spans over three names, some of which
+   raise once their children have run. Each domain runs it with every
+   child's exception caught, so the raising spans close by unwinding.
+   Every span sleeps a little, so durations are not all zero. *)
+type span_prog = Span of string * bool * span_prog list
+
+exception Boom
+
+let gen_span_prog =
+  QCheck.Gen.(
+    let name = oneofl [ "p.a"; "p.b"; "p.c" ] in
+    sized_size (int_range 1 12)
+    @@ fix (fun self n ->
+           let* nm = name in
+           let* raises = frequency [ (3, return false); (1, return true) ] in
+           let* children =
+             if n <= 1 then return []
+             else list_size (int_range 0 3) (self (n / 2))
+           in
+           return (Span (nm, raises, children))))
+
+let rec show_span_prog (Span (n, r, cs)) =
+  Printf.sprintf "%s%s[%s]" n (if r then "!" else "")
+    (String.concat " " (List.map show_span_prog cs))
+
+let rec run_span_prog (Span (name, raises, children)) =
+  T.with_span name (fun () ->
+      List.iter (fun c -> try run_span_prog c with Boom -> ()) children;
+      Unix.sleepf 1e-5;
+      if raises then raise Boom)
+
+(* Runs [p] on this domain and on two spawned ones, with the given sinks
+   on, from zeroed sinks. A spawned domain's ring stays registered after
+   the join, so theirs are kept small. *)
+let run_with_sinks ~stats ~trace p =
+  let run () = try run_span_prog p with Boom -> () in
+  M.reset ();
+  T.reset ();
+  M.set_enabled stats;
+  T.set_enabled trace;
+  T.set_capacity 4096;
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_capacity (1 lsl 18);
+      M.set_enabled false;
+      T.set_enabled false)
+    (fun () ->
+      run ();
+      List.iter Domain.join [ Domain.spawn run; Domain.spawn run ])
+
+let span_names = [ "p.a"; "p.b"; "p.c" ]
+
+let timer name =
+  match List.assoc_opt name (M.snapshot ()) with
+  | Some (M.Timer_value { count; total; self; _ }) -> (count, total, self)
+  | _ -> (0, 0., 0.)
+
+(* Per name: B/E pairs, summed E−B and summed E−B minus direct
+   children's, in microseconds, from the raw per-domain streams. *)
+let pair_sums events =
+  let sums = Hashtbl.create 4 and stacks = Hashtbl.create 4 in
+  List.iter
+    (fun (e : T.event) ->
+      let stack = Option.value ~default:[] (Hashtbl.find_opt stacks e.T.tid) in
+      match (e.T.phase, stack) with
+      | T.Begin, _ -> Hashtbl.replace stacks e.T.tid ((e, ref 0.) :: stack)
+      | T.End, (b, children) :: rest ->
+        let d = e.T.ts_us -. b.T.ts_us in
+        let n, total, self =
+          Option.value ~default:(0, 0., 0.) (Hashtbl.find_opt sums b.T.name)
+        in
+        Hashtbl.replace sums b.T.name (n + 1, total +. d, self +. d -. !children);
+        (match rest with (_, parent) :: _ -> parent := !parent +. d | [] -> ());
+        Hashtbl.replace stacks e.T.tid rest
+      | _ -> ())
+    events;
+  fun name -> Option.value ~default:(0, 0., 0.) (Hashtbl.find_opt sums name)
+
+let prop_one_span_two_sinks =
+  QCheck.Test.make ~count:60 ~name:"a span is one timer event and one B/E pair"
+    (QCheck.make gen_span_prog ~print:show_span_prog) (fun p ->
+      run_with_sinks ~stats:true ~trace:true p;
+      let pairs = pair_sums (T.events ()) in
+      let both_agree =
+        List.for_all
+          (fun name ->
+            let n, total_us, self_us = pairs name in
+            let count, total, self = timer name in
+            count = n && total = total_us /. 1e6 && self = self_us /. 1e6)
+          span_names
+      in
+      let expected = List.map (fun name -> let n, _, _ = pairs name in n) span_names in
+      run_with_sinks ~stats:true ~trace:false p;
+      let stats_only =
+        T.events () = []
+        && List.map (fun name -> let c, _, _ = timer name in c) span_names = expected
+      in
+      run_with_sinks ~stats:false ~trace:true p;
+      let trace_only =
+        M.snapshot () = []
+        && List.map (fun name -> let n, _, _ = pair_sums (T.events ()) name in n) span_names
+           = expected
+      in
+      let dropped = T.dropped_events () in
+      M.reset ();
+      T.reset ();
+      dropped = 0 && List.fold_left ( + ) 0 expected > 0 && both_agree && stats_only
+      && trace_only)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "tracing",
-    List.map QCheck_alcotest.to_alcotest [ prop_concurrent_no_loss ]
+    List.map QCheck_alcotest.to_alcotest [ prop_concurrent_no_loss; prop_one_span_two_sinks ]
     @ [
         tc "disabled is a no-op" `Quick (with_tracing test_disabled_is_noop);
         tc "basic recording" `Quick (with_tracing test_basic_recording);
