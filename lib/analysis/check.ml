@@ -31,40 +31,68 @@ let names syms = String.concat ", " (List.map Symbol.name syms)
 (* ------------------------------------------------------------------ *)
 (* Stage 1: clause-level checks on the raw parse (before a Program can
    be built). Errors here are exactly the conditions under which
-   Parser.clause_of_raw or Program.make would raise. *)
+   Parser.parse_string or Program.make would raise. *)
 
-let check_arities b clauses =
-  let arities : (Symbol.t, int * Pos.t) Hashtbl.t = Hashtbl.create 32 in
-  let check_atom (a : Atom.t) =
-    match Hashtbl.find_opt arities a.Atom.pred with
-    | Some (n, first_pos) when n <> Atom.arity a ->
-      add b ~code:"WP003" ~severity:Diagnostic.Error ~pos:a.Atom.pos
-        (Printf.sprintf
-           "predicate %s used with arity %d, but with arity %d at %s"
-           (Symbol.name a.Atom.pred) (Atom.arity a) n
-           (Pos.to_string first_pos))
-    | Some _ -> ()
-    | None -> Hashtbl.replace arities a.Atom.pred (Atom.arity a, a.Atom.pos)
+(* WP003: each predicate's arity is fixed by its first occurrence in
+   the file, a rule atom or a fact. Rule atoms are met in file order;
+   a block's first row is its earliest fact. *)
+let check_arities b (raw : Parser.raw) =
+  let first : (Symbol.t, int * Pos.t) Hashtbl.t = Hashtbl.create 32 in
+  let rule_atoms f =
+    List.iter
+      (fun (c : Parser.raw_clause) ->
+        f c.Parser.raw_head;
+        List.iter f c.Parser.raw_body)
+      raw.Parser.clauses
   in
+  rule_atoms (fun a ->
+      if not (Hashtbl.mem first a.Atom.pred) then
+        Hashtbl.replace first a.Atom.pred (Atom.arity a, a.Atom.pos));
   List.iter
-    (fun (raw : Parser.raw_clause) ->
-      check_atom raw.Parser.raw_head;
-      List.iter check_atom raw.Parser.raw_body)
-    clauses
+    (fun (blk : Parser.block) ->
+      let pos = Parser.row_pos raw blk 0 in
+      match Hashtbl.find_opt first blk.Parser.pred with
+      | Some (_, p) when Pos.compare p pos < 0 -> ()
+      | _ -> Hashtbl.replace first blk.Parser.pred (blk.Parser.arity, pos))
+    raw.Parser.blocks;
+  let clash pred arity pos =
+    let n, first_pos = Hashtbl.find first pred in
+    if n <> arity then
+      add b ~code:"WP003" ~severity:Diagnostic.Error ~pos
+        (Printf.sprintf "predicate %s used with arity %d, but with arity %d at %s"
+           (Symbol.name pred) arity n (Pos.to_string first_pos))
+  in
+  rule_atoms (fun a -> clash a.Atom.pred (Atom.arity a) a.Atom.pos);
+  List.iter
+    (fun (blk : Parser.block) ->
+      if fst (Hashtbl.find first blk.Parser.pred) <> blk.Parser.arity then
+        for i = 0 to blk.Parser.length - 1 do
+          clash blk.Parser.pred blk.Parser.arity (Parser.row_pos raw blk i)
+        done)
+    raw.Parser.blocks
 
+(* A variable's name as written: [_] takes a fresh internal name. *)
+let var_name v =
+  let s = Symbol.name v in
+  if String.length s > 1 && s.[0] = '_' && s.[1] = '#' then "_" else s
+
+let idb_fact b ~pos pred =
+  add b ~code:"WP004" ~severity:Diagnostic.Error ~pos
+    (Printf.sprintf
+       "fact asserts the intensional predicate %s (facts must use \
+        extensional predicates)"
+       (Symbol.name pred))
+
+(* WP002 and WP004 on the bodyless clauses that are not facts, WP001 on
+   the rules. *)
 let check_clause_shape b rule_heads (raw : Parser.raw_clause) =
   if raw.Parser.raw_body = [] then begin
-    if not (Atom.is_ground raw.Parser.raw_head) then
-      add b ~code:"WP002" ~severity:Diagnostic.Error ~pos:raw.Parser.raw_pos
-        (Printf.sprintf
-           "fact with variables: a bodyless clause must be ground (variables %s)"
-           (names (Atom.vars raw.Parser.raw_head)));
+    add b ~code:"WP002" ~severity:Diagnostic.Error ~pos:raw.Parser.raw_pos
+      (Printf.sprintf
+         "fact with variables: a bodyless clause must be ground (variables %s)"
+         (String.concat ", " (List.map var_name (Atom.vars raw.Parser.raw_head))));
     if Hashtbl.mem rule_heads raw.Parser.raw_head.Atom.pred then
-      add b ~code:"WP004" ~severity:Diagnostic.Error ~pos:raw.Parser.raw_pos
-        (Printf.sprintf
-           "fact asserts the intensional predicate %s (facts must use \
-            extensional predicates)"
-           (Symbol.name raw.Parser.raw_head.Atom.pred))
+      idb_fact b ~pos:raw.Parser.raw_pos raw.Parser.raw_head.Atom.pred
   end
   else
     match Rule.unsafe_vars raw.Parser.raw_head raw.Parser.raw_body with
@@ -307,7 +335,7 @@ let backward_reachable program query =
   visit query;
   seen
 
-let check_reachability b program fact_atoms query =
+let check_reachability b program fact_preds query =
   let reachable = backward_reachable program query in
   List.iter
     (fun r ->
@@ -319,36 +347,22 @@ let check_reachability b program fact_atoms query =
              (Symbol.name query)))
     (Program.rules program);
   (* fact-only predicates never consulted while answering the query *)
-  let by_pred : (Symbol.t, int * Pos.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (a : Atom.t) ->
-      match Hashtbl.find_opt by_pred a.Atom.pred with
-      | Some (n, first) -> Hashtbl.replace by_pred a.Atom.pred (n + 1, first)
-      | None -> Hashtbl.replace by_pred a.Atom.pred (1, a.Atom.pos))
-    fact_atoms;
-  let unused =
-    Hashtbl.fold
-      (fun p (n, first) acc ->
-        if Hashtbl.mem reachable p then acc else (p, n, first) :: acc)
-      by_pred []
-  in
   List.iter
     (fun (p, n, first) ->
-      add b ~code:"WP101" ~severity:Diagnostic.Warning ~pos:first
-        (Printf.sprintf
-           "predicate %s (%d fact%s) is unused: not reachable from query \
-            predicate %s"
-           (Symbol.name p) n
-           (if n = 1 then "" else "s")
-           (Symbol.name query)))
-    (List.sort (fun (p, _, _) (q, _, _) -> Symbol.compare p q) unused);
+      if not (Hashtbl.mem reachable p) then
+        add b ~code:"WP101" ~severity:Diagnostic.Warning ~pos:first
+          (Printf.sprintf
+             "predicate %s (%d fact%s) is unused: not reachable from query \
+              predicate %s"
+             (Symbol.name p) n
+             (if n = 1 then "" else "s")
+             (Symbol.name query)))
+    fact_preds;
   reachable
 
-let check_derivability b program fact_atoms reachable query =
+let check_derivability b program fact_preds reachable query =
   let derivable : (Symbol.t, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (a : Atom.t) -> Hashtbl.replace derivable a.Atom.pred ())
-    fact_atoms;
+  List.iter (fun (p, _, _) -> Hashtbl.replace derivable p ()) fact_preds;
   let changed = ref true in
   while !changed do
     changed := false;
@@ -459,7 +473,9 @@ let has_errors b =
     (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
     b.diags
 
-let stage2 b program ~fact_atoms ~query =
+(* [fact_preds]: (predicate, fact count, first fact's position) of
+   every predicate with facts. *)
+let stage2 b program ~fact_preds ~query =
   let rules = Program.rules program in
   check_duplicates b rules;
   check_subsumption b rules;
@@ -467,26 +483,33 @@ let stage2 b program ~fact_atoms ~query =
   check_singleton_vars b rules;
   let reachable =
     match query with
-    | Some q -> Some (check_reachability b program fact_atoms q)
+    | Some q -> Some (check_reachability b program fact_preds q)
     | None -> None
   in
-  if fact_atoms <> [] then
-    check_derivability b program fact_atoms reachable query;
+  if fact_preds <> [] then
+    check_derivability b program fact_preds reachable query;
   let classification = Classify.classify program in
   check_recursive_sccs b program classification;
   let selection = Selection.plan program in
   (classification, selection)
 
-let run_raw ?query clauses =
+let run_raw ?query (raw : Parser.raw) =
   let b = { diags = [] } in
-  check_arities b clauses;
+  check_arities b raw;
   let rule_heads : (Symbol.t, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun (raw : Parser.raw_clause) ->
-      if raw.Parser.raw_body <> [] then
-        Hashtbl.replace rule_heads raw.Parser.raw_head.Atom.pred ())
-    clauses;
-  List.iter (check_clause_shape b rule_heads) clauses;
+    (fun (c : Parser.raw_clause) ->
+      if c.Parser.raw_body <> [] then
+        Hashtbl.replace rule_heads c.Parser.raw_head.Atom.pred ())
+    raw.Parser.clauses;
+  List.iter (check_clause_shape b rule_heads) raw.Parser.clauses;
+  List.iter
+    (fun (blk : Parser.block) ->
+      if Hashtbl.mem rule_heads blk.Parser.pred then
+        for i = 0 to blk.Parser.length - 1 do
+          idb_fact b ~pos:(Parser.row_pos raw blk i) blk.Parser.pred
+        done)
+    raw.Parser.blocks;
   let query_sym =
     match query with
     | None -> None
@@ -502,54 +525,54 @@ let run_raw ?query clauses =
   if has_errors b then
     finish b ~program:None ~facts:[] ~classification:None ~selection:None
   else begin
-    let rules, fact_atoms =
-      List.fold_left
-        (fun (rs, fs) (raw : Parser.raw_clause) ->
-          if raw.Parser.raw_body = [] then (rs, raw.Parser.raw_head :: fs)
-          else
-            ( Rule.make ~pos:raw.Parser.raw_pos raw.Parser.raw_head
-                raw.Parser.raw_body
-              :: rs,
-              fs ))
-        ([], []) clauses
+    (* No errors: every bodyless clause was a fact, and each fact
+       predicate has one arity, hence one block. *)
+    let rules =
+      List.map
+        (fun (c : Parser.raw_clause) ->
+          Rule.make ~pos:c.Parser.raw_pos c.Parser.raw_head c.Parser.raw_body)
+        raw.Parser.clauses
     in
-    let rules = List.rev rules and fact_atoms = List.rev fact_atoms in
     match Program.make rules with
     | exception Invalid_argument msg ->
       add b ~code:"WP003" ~severity:Diagnostic.Error msg;
       finish b ~program:None ~facts:[] ~classification:None ~selection:None
     | program ->
-      let classification, selection =
-        stage2 b program ~fact_atoms ~query:query_sym
+      let fact_preds =
+        List.map
+          (fun (blk : Parser.block) ->
+            (blk.Parser.pred, blk.Parser.length, Parser.row_pos raw blk 0))
+          raw.Parser.blocks
       in
-      finish b ~program:(Some program)
-        ~facts:(List.map Atom.to_fact fact_atoms)
+      let classification, selection =
+        stage2 b program ~fact_preds ~query:query_sym
+      in
+      finish b ~program:(Some program) ~facts:(Parser.facts raw)
         ~classification:(Some classification) ~selection:(Some selection)
   end
 
-let check_raw ?query clauses =
+let check_raw ?query raw =
   Metrics.incr m_checks;
-  Util.Tracing.with_span "analysis.check" (fun () -> run_raw ?query clauses)
+  Util.Tracing.with_span "analysis.check" (fun () -> run_raw ?query raw)
 
 let syntax_error pos msg =
   let b = { diags = [] } in
   add b ~code:"WP000" ~severity:Diagnostic.Error ~pos ("syntax error: " ^ msg);
   finish b ~program:None ~facts:[] ~classification:None ~selection:None
 
-let check_string ?query ?(file = "") src =
+let check_parsed ?query parse =
   Metrics.incr m_checks;
   Util.Tracing.with_span "analysis.check" (fun () ->
-      match Parser.parse_raw ~file src with
-      | clauses -> run_raw ?query clauses
+      match parse () with
+      | raw -> run_raw ?query raw
       | exception Parser.Error (pos, msg) -> syntax_error pos msg)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let check_string ?query ?(file = "") src =
+  check_parsed ?query (fun () -> Parser.parse_raw ~file src)
 
-let check_file ?query path = check_string ?query ~file:path (read_file path)
+let check_file ?query path =
+  let src = Parser.read_file path in
+  check_parsed ?query (fun () -> Parser.parse_raw ~file:path src)
 
 let check_program ?query program =
   Metrics.incr m_checks;
@@ -569,7 +592,7 @@ let check_program ?query program =
           end
       in
       let classification, selection =
-        stage2 b program ~fact_atoms:[] ~query:query_sym
+        stage2 b program ~fact_preds:[] ~query:query_sym
       in
       finish b ~program:(Some program) ~facts:[]
         ~classification:(Some classification) ~selection:(Some selection))

@@ -1,8 +1,9 @@
 (** The static analyzer behind [whyprov check].
 
-    Two stages. Stage 1 works on the raw parse ({!Parser.raw_clause}) and
-    reports the conditions under which program construction would fail,
-    as positioned diagnostics instead of exceptions:
+    Two stages. Stage 1 works on the raw parse ({!Parser.raw}): its
+    clauses and its fact blocks. It reports the conditions under which
+    program construction would fail, as positioned diagnostics instead
+    of exceptions:
 
     - [WP000] (error) — syntax error (from {!Parser.Error})
     - [WP001] (error) — unsafe rule: head variable not bound by the body
@@ -35,7 +36,10 @@ type result = {
   warnings : int;
   infos : int;
   program : Program.t option;      (** [None] when stage 1 errored *)
-  facts : Fact.t list;             (** ground bodyless clauses, in order *)
+  facts : Fact.t list;
+      (** the ground facts, block by block ({!Parser.raw}'s [blocks]
+          order: by first occurrence of each predicate and arity), rows
+          in file order; [[]] when stage 1 errored *)
   classification : Classify.t option;
   selection : Selection.t option;
 }
@@ -46,7 +50,9 @@ val ok : result -> bool
 val clean : result -> bool
 (** No errors and no warnings ([--deny-warnings] gate). *)
 
-val check_raw : ?query:string -> Parser.raw_clause list -> result
+val check_raw : ?query:string -> Parser.raw -> result
+(** Checks a parsed source. Interns only the [query] name. *)
+
 val check_string : ?query:string -> ?file:string -> string -> result
 (** Parses and checks; a syntax error becomes a [WP000] diagnostic. *)
 

@@ -14,12 +14,22 @@
     variable (fresh at each occurrence).
 
     Two entry levels are provided. The {e raw} level
-    ({!parse_raw}/{!parse_raw_file}) only enforces the grammar and
-    returns positioned head/body clauses — unsafe rules and non-ground
-    facts pass through, so the static analyzer
-    ({!Whyprov_analysis.Check}) can report them as diagnostics. The
-    {e validating} level ({!parse_string}/{!parse_file}) additionally
-    elaborates to {!Rule.t}/{!Fact.t}, raising on malformed clauses. *)
+    ({!parse_raw}/{!parse_raw_file}) only enforces the grammar. It keeps
+    rules and non-ground bodyless clauses as positioned head/body
+    clauses, and packs ground facts into one {!block} of [int] rows per
+    (predicate, arity) — unsafe rules and non-ground facts pass through,
+    so the static analyzer ({!Whyprov_analysis.Check}) can report them
+    as diagnostics. The {e validating} level
+    ({!parse_string}/{!parse_file}) additionally elaborates to
+    {!Rule.t}/{!Fact.t}, raising on malformed clauses.
+
+    {b Interning order.} Both levels intern as they read, one
+    {!Symbol.intern} per predicate, variable and constant occurrence
+    ([_] takes a {!Symbol.fresh} name). An atom's arguments are
+    interned left to right, then its predicate, once the token after
+    the atom has been read: [pp(aa,bb).] interns [aa], [bb], [pp] in
+    that order. Since {!Symbol.compare} orders by interning time, this
+    order is part of the interface. *)
 
 exception Error of Pos.t * string
 (** Raised on syntax errors (both levels) and on validation errors
@@ -40,16 +50,48 @@ type raw_clause = {
   raw_pos : Pos.t;         (** position of the clause's first token *)
 }
 
-val parse_raw : ?file:string -> string -> raw_clause list
-(** Grammar-only parse; atoms and clauses carry positions ([file] is
-    recorded in them). @raise Error on lexical/grammatical input errors. *)
+type block = private {
+  pred : Symbol.t;
+  arity : int;
+  mutable rows : int array;
+      (** [length] rows of [arity + 1] ints each, in file order: the
+          argument symbols, then the position of the fact (line in the
+          high bits, column in the low 32). Read it with {!row_pos} and
+          {!row_fact}; ints past the last row are unused. *)
+  mutable length : int;  (** number of rows, duplicates included *)
+}
+(** The ground facts of one predicate at one arity. *)
 
-val parse_raw_file : string -> raw_clause list
+type raw = private {
+  file : string;              (** recorded in every position *)
+  clauses : raw_clause list;  (** rules and non-ground bodyless clauses, in file order *)
+  blocks : block list;        (** in the order of their first rows in the file *)
+}
+(** A parsed source. *)
+
+val row_pos : raw -> block -> int -> Pos.t
+(** [row_pos raw b i]: the position of row [i] of [b] (its clause's first token). *)
+
+val row_fact : block -> int -> Fact.t
+(** Row [i] as a fact. *)
+
+val facts : raw -> Fact.t list
+(** Every fact of every block: block by block, rows in file order. *)
+
+val parse_raw : ?file:string -> string -> raw
+(** Grammar-only parse; atoms, clauses and rows carry positions ([file]
+    is recorded in them). @raise Error on lexical/grammatical input
+    errors. *)
+
+val parse_raw_file : string -> raw
 (** @raise Error on malformed input; @raise Sys_error on I/O failure. *)
 
+val read_file : string -> string
+(** The contents of a file. @raise Sys_error on I/O failure. *)
+
 val parse_string : ?file:string -> string -> clause list
-(** @raise Error on malformed input (including unsafe rules and
-    non-ground bodyless clauses). *)
+(** Rules and facts in file order. @raise Error on malformed input
+    (including unsafe rules and non-ground bodyless clauses). *)
 
 val parse_file : string -> clause list
 (** @raise Error on malformed input; @raise Sys_error on I/O failure. *)

@@ -12,6 +12,12 @@ val intern : string -> t
     [eval.intern.lookups] / [eval.intern.hits] / [eval.intern.symbols]
     metrics. *)
 
+val intern_sub : string -> int -> int -> t
+(** [intern_sub src off len] is [intern (String.sub src off len)], but
+    allocates the name only when the slice was never interned before:
+    the lexer interns identifiers straight out of the source text. Ticks
+    the same metrics as {!intern}. *)
+
 val name : t -> string
 (** [name sym] is the string that was interned to [sym].
     @raise Invalid_argument if [sym] was never returned by {!intern}. *)
@@ -34,9 +40,6 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 (** Orders by interning time, {e not} alphabetically. *)
-
-val hash : t -> int
-(** The symbol itself (ids are already dense and well-distributed). *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the interned string ({!name}). *)

@@ -1,6 +1,6 @@
 (* Differential fuzzing with shrinking (docs/HARDENING.md).
 
-   Two differential loops driven by one seed:
+   Differential loops driven by one seed:
 
    - CNF: random and structured formulas solved by a portfolio of
      solver configurations (preprocessing on/off, on-the-fly
@@ -18,6 +18,11 @@
      (preprocessing on/off) against the powerset oracle
      (Oracle.why_un_powerset).
 
+   - Parser: a decorated Randprog text read by the in-place parser
+     (Datalog.Parser.parse_raw) and by the token-tuple reference parser
+     (Oracle.parse_raw): clauses, fact rows, positions, errors and the
+     symbols interned, in order.
+
    Any disagreement is minimized by greedy deletion — clauses then
    literals for CNF, rules then facts for Datalog — and rendered as a
    reproducer file whose header records the seed, so the exact failing
@@ -34,6 +39,7 @@ let m_cnf_checks = Metrics.counter "harden.fuzz.cnf_checks"
 let m_enum_checks = Metrics.counter "harden.fuzz.enum_checks"
 let m_engine_checks = Metrics.counter "harden.fuzz.engine_checks"
 let m_prov_checks = Metrics.counter "harden.fuzz.prov_checks"
+let m_parser_checks = Metrics.counter "harden.fuzz.parser_checks"
 let m_bugs = Metrics.counter "harden.fuzz.bugs"
 let m_shrink_tests = Metrics.counter "harden.fuzz.shrink_tests"
 
@@ -334,16 +340,302 @@ let check_provenance (t : W.Randprog.t) =
     first_error goals
   end
 
+(* --- Parser differential ------------------------------------------------
+
+   A template is a source text with [nonce_mark] after every name. Each
+   side of the differential reads the template rendered with a nonce of
+   its own, so each parse interns new symbols and the order it interns
+   them in shows. All nonces have the same length: both renderings put
+   every token at the same position. *)
+
+let nonce_mark = '\001'
+let nonces = ref 0
+
+let fresh_nonce () =
+  incr nonces;
+  Printf.sprintf "n%08d" !nonces
+
+let render template nonce =
+  String.concat nonce (String.split_on_char nonce_mark template)
+
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' || c = '-'
+
+(* Marks every name of a well-formed clause: each identifier but a bare
+   [_], and each quoted name inside its closing quote. *)
+let mark s =
+  let b = Buffer.create (2 * String.length s) in
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n do
+    let c = s.[!i] in
+    if c = ':' then begin
+      Buffer.add_string b ":-";
+      i := !i + 2
+    end
+    else if c = '\'' then begin
+      let j = String.index_from s (!i + 1) '\'' in
+      Buffer.add_string b (String.sub s !i (j - !i));
+      Buffer.add_char b nonce_mark;
+      Buffer.add_char b '\'';
+      i := j + 1
+    end
+    else if is_ident_char c then begin
+      let j = ref !i in
+      while !j < n && is_ident_char s.[!j] do incr j done;
+      let name = String.sub s !i (!j - !i) in
+      Buffer.add_string b name;
+      if name <> "_" then Buffer.add_char b nonce_mark;
+      i := !j
+    end
+    else begin
+      Buffer.add_char b c;
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* Clauses the Randprog schema does not draw: zero-arity atoms, a
+   predicate at several arities, quoted names (one spanning two lines),
+   anonymous variables and non-ground bodyless clauses. *)
+let extra_clauses =
+  [|
+    "ready."; "go :- ready."; "go :- ready, f(c1)."; "e(c1)."; "e(c1,c2,c3)."; "f('two\nlines').";
+    "f('')."; "f(_)."; "e(X,_)."; "e(_x,c1)."; "p(c1,'a b')."; "q(X) :- e(X,_).";
+    "s(X,Y) :- e(X,Y), ready."; "f(c2, c3)."; "q(X) :- ghost(X, Y).";
+  |]
+
+let spaces = [| " "; "  "; "\t"; "\n"; "\r\n"; "\n% a comment: 'quoted', (parens).\n"; "%\n" |]
+let strays = [| '$'; ':'; '\''; '('; ')'; ','; '.'; '%'; '-'; '_'; 'A'; '#'; '\n'; ' '; '!' |]
+
+let parser_template rng =
+  let t =
+    W.Randprog.generate ~min_rules:0 ~max_rules:4 ~min_facts:0 ~max_facts:12 (Util.Rng.split rng)
+  in
+  let clauses =
+    Array.of_list
+      (List.map D.Rule.to_string t.W.Randprog.rules
+      @ List.map (fun f -> D.Fact.to_string f ^ ".") t.W.Randprog.facts
+      @ List.init (Util.Rng.int rng 5) (fun _ -> Util.Rng.choose rng extra_clauses))
+  in
+  Util.Rng.shuffle rng clauses;
+  let space () = Util.Rng.choose rng spaces in
+  let text =
+    String.concat ""
+      (Array.to_list
+         (Array.map
+            (fun c ->
+              let c =
+                String.concat "" (List.map (fun w -> w ^ space ()) (String.split_on_char ' ' (mark c)))
+              in
+              if Util.Rng.bool rng then space () ^ c else c)
+            clauses))
+  in
+  let text =
+    if Util.Rng.int rng 4 = 0 then String.sub text 0 (Util.Rng.int rng (String.length text + 1))
+    else text
+  in
+  if Util.Rng.int rng 4 = 0 then begin
+    let b = Buffer.create (String.length text + 4) in
+    let at = Util.Rng.int rng (String.length text + 1) in
+    Buffer.add_string b (String.sub text 0 at);
+    for _ = 1 to Util.Rng.int_in rng 1 3 do
+      Buffer.add_char b (Util.Rng.choose rng strays)
+    done;
+    Buffer.add_string b (String.sub text at (String.length text - at));
+    Buffer.contents b
+  end
+  else text
+
+(* Both parsers' results in one shape: the rules and non-ground
+   bodyless clauses, and the facts as blocks of (predicate, arity, rows
+   in file order), blocks in order of first occurrence. *)
+type parsed = {
+  p_clauses : D.Parser.raw_clause list;
+  p_blocks : (D.Symbol.t * int * (D.Symbol.t array * D.Pos.t) list) list;
+}
+
+let parse_new ~file text =
+  let raw = D.Parser.parse_raw ~file text in
+  {
+    p_clauses = raw.D.Parser.clauses;
+    p_blocks =
+      List.map
+        (fun (b : D.Parser.block) ->
+          ( b.D.Parser.pred,
+            b.D.Parser.arity,
+            List.init b.D.Parser.length (fun i ->
+                (D.Fact.args (D.Parser.row_fact b i), D.Parser.row_pos raw b i)) ))
+        raw.D.Parser.blocks;
+  }
+
+let parse_reference ~file text =
+  let clauses = Oracle.parse_raw ~file text in
+  let is_fact (c : D.Parser.raw_clause) = c.D.Parser.raw_body = [] && D.Atom.is_ground c.D.Parser.raw_head in
+  let facts = List.filter is_fact clauses in
+  let keys =
+    List.fold_left
+      (fun keys (c : D.Parser.raw_clause) ->
+        let key = (c.D.Parser.raw_head.D.Atom.pred, D.Atom.arity c.D.Parser.raw_head) in
+        if List.mem key keys then keys else key :: keys)
+      [] facts
+  in
+  {
+    p_clauses = List.filter (fun c -> not (is_fact c)) clauses;
+    p_blocks =
+      List.rev_map
+        (fun (pred, arity) ->
+          ( pred,
+            arity,
+            List.filter_map
+              (fun (c : D.Parser.raw_clause) ->
+                let a = c.D.Parser.raw_head in
+                if a.D.Atom.pred = pred && D.Atom.arity a = arity then
+                  Some (D.Fact.args (D.Atom.to_fact a), c.D.Parser.raw_pos)
+                else None)
+              facts ))
+        keys;
+  }
+
+(* [s] with every occurrence of [sub] (non-empty) removed. *)
+let remove_all ~sub s =
+  let b = Buffer.create (String.length s) and n = String.length sub in
+  let i = ref 0 in
+  while !i < String.length s do
+    if !i + n <= String.length s && String.sub s !i n = sub then i := !i + n
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* A parse as comparable data. A symbol the parse interned prints as
+   [#k], the k-th it interned, an older one by name; [interned] lists
+   the names it interned in order, nonce removed ([_#] for a fresh
+   anonymous variable); [counts] are its eval.intern.lookups, .hits and
+   .symbols. *)
+type view = {
+  outcome : (string list, D.Pos.t * string) result;
+  counts : int list;
+  interned : string list;
+}
+
+let view_parse ~nonce parse =
+  let was = Metrics.is_enabled () in
+  Metrics.set_enabled true;
+  let counters () =
+    List.map Metrics.get_counter
+      [ "eval.intern.lookups"; "eval.intern.hits"; "eval.intern.symbols" ]
+  in
+  let before = counters () and base = D.Symbol.count () in
+  let result = try Ok (parse ()) with D.Parser.Error (pos, msg) -> Error (pos, msg) in
+  let counts = List.map2 ( - ) (counters ()) before in
+  Metrics.set_enabled was;
+  let sym s = if s >= base then "#" ^ string_of_int (s - base) else D.Symbol.name s in
+  let pos p = D.Pos.to_string p in
+  let term = function D.Term.Var v -> "V" ^ sym v | D.Term.Const c -> sym c in
+  let atom (a : D.Atom.t) =
+    Printf.sprintf "%s(%s)@%s" (sym a.D.Atom.pred)
+      (String.concat "," (Array.to_list (Array.map term a.D.Atom.args)))
+      (pos a.D.Atom.pos)
+  in
+  let clause (c : D.Parser.raw_clause) =
+    Printf.sprintf "clause@%s %s :- %s" (pos c.D.Parser.raw_pos) (atom c.D.Parser.raw_head)
+      (String.concat ", " (List.map atom c.D.Parser.raw_body))
+  in
+  let row (args, p) = String.concat "," (Array.to_list (Array.map sym args)) ^ "@" ^ pos p in
+  let block (pred, arity, rows) =
+    Printf.sprintf "block %s/%d: %s" (sym pred) arity (String.concat " " (List.map row rows))
+  in
+  let outcome =
+    Result.map (fun p -> List.map clause p.p_clauses @ List.map block p.p_blocks) result
+  in
+  let interned =
+    List.init (D.Symbol.count () - base) (fun k ->
+        let name = D.Symbol.name (base + k) in
+        if String.starts_with ~prefix:"_#" name then "_#" else remove_all ~sub:nonce name)
+  in
+  { outcome; counts; interned }
+
+let first_difference l1 l2 =
+  let rec go i = function
+    | x :: r1, y :: r2 -> if x = y then go (i + 1) (r1, r2) else Some (i, x, y)
+    | x :: _, [] -> Some (i, x, "<none>")
+    | [], y :: _ -> Some (i, "<none>", y)
+    | [], [] -> None
+  in
+  go 0 (l1, l2)
+
+let check_parser template =
+  Metrics.incr m_parser_checks;
+  let file = "fuzz.dl" in
+  let side parse =
+    let nonce = fresh_nonce () in
+    let text = render template nonce in
+    view_parse ~nonce (fun () -> parse ~file text)
+  in
+  (* A stray character can split a name from its mark; such a name is
+     the same in every rendering. A first reference parse interns it,
+     so that neither compared parse interns it anew. *)
+  ignore (side parse_reference);
+  let reference = side parse_reference in
+  let fast = side parse_new in
+  let ints l = String.concat "/" (List.map string_of_int l) in
+  match (reference.outcome, fast.outcome) with
+  | Error (p1, m1), Error (p2, m2) when not (D.Pos.equal p1 p2 && m1 = m2) ->
+    Error
+      (Printf.sprintf "parse error %s: %s, but the reference raises %s: %s" (D.Pos.to_string p2) m2
+         (D.Pos.to_string p1) m1)
+  | Error (p, m), Ok _ ->
+    Error (Printf.sprintf "parsed, but the reference raises %s: %s" (D.Pos.to_string p) m)
+  | Ok _, Error (p, m) ->
+    Error (Printf.sprintf "parse error %s: %s, but the reference parses" (D.Pos.to_string p) m)
+  | Ok l1, Ok l2 when l1 <> l2 ->
+    let i, x, y = Option.get (first_difference l1 l2) in
+    Error (Printf.sprintf "item %d reads %s; the reference reads %s" i y x)
+  | _ ->
+    if reference.counts <> fast.counts then
+      Error
+        (Printf.sprintf "eval.intern lookups/hits/symbols %s; the reference %s" (ints fast.counts)
+           (ints reference.counts))
+    else
+      match first_difference reference.interned fast.interned with
+      | Some (i, x, y) ->
+        Error (Printf.sprintf "interned %s as symbol %d; the reference interned %s" y i x)
+      | None -> Ok ()
+
+(* Deletes chunks of the template, halving the chunk size, while the
+   differential still fails. *)
+let shrink_template template =
+  let failing t = Result.is_error (check_parser t) in
+  let rec pass t size =
+    if size = 0 then t
+    else begin
+      let rec try_at t i =
+        if i >= String.length t then t
+        else
+          let len = min size (String.length t - i) in
+          let t' = String.sub t 0 i ^ String.sub t (i + len) (String.length t - i - len) in
+          Metrics.incr m_shrink_tests;
+          if failing t' then try_at t' i else try_at t (i + size)
+      in
+      pass (try_at t 0) (size / 2)
+    end
+  in
+  pass template (max 1 (String.length template / 2))
+
 (* --- The fuzz loop ----------------------------------------------------- *)
 
 type bug = {
   seed : int;
   iter : int;
-  kind : string;       (* "cnf", "engine" or "provenance" *)
+  kind : string;       (* "cnf", "engine", "provenance" or "parser" *)
   detail : string;     (* solver/family label for context *)
   message : string;
   cnf : Gen.cnf option;           (* shrunk, for kind = "cnf" *)
-  prog : W.Randprog.t option;     (* shrunk, for the Datalog kinds *)
+  prog : W.Randprog.t option;     (* shrunk, for "engine" and "provenance" *)
+  text : string option;           (* shrunk source, for kind = "parser" *)
 }
 
 type summary = {
@@ -352,6 +644,7 @@ type summary = {
   s_cnf_checks : int;
   s_engine_checks : int;
   s_prov_checks : int;
+  s_parser_checks : int;
   s_bugs : bug list;
 }
 
@@ -393,6 +686,7 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
      enabled, and shrinking re-enters the checkers — the summary counts
      top-level checks only. *)
   let cnf_checks = ref 0 and engine_checks = ref 0 and prov_checks = ref 0 in
+  let parser_checks = ref 0 in
   for i = 0 to iters - 1 do
     Metrics.incr m_iters;
     (match progress with Some f -> f i | None -> ());
@@ -410,7 +704,7 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
       push
         {
           seed; iter = i; kind = "cnf"; detail = family; message;
-          cnf = Some { cnf with Gen.clauses }; prog = None;
+          cnf = Some { cnf with Gen.clauses }; prog = None; text = None;
         });
     (* Flat-vs-structural engine differential. *)
     let t = W.Randprog.generate (Util.Rng.split rng) in
@@ -423,7 +717,7 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
       push
         {
           seed; iter = i; kind = "engine"; detail = "randprog"; message;
-          cnf = None; prog = Some t';
+          cnf = None; prog = Some t'; text = None;
         });
     (* why_UN against the powerset oracle, on a tiny database. *)
     let t =
@@ -431,7 +725,7 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
         (Util.Rng.split rng)
     in
     incr prov_checks;
-    match check_provenance t with
+    (match check_provenance t with
     | Ok () -> ()
     | Error message ->
       let still_failing t' =
@@ -442,7 +736,18 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
       push
         {
           seed; iter = i; kind = "provenance"; detail = "randprog"; message;
-          cnf = None; prog = Some t';
+          cnf = None; prog = Some t'; text = None;
+        });
+    (* In-place parser against the reference parser. *)
+    let template = parser_template (Util.Rng.split rng) in
+    incr parser_checks;
+    match check_parser template with
+    | Ok () -> ()
+    | Error message ->
+      push
+        {
+          seed; iter = i; kind = "parser"; detail = "randprog-text"; message;
+          cnf = None; prog = None; text = Some (render (shrink_template template) "0");
         }
   done;
   {
@@ -451,6 +756,7 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
     s_cnf_checks = !cnf_checks;
     s_engine_checks = !engine_checks;
     s_prov_checks = !prov_checks;
+    s_parser_checks = !parser_checks;
     s_bugs = List.rev !bugs;
   }
 
@@ -461,8 +767,8 @@ let run ?(solvers = default_cnf_solvers ()) ?progress ~seed ~iters () =
    instance itself follows, so the file is directly loadable even
    without the fuzzer. *)
 let reproducer bug =
-  match (bug.cnf, bug.prog) with
-  | Some cnf, _ ->
+  match (bug.cnf, bug.prog, bug.text) with
+  | Some cnf, _, _ ->
     ( Printf.sprintf "whyfuzz-%06d-%d.cnf" bug.seed bug.iter,
       Gen.to_dimacs
         ~comments:
@@ -473,14 +779,20 @@ let reproducer bug =
             "regenerate: whyfuzz fuzz --seed " ^ string_of_int bug.seed;
           ]
         cnf )
-  | None, Some prog ->
+  | None, Some prog, _ ->
     ( Printf.sprintf "whyfuzz-%06d-%d.dl" bug.seed bug.iter,
       Printf.sprintf
         "%% whyfuzz seed=%d iter=%d kind=%s\n%% %s\n%% regenerate: whyfuzz \
          fuzz --seed %d\n%s"
         bug.seed bug.iter bug.kind bug.message bug.seed
         (W.Randprog.to_string prog) )
-  | None, None -> invalid_arg "Fuzz.reproducer: bug carries no instance"
+  | None, None, Some text ->
+    ( Printf.sprintf "whyfuzz-%06d-%d.dl" bug.seed bug.iter,
+      Printf.sprintf
+        "%% whyfuzz seed=%d iter=%d kind=%s\n%% %s\n%% regenerate: whyfuzz \
+         fuzz --seed %d\n%% every name ends in 0 where the differential puts its nonce\n%s"
+        bug.seed bug.iter bug.kind bug.message bug.seed text )
+  | None, None, None -> invalid_arg "Fuzz.reproducer: bug carries no instance"
 
 let write_reproducers ~dir summary =
   if summary.s_bugs <> [] && not (Sys.file_exists dir) then
@@ -497,9 +809,9 @@ let write_reproducers ~dir summary =
 
 let pp_summary ppf s =
   Format.fprintf ppf
-    "fuzz seed %d: %d iteration(s), %d cnf / %d engine / %d provenance \
-     check(s), %d bug(s)"
-    s.s_seed s.s_iters s.s_cnf_checks s.s_engine_checks s.s_prov_checks
+    "fuzz seed %d: %d iteration(s), %d cnf / %d engine / %d provenance / %d \
+     parser check(s), %d bug(s)"
+    s.s_seed s.s_iters s.s_cnf_checks s.s_engine_checks s.s_prov_checks s.s_parser_checks
     (List.length s.s_bugs);
   List.iter
     (fun b ->

@@ -1,6 +1,6 @@
 (** Differential fuzzing with shrinking (docs/HARDENING.md).
 
-    One seeded loop, three differentials per iteration:
+    One seeded loop, four differentials per iteration:
 
     - {b CNF}: a random or structured formula ({!Gen}) solved by a
       portfolio of pipeline configurations (preprocessing on/off,
@@ -16,9 +16,13 @@
     - {b provenance}: the SAT-based [why_UN] enumeration (preprocessing
       on/off) vs the powerset oracle ({!Oracle.why_un_powerset}) on a
       tiny database, for every derived IDB fact.
+    - {b parser}: a decorated Randprog text ({!parser_template}) read by
+      {!Datalog.Parser.parse_raw} vs the reference parser
+      ({!Oracle.parse_raw}), see {!check_parser}.
 
     A disagreement is greedily minimized (clauses/literals, or
-    rules/facts) and rendered as a reproducer whose header records
+    rules/facts, or characters of a parser text) and rendered as a
+    reproducer whose header records
     [(seed, iter)] — instance generation depends on those two values
     only, so the failure regenerates from the header alone. The loop is
     deterministic: same seed, same iterations, same instances, same
@@ -85,15 +89,34 @@ val check_provenance : Workloads.Randprog.t -> (unit, string) result
     (deduplicated) database within the powerset oracle's reach.
     @raise Invalid_argument beyond 9 facts ([check_provenance] only). *)
 
+val parser_template : Util.Rng.t -> string
+(** A Randprog program as source text, decorated with clauses Randprog
+    does not draw (zero-arity atoms, facts at other arities, quoted
+    names, one spanning two lines, [_], non-ground bodyless clauses),
+    comments, tabs and CRLF line ends; one draw in four is truncated and
+    one in four gets stray characters. Every name is followed by a
+    ['\001'] mark where {!check_parser} puts a nonce. *)
+
+val check_parser : string -> (unit, string) result
+(** [check_parser template]: the in-place parser and the reference
+    parser each read [template] with a fresh nonce at every mark, so
+    each parse interns new symbols. They must agree on the rules and
+    non-ground bodyless clauses, the fact blocks with their rows and
+    positions, the {!Datalog.Parser.Error} position and message, the
+    [eval.intern.lookups]/[hits]/[symbols] deltas, and the names
+    interned, in order. Metrics are on for the two parses. *)
+
 type bug = {
   seed : int;
   iter : int;
   kind : string;
-      (** "cnf", "engine", "provenance" *)
+      (** "cnf", "engine", "provenance", "parser" *)
   detail : string;                    (** instance family / solver label *)
   message : string;
   cnf : Gen.cnf option;               (** shrunk, for [kind = "cnf"] *)
-  prog : Workloads.Randprog.t option; (** shrunk, for the Datalog kinds *)
+  prog : Workloads.Randprog.t option; (** shrunk, for "engine" and "provenance" *)
+  text : string option;
+      (** shrunk source text, for "parser", with [0] at every nonce mark *)
 }
 
 type summary = {
@@ -102,6 +125,7 @@ type summary = {
   s_cnf_checks : int;
   s_engine_checks : int;
   s_prov_checks : int;
+  s_parser_checks : int;
   s_bugs : bug list;  (** in discovery order *)
 }
 

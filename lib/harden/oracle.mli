@@ -26,3 +26,12 @@ val seminaive :
     and each predicate's database-fact prefix must agree with it on
     every program. Records no trace events or profile; of the metrics,
     only [eval.tuples_matched] ticks, through {!Datalog.Eval.match_atom}. *)
+
+val parse_raw : ?file:string -> string -> Datalog.Parser.raw_clause list
+(** The token-tuple reference parser: every clause, facts included, as a
+    positioned {!Datalog.Parser.raw_clause}, in file order. The
+    differential oracle of {!Datalog.Parser.parse_raw}: it raises the
+    same {!Datalog.Parser.Error}s, reads the same clauses at the same
+    positions, and interns the same symbols in the same order (an atom's
+    arguments left to right, then its predicate).
+    @raise Datalog.Parser.Error on malformed input. *)

@@ -71,6 +71,18 @@ let now st =
   st.last_ts <- ts;
   ts
 
+(* An ended domain records nothing more: its ring shrinks to the events
+   it holds, or leaves the registry if it holds none. *)
+let release st =
+  Mutex.lock registry_lock;
+  if st.len = 0 then registry := List.filter (fun b -> b != st) !registry
+  else begin
+    let cap = Array.length st.ring in
+    st.ring <- Array.init st.len (fun i -> st.ring.((st.head + i) mod cap));
+    st.head <- 0
+  end;
+  Mutex.unlock registry_lock
+
 (* Appends an event stamped now and returns the stamp. The ring is
    allocated before the clock is read, so no span pays for it. *)
 let push st phase name args =
@@ -78,7 +90,8 @@ let push st phase name args =
     st.ring <- Array.make (Atomic.get capacity) dummy_event;
     Mutex.lock registry_lock;
     registry := st :: !registry;
-    Mutex.unlock registry_lock
+    Mutex.unlock registry_lock;
+    if not (Domain.is_main_domain ()) then Domain.at_exit (fun () -> release st)
   end;
   let ts = now st in
   let ev = { ts_us = ts; tid = st.b_tid; phase; name; args } in

@@ -35,7 +35,9 @@
     what a stalling-solve investigation needs. The exporters re-balance
     begin/end pairs (orphaned ends dropped, unclosed begins closed at
     the buffer's last timestamp), so the output is well-formed even
-    after wrap-around. *)
+    after wrap-around. When a worker domain ends, its ring shrinks to
+    the events it holds (or is dropped if it holds none), so ended
+    domains keep their events but not their capacity. *)
 
 (** {1 Enablement} *)
 

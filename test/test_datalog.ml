@@ -92,6 +92,52 @@ let test_parse_error_positions () =
   expect_pos "tc(a,b) tc(b,c)." ~line:1 ~col:9 ~substring:"expected '.' or ':-'";
   expect_pos "tc(a,b). @" ~line:1 ~col:10 ~substring:"unexpected character"
 
+(* The raw level: ground facts land in one block per (predicate, arity),
+   blocks in order of first occurrence, rows in file order with their
+   positions; rules and non-ground bodyless clauses stay clauses. The
+   validating level gives the clauses back in file order. *)
+let test_parse_raw_blocks () =
+  let src = "e(a,b).\nr(X) :- e(X,Y).\n  e(b,c). e(a). n(_).\ne(c,d)." in
+  let raw = D.Parser.parse_raw ~file:"b.dl" src in
+  let rows (b : D.Parser.block) =
+    List.init b.D.Parser.length (fun i ->
+        ( D.Fact.to_string (D.Parser.row_fact b i),
+          D.Pos.to_string (D.Parser.row_pos raw b i) ))
+  in
+  Alcotest.(check (list (list (pair string string))))
+    "blocks"
+    [
+      [ ("e(a,b)", "b.dl:1:1"); ("e(b,c)", "b.dl:3:3"); ("e(c,d)", "b.dl:4:1") ];
+      [ ("e(a)", "b.dl:3:11") ];
+    ]
+    (List.map rows raw.D.Parser.blocks);
+  Alcotest.(check (list string)) "clauses" [ "b.dl:2:1"; "b.dl:3:17" ]
+    (List.map
+       (fun (c : D.Parser.raw_clause) -> D.Pos.to_string c.D.Parser.raw_pos)
+       raw.D.Parser.clauses);
+  Alcotest.(check (list string)) "facts: block by block"
+    [ "e(a,b)"; "e(b,c)"; "e(c,d)"; "e(a)" ]
+    (List.map D.Fact.to_string (D.Parser.facts raw));
+  Alcotest.(check (list string)) "parse_string: file order"
+    [ "e(a,b)"; "r(X) :- e(X,Y)."; "e(b,c)"; "e(a)"; "e(c,d)" ]
+    (List.map
+       (function
+         | D.Parser.Clause_fact f -> D.Fact.to_string f
+         | D.Parser.Clause_rule r -> D.Rule.to_string r)
+       (D.Parser.parse_string ("e(a,b).\nr(X) :- e(X,Y).\n  e(b,c). e(a).\ne(c,d).")))
+
+(* An atom's arguments are interned left to right, then its predicate:
+   Symbol.compare orders by interning time, so this is observable. *)
+let test_parse_interning_order () =
+  let base = D.Symbol.count () in
+  ignore (D.Parser.parse_raw "ppzq1(aazq1,bbzq1). rrzq1 :- sszq1(Xzq1, _).");
+  Alcotest.(check (list string)) "interning order"
+    [ "aazq1"; "bbzq1"; "ppzq1"; "rrzq1"; "Xzq1"; Printf.sprintf "_#%d" (base + 5); "sszq1" ]
+    (List.init (D.Symbol.count () - base) (fun k -> D.Symbol.name (base + k)));
+  let sym = D.Symbol.intern_sub "xxppzq1yy" 2 5 in
+  Alcotest.(check int) "intern_sub finds the slice" (D.Symbol.intern "ppzq1") sym;
+  Alcotest.(check int) "intern_sub of a whole string" sym (D.Symbol.intern_sub "ppzq1" 0 5)
+
 let test_parse_roundtrip_pp () =
   let program = parse_program tc_program in
   let printed = Format.asprintf "%a" D.Program.pp program in
@@ -394,6 +440,8 @@ let suite =
       tc "parse zero arity" `Quick test_parse_zero_arity;
       tc "parse errors" `Quick test_parse_errors;
       tc "parse error positions" `Quick test_parse_error_positions;
+      tc "parse raw blocks" `Quick test_parse_raw_blocks;
+      tc "parse interning order" `Quick test_parse_interning_order;
       tc "parse pp roundtrip" `Quick test_parse_roundtrip_pp;
       tc "edb/idb split" `Quick test_edb_idb;
       tc "classification" `Quick test_classification;

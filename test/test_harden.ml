@@ -223,6 +223,7 @@ let test_fuzz_deterministic_and_clean () =
   Alcotest.(check int) "cnf checks" a.Fuzz.s_cnf_checks b.Fuzz.s_cnf_checks;
   Alcotest.(check int) "engine checks" a.Fuzz.s_engine_checks b.Fuzz.s_engine_checks;
   Alcotest.(check int) "prov checks" a.Fuzz.s_prov_checks b.Fuzz.s_prov_checks;
+  Alcotest.(check int) "parser checks" 25 a.Fuzz.s_parser_checks;
   Alcotest.(check bool) "identical summaries" true (a = b)
 
 (* The acceptance gate: a solver that flips one literal of one clause
@@ -355,6 +356,7 @@ let test_reproducer_dl_roundtrip () =
       message = "synthetic";
       cnf = None;
       prog = Some t;
+      text = None;
     }
   in
   let name, contents = Fuzz.reproducer bug in
@@ -363,6 +365,16 @@ let test_reproducer_dl_roundtrip () =
   Alcotest.(check string) "round-trips" (Workloads.Randprog.to_string t)
     (Workloads.Randprog.to_string t')
 
+(* The in-place parser against the token-tuple reference parser, on
+   decorated Randprog texts (Fuzz.parser_template). *)
+let prop_parser_differential =
+  QCheck.Test.make ~count:300 ~name:"parser = reference parser (randprog texts)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      match Fuzz.check_parser (Fuzz.parser_template (Util.Rng.create seed)) with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_report e)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "harden",
@@ -370,6 +382,7 @@ let suite =
       tc "generator families" `Quick test_families;
       tc "random k-cnf shape" `Quick test_random_kcnf_shape;
       QCheck_alcotest.to_alcotest prop_tseytin_equisatisfiable;
+      QCheck_alcotest.to_alcotest prop_parser_differential;
       tc "corpus config matrix" `Slow test_corpus_matrix;
       tc "corpus timings sorted" `Quick test_corpus_timings_sorted;
       tc "corpus survives corrupt file" `Quick test_corpus_dir_survives_corrupt_file;

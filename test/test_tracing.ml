@@ -434,6 +434,40 @@ let prop_one_span_two_sinks =
       dropped = 0 && List.fold_left ( + ) 0 expected > 0 && both_agree && stats_only
       && trace_only)
 
+(* An ended domain's ring shrinks to its events: 200 traced domains at
+   the default capacity (2^18 events each) leave about 200 × 3 events
+   live, not 200 rings, and every event stays readable. Checked every
+   ten domains, so a regression fails before it holds many rings. *)
+let test_ended_domains_release_rings () =
+  let live () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  T.with_span "t.main" ignore;
+  let before = live () in
+  let domains = 200 in
+  for k = 1 to domains do
+    Domain.join (Domain.spawn (fun () -> T.with_span "t.domain" (fun () -> T.instant "t.mark")));
+    if k mod 10 = 0 then begin
+      let grown = live () - before in
+      if grown > 1 lsl 18 then
+        Alcotest.failf "%d ended domains hold %d words (one ring is %d)" k grown (1 lsl 18)
+    end
+  done;
+  let workers = List.filter (fun e -> e.T.tid <> 0) (T.events ()) in
+  Alcotest.(check int) "events of the ended domains" (3 * domains) (List.length workers);
+  let by_tid = Hashtbl.create domains in
+  List.iter
+    (fun e -> Hashtbl.replace by_tid e.T.tid (e :: Option.value ~default:[] (Hashtbl.find_opt by_tid e.T.tid)))
+    workers;
+  Alcotest.(check int) "one stream per domain" domains (Hashtbl.length by_tid);
+  Hashtbl.iter
+    (fun _ evs ->
+      Alcotest.(check (list string)) "span, mark, end" [ "t.domain"; "t.mark"; "t.domain" ]
+        (List.rev_map (fun e -> e.T.name) evs))
+    by_tid;
+  Alcotest.(check int) "nothing dropped" 0 (T.dropped_events ())
+
 let suite =
   let tc = Alcotest.test_case in
   ( "tracing",
@@ -445,5 +479,6 @@ let suite =
         tc "chrome round-trip" `Quick (with_tracing test_chrome_roundtrip);
         tc "jsonl lines parse" `Quick (with_tracing test_jsonl_lines_parse);
         tc "ring overflow" `Quick (with_tracing test_ring_overflow);
+        tc "ended domains release rings" `Quick (with_tracing test_ended_domains_release_rings);
         tc "pipeline smoke" `Quick (with_tracing test_pipeline_smoke);
       ] )
