@@ -181,6 +181,36 @@ let tests () =
            Fun.protect
              ~finally:(fun () -> D.Profile.set_enabled false)
              (fun () -> ignore (D.Eval.seminaive program db))));
+    (* Disabled-path A/B: the instrumentation entry points called
+       directly in a tight loop with both sinks off, against the same
+       loop calling a bare closure. The whole-pipeline "*-off" kernels
+       above drift more between runs than the < 2% budget of
+       docs/OBSERVABILITY.md; here each run makes 1,000,000 calls, so
+       (kernel - empty loop) in ms/run is the cost of one disabled call
+       in ns, which times a workload's call count gives its share of
+       the request. *)
+    Test.make ~name:"disabled:empty-loop"
+      (Staged.stage (fun () ->
+           for i = 1 to 1_000_000 do
+             ignore (Sys.opaque_identity ((fun () -> i) ()))
+           done));
+    Test.make ~name:"disabled:metrics-incr"
+      (Staged.stage
+         (let c = Util.Metrics.counter "bench.disabled.incr" in
+          fun () ->
+            Util.Metrics.set_enabled false;
+            for i = 1 to 1_000_000 do
+              Util.Metrics.incr c;
+              ignore (Sys.opaque_identity ((fun () -> i) ()))
+            done));
+    Test.make ~name:"disabled:with-span"
+      (Staged.stage (fun () ->
+           Util.Metrics.set_enabled false;
+           Util.Tracing.set_enabled false;
+           for i = 1 to 1_000_000 do
+             ignore
+               (Sys.opaque_identity (Util.Tracing.with_span "bench.disabled.span" (fun () -> i)))
+           done));
     (* Ablation kernel: the two acyclicity encodings. *)
     Test.make ~name:"ablation:encode-ve"
       (Staged.stage (fun () ->

@@ -202,14 +202,15 @@ elif command -v jq > /dev/null 2>&1; then
     "$out" > /dev/null
 fi
 
-echo "== answer smoke (whybench explain-sparse, cold-start and batch-doctors, benchmark/README.md)"
+echo "== answer smoke (all five whybench workloads, benchmark/README.md)"
 # The two Andersen workloads lean hardest on the model's column
-# indexes, and batch-doctors is the only one that checks batch answers
+# indexes, batch-doctors is the only one that checks batch answers
 # (against Naive.why_un) over thousands of closures built through the
-# shared instance cache; whybench checks every answer with its
-# solver-free oracles and reports "correct":true on its last line only
-# if all were right.
-for w in explain-sparse cold-start batch-doctors; do
+# shared instance cache, and explain-dense and decide run the backward
+# joins over the dense TC model, whose fully bound atoms probe the row
+# table; whybench checks every answer with its solver-free oracles and
+# reports "correct":true on its last line only if all were right.
+for w in explain-sparse cold-start batch-doctors explain-dense decide; do
   if ! sh benchmark/run.sh --workload "$w" --seconds 1 | tail -n 1 \
        | grep -q '"correct":true'; then
     echo "dev-check: whybench $w gave a wrong answer or failed" >&2

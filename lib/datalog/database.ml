@@ -4,7 +4,8 @@ module Metrics = Util.Metrics
    backward joins of [Eval.derivations] probe the very column indexes
    the fixpoint built, so their traffic belongs in the same eval.index.*
    series (docs/OBSERVABILITY.md). Index builds tick inside
-   [Flatrel.ensure_index]. *)
+   [Flatrel.ensure_index]; a fully bound pattern probes the row table
+   instead and counts as one probe. *)
 let m_index_probes = Metrics.counter "eval.index.probes"
 let m_index_hits = Metrics.counter "eval.index.hits"
 
@@ -81,13 +82,26 @@ let bucket rel (pos, c) =
   Flatrel.ensure_index rel pos;
   Flatrel.bucket rel pos c
 
+(* The row a pattern spells out when it binds every column of [rel]
+   (then, with exactly [arity] entries, its positions are distinct),
+   else [None]. Symbols are non-negative, so -1 marks a free column. *)
+let full_row rel bound =
+  let k = Flatrel.arity rel in
+  if k = 0 || List.compare_length_with bound k <> 0 then None
+  else begin
+    let row = Array.make k (-1) in
+    List.iter (fun (pos, c) -> row.(pos) <- c) bound;
+    if Array.mem (-1) row then None else Some row
+  end
+
 let estimate t p ~arity bound =
   match find t p arity with
   | None -> 0
   | Some rel -> (
-    match bound with
-    | [] -> Flatrel.length rel
-    | _ ->
+    match (bound, full_row rel bound) with
+    | [], _ -> Flatrel.length rel
+    | _, Some row -> if Flatrel.find rel row 0 >= 0 then 1 else 0
+    | _, None ->
       List.fold_left
         (fun acc ((pos, _) as b) -> min acc (Flatrel.bucket_length rel pos (bucket rel b)))
         max_int bound)
@@ -96,9 +110,17 @@ let iter_matching t p ~arity bound f =
   match find t p arity with
   | None -> ()
   | Some rel -> (
-    match bound with
-    | [] -> iter_rel f p rel
-    | _ ->
+    match (bound, full_row rel bound) with
+    | [], _ -> iter_rel f p rel
+    | _, Some row ->
+      (* Every column bound: one row-table probe, no column index. *)
+      Metrics.incr m_index_probes;
+      let r = Flatrel.find rel row 0 in
+      if r >= 0 then begin
+        Metrics.incr m_index_hits;
+        f (Flatrel.fact rel ~pred:p r)
+      end
+    | _, None ->
       (* Scan the smallest index bucket among the bound positions and
          filter on the others; each bound column is looked up once. *)
       let pos0, h0, n0 =
@@ -141,6 +163,17 @@ let domain t =
   List.sort Symbol.compare (Hashtbl.fold (fun c () acc -> c :: acc) seen [])
 
 let copy t = { rels = KeyMap.map Flatrel.copy t.rels }
+
+let extend t ~writable =
+  List.fold_left
+    (fun acc (p, arity) ->
+      let rel =
+        match find t p arity with
+        | Some rel -> Flatrel.copy rel
+        | None -> Flatrel.create ~arity
+      in
+      { rels = KeyMap.add (p, arity) rel acc.rels })
+    { rels = t.rels } writable
 
 let pp ppf t =
   Format.pp_print_list

@@ -2,12 +2,15 @@
 
     A [Database.t] is used both for extensional databases and for the
     materialized models produced by evaluation. The flat engine
-    evaluates in place on a database's relations ({!copy},
-    {!relation}) and returns them as the model, so the model is stored
-    once, as int rows, and the column indexes the fixpoint built serve
-    the backward joins of {!iter_matching}. Facts are built as
-    {!Fact.t} values only when they are visited. Lookup by a pattern of
-    bound argument positions is the primitive the structural joins of
+    evaluates on the database's own relations ({!extend},
+    {!relation}) and returns them as the model: a relation no rule
+    derives into is the database's, shared and not copied, so the
+    model stores each fact once, as int rows, and the column indexes
+    the fixpoint built serve the backward joins of {!iter_matching}.
+    A shared relation is read-only: only column indexes are built or
+    dropped on it, never rows added. Facts are built as {!Fact.t}
+    values only when they are visited. Lookup by a pattern of bound
+    argument positions is the primitive the structural joins of
     {!Eval} build on. *)
 
 type t
@@ -53,16 +56,19 @@ val iter_pred : t -> Symbol.t -> (Fact.t -> unit) -> unit
 val estimate : t -> Symbol.t -> arity:int -> (int * Symbol.t) list -> int
 (** Upper bound on the number of facts [iter_matching] would visit:
     the smallest index bucket among the bound positions, or the
-    relation's fact count when nothing is bound. Used by the greedy
-    join-ordering heuristic. *)
+    relation's fact count when nothing is bound. When every position
+    is bound it is exact (0 or 1), from one row-table lookup. Used by
+    the greedy join-ordering heuristic. *)
 
 val iter_matching :
   t -> Symbol.t -> arity:int -> (int * Symbol.t) list -> (Fact.t -> unit) -> unit
 (** [iter_matching db p ~arity bound f] calls [f], in insertion order,
     on every fact of predicate [p] and that arity whose argument at
-    position [i] equals [c] for each [(i, c)] in [bound]. Probes the
-    relation's column index (built on first use) on the most selective
-    bound position and filters on the rest. *)
+    position [i] equals [c] for each [(i, c)] in [bound]. When [bound]
+    names every position once, it is one lookup in the relation's row
+    table ({!Flatrel.find}) and builds no column index. Otherwise it
+    probes the relation's column index (built on first use) on the
+    most selective bound position and filters on the rest. *)
 
 val to_list : t -> Fact.t list
 (** All facts, in {e reverse} {!iter} order. *)
@@ -75,8 +81,17 @@ val domain : t -> Symbol.t list
 
 val copy : t -> t
 (** An independent database with the same facts, each relation's rows
-    in reverse order: the order [of_list (to_list db)] has. The flat
-    engine starts its fixpoint from it. *)
+    in the same order. *)
+
+val extend : t -> writable:(Symbol.t * int) list -> t
+(** [extend db ~writable] is a database holding [db]'s own relations,
+    shared and not copied, except the (predicate, arity) keys in
+    [writable]: each of those is a copy of [db]'s relation, rows in
+    order, or a fresh empty one. Rows added to a writable relation are
+    facts of the result only; the shared ones must be left read-only.
+    A relation {!relation} creates in the result later is its own.
+    The flat engine builds its model this way, with the rule heads
+    writable. *)
 
 val pp : Format.formatter -> t -> unit
 (** One fact per line, sorted. *)

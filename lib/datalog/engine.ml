@@ -287,12 +287,16 @@ let round_span round f =
 let seminaive ?ranks program db =
   Tracing.with_span "eval.seminaive" @@ fun () ->
   Metrics.incr m_runs;
-  (* The model starts as a row-reversed copy of the database's
-     relations: the order [of_list (to_list db)] gives (the structural
-     oracle's starting model), which leaks into closure and encoding
-     order downstream. Rules append derived rows to these relations in place,
-     and they are the model returned. *)
-  let model_db = Database.copy db in
+  (* The model holds the database's relations themselves, read-only:
+     only a relation some rule derives into is the model's own (a copy,
+     rows in database order, when the database holds facts of it).
+     Rules append derived rows to those in place, so each predicate's
+     database facts come first, in database order, which leaks into
+     closure and encoding order downstream. *)
+  let model_db =
+    Database.extend db
+      ~writable:(List.map (fun p -> (p, Program.arity program p)) (Program.idb program))
+  in
   let schema_rels =
     List.map
       (fun p -> (p, Database.relation model_db p ~arity:(Program.arity program p)))
@@ -501,7 +505,7 @@ let seminaive ?ranks program db =
      membership pre-check is needed. *)
   Option.iter
     (fun table ->
-      List.iter (fun f -> Fact.Table.add table f 0) (Database.to_list db);
+      Database.iter (fun f -> Fact.Table.add table f 0) db;
       List.iter
         (fun (pred, rel) ->
           let cur =

@@ -27,16 +27,21 @@ val seminaive :
   Database.t ->
   Database.t
 (** [seminaive program db] computes the model [Σ(D)] — same contract
-    as {!Eval.seminaive}, which delegates here. The rules append to a
-    {!Database.copy} of [db] in place, and those relations are the
-    model returned: no {!Fact.t} is built unless [ranks] is given. If
-    [ranks] is given it
-    must be fresh (empty) and is filled with the first-derivation round
-    of every model fact (0 for database facts); each fact is recorded
-    exactly once, with no membership pre-check. Every rule has one
-    compiled join order ({!Plan.compile}), so the model, the ranks
-    {e and} the model's iteration order depend only on
-    [(program, db)].
+    as {!Eval.seminaive}, which delegates here. [db] is not copied:
+    the model shares every relation of [db] that no rule derives into
+    ({!Database.extend}), and the rules append to the model's own
+    relations of the intensional predicates (a copy of [db]'s, rows in
+    order, when [db] has one). Those relations are the model returned:
+    no {!Fact.t} is built unless [ranks] is given. [db]'s facts and
+    their order are left unchanged; the engine only builds and drops
+    column indexes on its relations, and the model's shared relations
+    must stay read-only. Each predicate's facts in the model start with
+    its [db] facts, in [db] order. If [ranks] is given it must be fresh
+    (empty) and is filled with the first-derivation round of every
+    model fact (0 for database facts); each fact is recorded exactly
+    once, with no membership pre-check. Every rule has one compiled
+    join order ({!Plan.compile}), so the model, the ranks {e and} the
+    model's iteration order depend only on [(program, db)].
 
     When {!Profile.is_enabled} is true at call time, every task of the
     run additionally records per-rule / per-atom / per-SCC attribution

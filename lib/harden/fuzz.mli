@@ -80,7 +80,7 @@ val shrink_cnf :
 val check_model_order : Datalog.Database.t -> Datalog.Database.t -> (unit, string) result
 (** [check_model_order db model]: the model order contract. Each
     predicate's facts in [model] start with its facts in [db], in
-    reverse [db] order. *)
+    [db] order. *)
 
 val check_engine : Workloads.Randprog.t -> (unit, string) result
 val check_provenance : Workloads.Randprog.t -> (unit, string) result

@@ -53,7 +53,7 @@ let fire_rule ~full ~delta ~pos rule emit =
   end
 
 let seminaive ?ranks program db =
-  let model = D.Database.of_list (D.Database.to_list db) in
+  let model = D.Database.copy db in
   let record round fact =
     match ranks with
     | Some table ->

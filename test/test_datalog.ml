@@ -400,8 +400,8 @@ let test_database_relations () =
     (matching db [ (1, "d"); (0, "a") ]);
   Alcotest.(check (list string)) "other arity" [] (matching ~arity:1 db []);
   let copy = D.Database.copy db in
-  Alcotest.(check (list string)) "copy reverses the rows"
-    (List.rev (facts_of db "e")) (facts_of copy "e");
+  Alcotest.(check (list string)) "copy keeps the rows' order"
+    (facts_of db "e") (facts_of copy "e");
   Alcotest.(check (list string)) "no match yet" [] (matching copy [ (1, "a") ]);
   Alcotest.(check bool) "add to copy" true (D.Database.add copy (f "e" [ "c"; "a" ]));
   Alcotest.(check (list string)) "copy index sees the add" [ "e(c,a)" ]

@@ -99,7 +99,7 @@ let test_workload_differential () =
 
 (* The model order contract ({!Harden.Fuzz.check_model_order}) over 500
    fixed seeds: in both engines' models, each predicate's facts start
-   with the database's, in reverse database order. Derived-row order is
+   with the database's, in database order. Derived-row order is
    not asserted: the engines already order derived rows differently on
    a few seeds. *)
 let test_model_order () =
@@ -114,6 +114,49 @@ let test_model_order () =
       [ ("flat", D.Engine.seminaive program db);
         ("structural", Harden.Oracle.seminaive program db) ]
   done
+
+(* The engine shares the database's relations and never adds to them:
+   after [Engine.seminaive] the database has its size, its facts and
+   its iteration order, and a second evaluation over the same database
+   gives the same model in the same order. The hand-written case holds
+   a fact of the derived predicate [tc], so the engine copies that
+   relation and appends to the copy. *)
+let test_database_read_only () =
+  let in_order db =
+    let acc = ref [] in
+    D.Database.iter (fun f -> acc := D.Fact.to_string f :: !acc) db;
+    List.rev !acc
+  in
+  let check name program db =
+    let before = in_order db in
+    let ranks = D.Fact.Table.create 64 in
+    let m1 = D.Engine.seminaive ~ranks program db in
+    Alcotest.(check (list string)) (name ^ ": database unchanged") before (in_order db);
+    Alcotest.(check int) (name ^ ": database size") (List.length before) (D.Database.size db);
+    let m2 = D.Engine.seminaive program db in
+    Alcotest.(check (list string)) (name ^ ": same model, same order") (in_order m1)
+      (in_order m2);
+    Alcotest.(check (list string)) (name ^ ": database unchanged twice") before (in_order db)
+  in
+  for seed = 0 to 199 do
+    let t = W.Randprog.generate (Util.Rng.create seed) in
+    check (Printf.sprintf "seed %d" seed) (W.Randprog.program t) (W.Randprog.database t)
+  done;
+  let program =
+    fst
+      (D.Parser.program_of_string
+         "tc(X,Y) :- edge(X,Y).\ntc(X,Z) :- tc(X,Y), edge(Y,Z).\n")
+  in
+  let f = D.Fact.of_strings in
+  let db =
+    D.Database.of_list [ f "edge" [ "a"; "b" ]; f "tc" [ "c"; "a" ]; f "edge" [ "b"; "c" ] ]
+  in
+  check "tc with a database tc fact" program db;
+  let tc = ref [] in
+  D.Database.iter_pred (D.Engine.seminaive program db) (D.Symbol.intern "tc") (fun x ->
+      tc := D.Fact.to_string x :: !tc);
+  Alcotest.(check string) "database tc fact first" "tc(c,a)" (List.nth (List.rev !tc) 0);
+  Alcotest.(check int) "model tc facts" 6 (List.length !tc)
 
 (* [Symbol.to_string (Symbol.intern s) = s] — the round-trip every flat
    row depends on to decode back into facts. *)
@@ -133,5 +176,6 @@ let suite =
   ( "engine",
     [ Alcotest.test_case "workload differential" `Quick test_workload_differential;
       Alcotest.test_case "model order" `Quick test_model_order;
+      Alcotest.test_case "database read-only" `Quick test_database_read_only;
       Alcotest.test_case "intern round-trip" `Quick test_intern_round_trip ]
     @ List.map QCheck_alcotest.to_alcotest [ prop_random_differential ] )

@@ -1,12 +1,13 @@
 (* Direct tests of the column indexes of {!Datalog.Flatrel}. A relation
    is driven through a mix of indexed inserts ([add]), round-style
    batches ([append] + [reindex_range]), index rebuilds ([drop_index] +
-   [ensure_index]) and row-reversing [copy]s, next to a list model of
-   its rows. After every step each live index must agree with the
+   [ensure_index]) and [copy]s (same rows, same ids, no indexes), next
+   to a list model of its rows. After every step each live index must agree with the
    model: for every constant, present or absent, [iter_bucket] yields
    exactly the ascending ids of the rows holding it and [bucket_length]
    their count. *)
 
+module D = Datalog
 module F = Datalog.Flatrel
 
 type op =
@@ -104,11 +105,6 @@ let apply st = function
     st.live.(c) <- true
   | Copy ->
     st.rel <- F.copy st.rel;
-    let rows = Util.Vec.to_array st.rows in
-    Util.Vec.clear st.rows;
-    for i = Array.length rows - 1 downto 0 do
-      Util.Vec.push st.rows rows.(i)
-    done;
     Array.fill st.live 0 (Array.length st.live) false
 
 (* Runs [ops], checking after each step with [every] and once more at
@@ -184,7 +180,112 @@ let test_large_columns () =
   in
   run ~arity:3 ~every:false ~absent:[ -1; 257; 1_000_003 ] ops
 
+(* The row table against a [Hashtbl] model: up to 2,000 rows, most of
+   them drawn from a narrow range so duplicates are common, inserted
+   through both write paths. The table starts at 32 slots and doubles
+   whenever an insertion takes it past 3/4 full, so a draw grows it up
+   to six times. [length], [mem] and [find] must agree with the model
+   after every insertion, and [find] must give each row the id it got
+   when first inserted. *)
+let gen_rows =
+  QCheck.Gen.(
+    let* arity = int_range 1 3 in
+    let* range = oneofl [ 3; 12; 1 lsl 40 ] in
+    let* n = int_range 1 2_000 in
+    let* rows = list_repeat n (array_repeat arity (int_bound (range - 1))) in
+    return (arity, rows))
+
+let prop_row_table_matches_model =
+  QCheck.Test.make ~count:200 ~name:"row table length/mem/find = Hashtbl model"
+    (QCheck.make gen_rows ~print:(fun (arity, rows) ->
+         Printf.sprintf "arity %d: %s" arity (String.concat " " (List.map pp_row rows))))
+    (fun (arity, rows) ->
+      let rel = F.create ~arity in
+      let ids : (int array, int) Hashtbl.t = Hashtbl.create 64 in
+      let absent = Array.make arity (-1) in
+      List.iteri
+        (fun i r ->
+          let fresh = (if i mod 2 = 0 then F.add else F.append) rel r 0 in
+          if fresh = Hashtbl.mem ids r then fail "insert %s: returned %b" (pp_row r) fresh;
+          if fresh then Hashtbl.replace ids (Array.copy r) (Hashtbl.length ids);
+          if F.length rel <> Hashtbl.length ids then
+            fail "length %d, model %d" (F.length rel) (Hashtbl.length ids);
+          if F.find rel r 0 <> Hashtbl.find ids r then
+            fail "find %s: %d, model %d" (pp_row r) (F.find rel r 0) (Hashtbl.find ids r);
+          if F.find rel absent 0 <> -1 || F.mem rel absent 0 then fail "absent row found")
+        rows;
+      Hashtbl.iter
+        (fun r id ->
+          if not (F.mem rel r 0) then fail "mem %s: false" (pp_row r);
+          if F.find rel r 0 <> id then
+            fail "find %s: %d, model %d" (pp_row r) (F.find rel r 0) id;
+          for col = 0 to arity - 1 do
+            if F.get rel id col <> r.(col) then fail "row %d, column %d differs" id col
+          done)
+        ids;
+      true)
+
+(* [Database.iter_matching] and [estimate] on patterns that bind every
+   column: each answers exactly the one row or none, builds no column
+   index ([eval.index.builds] stays put), and agrees with filtering the
+   answers of the same pattern with one column left free. *)
+let gen_db_case =
+  QCheck.Gen.(
+    let* arity = int_range 1 3 in
+    let gen_row = array_repeat arity (int_bound 4) in
+    let* rows = list_size (int_range 0 60) gen_row in
+    let* probes = list_size (int_range 1 30) gen_row in
+    return (arity, rows, probes))
+
+let prop_fully_bound_probes =
+  QCheck.Test.make ~count:300 ~name:"fully bound iter_matching/estimate = row table"
+    (QCheck.make gen_db_case ~print:(fun (arity, rows, probes) ->
+         Printf.sprintf "arity %d: rows %s; probes %s" arity
+           (String.concat " " (List.map pp_row rows))
+           (String.concat " " (List.map pp_row probes))))
+    (fun (arity, rows, probes) ->
+      let p = D.Symbol.intern "fb" in
+      let sym i = D.Symbol.intern (Printf.sprintf "fb%d" i) in
+      let fact r = D.Fact.make p (Array.map sym r) in
+      let db = D.Database.of_list (List.map fact rows) in
+      let matching bound =
+        let acc = ref [] in
+        D.Database.iter_matching db p ~arity bound (fun f -> acc := f :: !acc);
+        List.rev !acc
+      in
+      let full r = List.init arity (fun i -> (i, sym r.(i))) in
+      Util.Metrics.set_enabled true;
+      Fun.protect ~finally:(fun () -> Util.Metrics.set_enabled false) @@ fun () ->
+      let builds0 = Util.Metrics.get_counter "eval.index.builds" in
+      let answers =
+        List.map
+          (fun r -> (r, matching (full r), D.Database.estimate db p ~arity (full r)))
+          probes
+      in
+      let builds1 = Util.Metrics.get_counter "eval.index.builds" in
+      if builds1 <> builds0 then fail "fully bound probes built %d index(es)" (builds1 - builds0);
+      List.iter
+        (fun (r, got, est) ->
+          let present = D.Database.mem db (fact r) in
+          let expected = if present then [ fact r ] else [] in
+          if not (List.equal D.Fact.equal got expected) then
+            fail "probe %s: %d answers, present %b" (pp_row r) (List.length got) present;
+          if est <> List.length expected then fail "estimate %s: %d" (pp_row r) est;
+          (* Free the last column and filter on it. *)
+          let partial = List.filter (fun (i, _) -> i <> arity - 1) (full r) in
+          let filtered =
+            List.filter
+              (fun f -> (D.Fact.args f).(arity - 1) = sym r.(arity - 1))
+              (matching partial)
+          in
+          if not (List.equal D.Fact.equal got filtered) then
+            fail "probe %s: %d answers, filtered partial match %d" (pp_row r)
+              (List.length got) (List.length filtered))
+        answers;
+      true)
+
 let suite =
   ( "flatrel",
     [ Alcotest.test_case "large columns" `Quick test_large_columns ]
-    @ List.map QCheck_alcotest.to_alcotest [ prop_index_matches_model ] )
+    @ List.map QCheck_alcotest.to_alcotest
+        [ prop_index_matches_model; prop_row_table_matches_model; prop_fully_bound_probes ] )
