@@ -167,10 +167,11 @@ let tests () =
                let e = P.Enumerate.of_closure closure in
                ignore (P.Enumerate.next e))));
     (* Profiler kernels, same discipline: the engine with the rule
-       profiler compiled in but disabled (the flag is sampled once per
-       fixpoint, so "off" must stay within the < 2% satellite budget of
-       the uninstrumented run) and enabled (per-instruction closure
-       wrapping plus task buffers; reset each run so the accumulator
+       profiler compiled in but disabled (its bit of the enable word is
+       read once per fixpoint, so "off" must stay within the < 2%
+       satellite budget of the uninstrumented run) and enabled
+       (per-atom closure wrapping counting into the per-rule tallies,
+       plus two clock reads per task; reset each run so the accumulator
        never grows). *)
     Test.make ~name:"profile:seminaive-off"
       (Staged.stage (fun () -> ignore (D.Eval.seminaive program db)));

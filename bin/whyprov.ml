@@ -323,21 +323,23 @@ let cmd_profile () path query format top no_times out =
   ignore (D.Eval.seminaive program db);
   D.Profile.set_enabled false;
   let prof = D.Profile.snapshot () in
-  match format with
-  | `Human -> Format.printf "%a" (D.Profile.pp ~top) prof
-  | `Json -> (
-    let line =
-      Metrics.Json.to_string (D.Profile.to_json ~times:(not no_times) prof)
-    in
-    match out with
-    | None -> print_endline line
-    | Some file -> (
-      try
-        let oc = open_out file in
-        output_string oc line;
-        output_char oc '\n';
-        close_out oc
-      with Sys_error msg -> die "--output: %s" msg))
+  let write oc =
+    match format with
+    | `Human ->
+      Format.fprintf (Format.formatter_of_out_channel oc) "%a%!" (D.Profile.pp ~top) prof
+    | `Json ->
+      output_string oc
+        (Metrics.Json.to_string (D.Profile.to_json ~times:(not no_times) prof));
+      output_char oc '\n'
+  in
+  match out with
+  | None -> write stdout
+  | Some file -> (
+    try
+      let oc = open_out file in
+      write oc;
+      close_out oc
+    with Sys_error msg -> die "--output: %s" msg)
 
 (* The static analyzer: whyprov check FILE [-q PRED]. Exit status is the
    contract (docs/ANALYSIS.md): 0 clean or warnings only, 1 on errors or
@@ -714,9 +716,9 @@ let profile_format_arg =
 let top_arg =
   Arg.(
     value
-    & opt int 5
+    & opt non_negative_int 5
     & info [ "top" ] ~docv:"K"
-        ~doc:"Number of hot rules the human report lists (default 5).")
+        ~doc:"Number of hot rules the human report lists (default 5), at least 0.")
 
 let no_times_arg =
   Arg.(
@@ -732,7 +734,7 @@ let profile_out_arg =
     value
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE"
-        ~doc:"Write the JSON document to $(docv) instead of stdout.")
+        ~doc:"Write the report, in either format, to $(docv) instead of stdout.")
 
 let profile_cmd =
   Cmd.v

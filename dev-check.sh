@@ -220,7 +220,9 @@ done
 
 echo "== profile smoke (rule-level profiler, docs/OBSERVABILITY.md)"
 pr1=$(mktemp -t whyprov-prof1.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1"' EXIT
+pr2=$(mktemp -t whyprov-prof2.XXXXXX)
+pr3=$(mktemp -t whyprov-prof3.XXXXXX)
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$pr2" "$pr3"' EXIT
 
 # --profile must not change explain's stdout, and its JSON document
 # must validate (schema, per-rule arithmetic; validate_profile.ml).
@@ -234,17 +236,30 @@ dune exec --no-build bin/whyprov.exe -- \
   batch examples/reach.dl -q tc --all --jobs 2 --profile="$pr1" > /dev/null
 dune exec --no-build test/cli/validate_profile.exe -- "$pr1"
 
-# The profile subcommand writes the same document.
+# The profile subcommand writes the same document, and its per-rule
+# firings, derived and tuples sum to the eval.* counters of its
+# metrics dump.
 dune exec --no-build bin/whyprov.exe -- \
-  profile examples/mutual.dl -q even --format json --no-times > "$pr1"
+  profile examples/mutual.dl -q even --format json --no-times \
+  --stats-out "$pr2" > "$pr1"
+dune exec --no-build test/cli/validate_profile.exe -- "$pr1" "$pr2"
+
+# All three bits of the enable word at once (profile, stats, trace):
+# explain's stdout is unchanged and the profile and trace validate.
+dune exec --no-build bin/whyprov.exe -- \
+  explain examples/reach.dl -q tc -t a,c --profile="$pr1" --stats-out "$pr2" \
+  --trace "$pr3" > "$a1"
+diff test/cli/expected_explain.txt "$a1"
 dune exec --no-build test/cli/validate_profile.exe -- "$pr1"
+dune exec --no-build test/cli/validate_trace.exe -- "$pr3" --stats "$pr2" \
+  eval.seminaive eval.round closure.build
 
 echo "== bench regression gate (--check, EXPERIMENTS.md)"
 # Record a fresh baseline over the engine workloads, then gate against
 # it: the same run must pass, and an injected 2x slowdown must fail.
 bb=$(mktemp -t whyprov-bench-base.XXXXXX)
 bslow=$(mktemp -t whyprov-bench-slow.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$bb" "$bslow"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$pr2" "$pr3" "$bb" "$bslow"' EXIT
 dune exec --no-build bench/main.exe -- \
   --scale 0.05 --stats-out "$bb" engine > /dev/null
 dune exec --no-build bench/main.exe -- \
@@ -291,7 +306,7 @@ fi
 # oracle). Two runs must agree byte-for-byte, and find nothing.
 f1=$(mktemp -t whyfuzz-f1.XXXXXX)
 f2=$(mktemp -t whyfuzz-f2.XXXXXX)
-trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$bb" "$bslow" "$f1" "$f2"' EXIT
+trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$tstats" "$p1" "$p2" "$p3" "$p4" "$a1" "$pr1" "$pr2" "$pr3" "$bb" "$bslow" "$f1" "$f2"' EXIT
 dune exec --no-build bin/whyfuzz.exe -- \
   fuzz --seed 42 --iters 50 --quiet > "$f1"
 dune exec --no-build bin/whyfuzz.exe -- \

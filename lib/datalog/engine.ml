@@ -72,34 +72,6 @@ let strata program =
 (* Plan execution                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Counters a task accumulates locally and the round flushes into the
-   metrics registry once, keeping registry lookups off the hot path. *)
-type task_stats = {
-  mutable s_tuples : int;
-  mutable s_probes : int;
-  mutable s_scans : int;
-  mutable s_hits : int;
-}
-
-type task = {
-  t_plan : Plan.t;
-  t_stats : task_stats;
-  t_prof : Profile.task option;
-      (* per-instruction match counts and accepted-row count for the
-         profiler; [None] unless profiling was on when the fixpoint
-         started, so the disabled engine carries only this one word *)
-}
-
-let make_task profiling plan =
-  {
-    t_plan = plan;
-    t_stats = { s_tuples = 0; s_probes = 0; s_scans = 0; s_hits = 0 };
-    t_prof =
-      (if profiling then
-         Some (Profile.task_create (Array.length plan.Plan.p_instrs))
-       else None);
-  }
-
 (* Run one compiled plan. [model] holds one relation per schema
    predicate; the round's delta is not a separate relation but the row
    range [ranges] of each model relation appended by the previous
@@ -108,10 +80,10 @@ let make_task profiling plan =
    full scans stop there, and the column indexes are only extended at
    round boundaries, so a round only ever joins against the model as it
    stood when the round began. Derived head rows go straight into the
-   model relation, so tasks run in task order fix the row sequence. *)
-let run_task ~model ~limits ~ranges task =
-  let plan = task.t_plan in
-  let stats = task.t_stats in
+   model relation, so tasks run in task order fix the row sequence.
+   The task counts into its rule's tally [t]; only when [profiling] do
+   the per-atom and emission counts cost anything per row. *)
+let run_task ~model ~limits ~ranges ~profiling (t : Profile.tally) plan =
   let instrs = plan.Plan.p_instrs in
   let n = Array.length instrs in
   let regs = Array.make (max plan.Plan.p_nregs 1) 0 in
@@ -126,8 +98,7 @@ let run_task ~model ~limits ~ranges task =
     done
   in
   let emit =
-    match task.t_prof with
-    | None ->
+    if not profiling then
       fun () ->
         (* One combined lookup-or-insert; duplicates of both older
            rounds and this round's earlier emissions are rejected by the
@@ -135,141 +106,150 @@ let run_task ~model ~limits ~ranges task =
            boundary. *)
         ground_head ();
         ignore (Flatrel.append model_head hbuf 0)
-    | Some tp ->
+    else
       fun () ->
         ground_head ();
-        if Flatrel.append model_head hbuf 0 then
-          tp.Profile.new_rows <- tp.Profile.new_rows + 1
+        t.r_emitted <- t.r_emitted + 1;
+        if Flatrel.append model_head hbuf 0 then t.r_derived <- t.r_derived + 1
+  in
+  (* One body atom: scan or probe its relation, then run [next] on every
+     matching row. *)
+  let step (ins : Plan.instr) next =
+    match Hashtbl.find_opt model ins.Plan.i_pred with
+    | None -> fun () -> ()
+    | Some rel ->
+      let consts = ins.Plan.i_consts
+      and checks = ins.Plan.i_checks
+      and binds = ins.Plan.i_binds
+      and dups = ins.Plan.i_dups in
+      let nconsts = Array.length consts
+      and nchecks = Array.length checks
+      and nbinds = Array.length binds
+      and ndups = Array.length dups in
+      let rec consts_ok k row =
+        k >= nconsts
+        ||
+        let col, v = consts.(k) in
+        Flatrel.get rel row col = v && consts_ok (k + 1) row
+      in
+      let rec checks_ok k row =
+        k >= nchecks
+        ||
+        let col, r = checks.(k) in
+        Flatrel.get rel row col = regs.(r) && checks_ok (k + 1) row
+      in
+      let rec dups_ok k row =
+        k >= ndups
+        ||
+        let col, r = dups.(k) in
+        Flatrel.get rel row col = regs.(r) && dups_ok (k + 1) row
+      in
+      let try_row row =
+        if consts_ok 0 row && checks_ok 0 row then begin
+          for k = 0 to nbinds - 1 do
+            let col, r = binds.(k) in
+            regs.(r) <- Flatrel.get rel row col
+          done;
+          if dups_ok 0 row then begin
+            t.r_tuples <- t.r_tuples + 1;
+            next ()
+          end
+        end
+      in
+      if ins.Plan.i_from_delta then begin
+        (* The delta atom (always the plan's first instruction): scan
+           the rows the previous round appended, checking constant
+           columns inline — delta ranges are small and never carry
+           column indexes. *)
+        match Hashtbl.find_opt ranges ins.Plan.i_pred with
+        | None -> fun () -> t.r_scans <- t.r_scans + 1
+        | Some (lo, hi) ->
+          fun () ->
+            t.r_scans <- t.r_scans + 1;
+            for row = lo to hi - 1 do
+              try_row row
+            done
+      end
+      else if nconsts = 0 && nchecks = 0 then begin
+        (* Unbound scan, stopping at the round-start watermark so
+           rows appended by this round's own tasks stay invisible. *)
+        let n0 =
+          match Hashtbl.find_opt limits ins.Plan.i_pred with
+          | Some n -> n
+          | None -> Flatrel.length rel
+        in
+        fun () ->
+          t.r_scans <- t.r_scans + 1;
+          for row = 0 to n0 - 1 do
+            try_row row
+          done
+      end
+      else begin
+        (* Probe the bound column with the smallest index bucket; an
+           empty bucket on any bound column means zero matches. The
+           scratch refs are per-instruction, reset on entry. *)
+        let best = ref (-1) and best_col = ref 0 in
+        let best_n = ref max_int in
+        let consider col v =
+          let h = Flatrel.bucket rel col v in
+          let nr = Flatrel.bucket_length rel col h in
+          if nr < !best_n then begin
+            best := h;
+            best_col := col;
+            best_n := nr
+          end
+        in
+        let rec pick_consts k =
+          if k < nconsts && !best_n > 0 then begin
+            let col, v = consts.(k) in
+            consider col v;
+            pick_consts (k + 1)
+          end
+        in
+        let rec pick_checks k =
+          if k < nchecks && !best_n > 0 then begin
+            let col, r = checks.(k) in
+            consider col regs.(r);
+            pick_checks (k + 1)
+          end
+        in
+        fun () ->
+          best_n := max_int;
+          pick_consts 0;
+          pick_checks 0;
+          t.r_probes <- t.r_probes + 1;
+          if !best_n > 0 then begin
+            t.r_hits <- t.r_hits + 1;
+            Flatrel.iter_bucket rel !best_col !best try_row
+          end
+      end
   in
   (* Compile the instruction array, last to first, into a chain of
      closures built once per task: the per-row checks close only over
-     task state (register file, stats, relations), never over the row,
+     task state (register file, tally, relations), never over the row,
      so the scan/probe loops below allocate nothing per tuple. *)
   let rec build i =
     if i = n then emit
     else begin
+      let ins = instrs.(i) in
+      let pos = ins.Plan.i_atom in
       let next =
-        (* Count tuples matched per instruction by wrapping the chain
-           link once at build time — the disabled engine keeps the
-           unwrapped closure and pays nothing per row. *)
-        match task.t_prof with
-        | None -> build (i + 1)
-        | Some tp ->
+        (* Count the bindings reaching and the tuples matched by each
+           body atom by wrapping the chain links once at build time —
+           the disabled engine keeps the unwrapped closures and pays
+           nothing per row. *)
+        if not profiling then build (i + 1)
+        else
           let next0 = build (i + 1) in
-          let out = tp.Profile.out in
           fun () ->
-            out.(i) <- out.(i) + 1;
+            t.r_out.(pos) <- t.r_out.(pos) + 1;
             next0 ()
       in
-      let ins = instrs.(i) in
-      match Hashtbl.find_opt model ins.Plan.i_pred with
-      | None -> fun () -> ()
-      | Some rel ->
-        let consts = ins.Plan.i_consts
-        and checks = ins.Plan.i_checks
-        and binds = ins.Plan.i_binds
-        and dups = ins.Plan.i_dups in
-        let nconsts = Array.length consts
-        and nchecks = Array.length checks
-        and nbinds = Array.length binds
-        and ndups = Array.length dups in
-        let rec consts_ok k row =
-          k >= nconsts
-          ||
-          let col, v = consts.(k) in
-          Flatrel.get rel row col = v && consts_ok (k + 1) row
-        in
-        let rec checks_ok k row =
-          k >= nchecks
-          ||
-          let col, r = checks.(k) in
-          Flatrel.get rel row col = regs.(r) && checks_ok (k + 1) row
-        in
-        let rec dups_ok k row =
-          k >= ndups
-          ||
-          let col, r = dups.(k) in
-          Flatrel.get rel row col = regs.(r) && dups_ok (k + 1) row
-        in
-        let try_row row =
-          if consts_ok 0 row && checks_ok 0 row then begin
-            for k = 0 to nbinds - 1 do
-              let col, r = binds.(k) in
-              regs.(r) <- Flatrel.get rel row col
-            done;
-            if dups_ok 0 row then begin
-              stats.s_tuples <- stats.s_tuples + 1;
-              next ()
-            end
-          end
-        in
-        if ins.Plan.i_from_delta then begin
-          (* The delta atom (always the plan's first instruction): scan
-             the rows the previous round appended, checking constant
-             columns inline — delta ranges are small and never carry
-             column indexes. *)
-          match Hashtbl.find_opt ranges ins.Plan.i_pred with
-          | None -> fun () -> stats.s_scans <- stats.s_scans + 1
-          | Some (lo, hi) ->
-            fun () ->
-              stats.s_scans <- stats.s_scans + 1;
-              for row = lo to hi - 1 do
-                try_row row
-              done
-        end
-        else if nconsts = 0 && nchecks = 0 then begin
-          (* Unbound scan, stopping at the round-start watermark so
-             rows appended by this round's own tasks stay invisible. *)
-          let n0 =
-            match Hashtbl.find_opt limits ins.Plan.i_pred with
-            | Some n -> n
-            | None -> Flatrel.length rel
-          in
-          fun () ->
-            stats.s_scans <- stats.s_scans + 1;
-            for row = 0 to n0 - 1 do
-              try_row row
-            done
-        end
-        else begin
-          (* Probe the bound column with the smallest index bucket; an
-             empty bucket on any bound column means zero matches. The
-             scratch refs are per-instruction, reset on entry. *)
-          let best = ref (-1) and best_col = ref 0 in
-          let best_n = ref max_int in
-          let consider col v =
-            let h = Flatrel.bucket rel col v in
-            let nr = Flatrel.bucket_length rel col h in
-            if nr < !best_n then begin
-              best := h;
-              best_col := col;
-              best_n := nr
-            end
-          in
-          let rec pick_consts k =
-            if k < nconsts && !best_n > 0 then begin
-              let col, v = consts.(k) in
-              consider col v;
-              pick_consts (k + 1)
-            end
-          in
-          let rec pick_checks k =
-            if k < nchecks && !best_n > 0 then begin
-              let col, r = checks.(k) in
-              consider col regs.(r);
-              pick_checks (k + 1)
-            end
-          in
-          fun () ->
-            best_n := max_int;
-            pick_consts 0;
-            pick_checks 0;
-            stats.s_probes <- stats.s_probes + 1;
-            if !best_n > 0 then begin
-              stats.s_hits <- stats.s_hits + 1;
-              Flatrel.iter_bucket rel !best_col !best try_row
-            end
-        end
+      let step = step ins next in
+      if not profiling then step
+      else fun () ->
+        t.r_in.(pos) <- t.r_in.(pos) + 1;
+        step ()
     end
   in
   (build 0) ()
@@ -278,15 +258,15 @@ let run_task ~model ~limits ~ranges task =
 (* Semi-naive fixpoint                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let round_span round f =
-  let args =
-    if Tracing.is_enabled () then [ ("round", Metrics.Json.Num (float_of_int round)) ] else []
-  in
-  Tracing.with_span ~args "eval.round" f
-
 let seminaive ?ranks program db =
   Tracing.with_span "eval.seminaive" @@ fun () ->
   Metrics.incr m_runs;
+  (* The enable word is read once: every sink's decision holds for the
+     whole fixpoint. *)
+  let word = Atomic.get Metrics.enable_word in
+  let stats = word land Metrics.stats_bit <> 0
+  and tracing = word land Metrics.trace_bit <> 0
+  and profiling = word land Metrics.profile_bit <> 0 in
   (* The model holds the database's relations themselves, read-only:
      only a relation some rule derives into is the model's own (a copy,
      rows in database order, when the database holds facts of it).
@@ -323,13 +303,11 @@ let seminaive ?ranks program db =
       sccs;
     fun p -> match Hashtbl.find_opt h p with Some i -> i | None -> 0
   in
-  (* The profiler flag is sampled once per fixpoint: every task of this
-     run either carries a profile buffer or none do. *)
-  let prof_run =
-    if Profile.is_enabled () then Some (Profile.run_begin program sccs)
-    else None
-  in
-  let profiling = prof_run <> None in
+  (* One tally per rule, indexed by rule id ({!Program.make} numbers
+     the rules densely, in order): every task counts into its rule's,
+     and the [eval.*] counters and the profile both read them. *)
+  let tallies = Array.map Profile.tally full_plans in
+  let prof_run = if profiling then Some (Profile.run_begin sccs) else None in
   let delta_plans =
     let acc = ref [] in
     Array.iter
@@ -390,29 +368,23 @@ let seminaive ?ranks program db =
   let boundaries : (Symbol.t, (int * int) list ref) Hashtbl.t =
     Hashtbl.create 16
   in
-  let run_tasks tasks ranges =
-    let ntasks = Array.length tasks in
+  (* One round: every plan once, in order, as one task. *)
+  let run_round round plans ranges =
+    let args =
+      if tracing then [ ("round", Metrics.Json.Num (float_of_int round)) ] else []
+    in
+    Tracing.with_span ~args "eval.round" @@ fun () ->
     Array.iter
-      (fun t ->
-        match t.t_prof with
-        | None -> run_task ~model ~limits ~ranges t
-        | Some tp ->
-          let t0 = Profile.now_s () in
-          run_task ~model ~limits ~ranges t;
-          tp.Profile.secs <- tp.Profile.secs +. (Profile.now_s () -. t0))
-      tasks;
-    Metrics.add m_firings ntasks;
-    Metrics.add m_tasks ntasks;
-    if Metrics.is_enabled () then
-      Array.iter
-        (fun t ->
-          let s = t.t_stats in
-          Metrics.add m_tuples s.s_tuples;
-          Metrics.add m_probes s.s_probes;
-          Metrics.add m_scans s.s_scans;
-          Metrics.add m_index_probes s.s_probes;
-          Metrics.add m_index_hits s.s_hits)
-        tasks
+      (fun (plan : Plan.t) ->
+        let t = tallies.(plan.Plan.p_rule.Rule.id) in
+        t.r_firings <- t.r_firings + 1;
+        if not profiling then run_task ~model ~limits ~ranges ~profiling t plan
+        else begin
+          let t0 = Tracing.clock_us () in
+          run_task ~model ~limits ~ranges ~profiling t plan;
+          t.r_secs <- t.r_secs +. ((Tracing.clock_us () -. t0) *. 1e-6)
+        end)
+      plans
   in
   (* Close a round. The tasks appended their rows to the model relations
      already, in task order; the appended ranges — the next round's
@@ -441,7 +413,7 @@ let seminaive ?ranks program db =
           b := (round, hi) :: !b
         end)
       schema_rels;
-    if Metrics.is_enabled () then begin
+    if stats then begin
       Metrics.observe_int m_delta_size !total;
       Hashtbl.iter
         (fun pred (lo, hi) ->
@@ -450,34 +422,15 @@ let seminaive ?ranks program db =
             (hi - lo))
         ranges
     end;
-    if Tracing.is_enabled () then
+    if tracing then
       Tracing.counter "eval.delta" [ ("facts", float_of_int !total) ];
+    Option.iter (fun run -> Profile.record_round run ranges) prof_run;
     (ranges, !total)
-  in
-  (* Fold the round's tasks into the profile run, in task order. *)
-  let profile_round tasks (ranges, _total) =
-    match prof_run with
-    | None -> ()
-    | Some run ->
-      Array.iter
-        (fun t ->
-          match t.t_prof with
-          | Some tp ->
-            let s = t.t_stats in
-            Profile.record_task run t.t_plan tp ~probes:s.s_probes
-              ~hits:s.s_hits ~scans:s.s_scans
-          | None -> ())
-        tasks;
-      Profile.record_round run
-        (Hashtbl.fold
-           (fun p (lo, hi) acc -> (p, hi - lo) :: acc)
-           ranges [])
   in
   (* Round 1: full evaluation of every rule over the database. *)
   let empty : (Symbol.t, int * int) Hashtbl.t = Hashtbl.create 1 in
   snapshot ();
-  let tasks1 = Array.map (make_task profiling) full_plans in
-  round_span 1 (fun () -> run_tasks tasks1 empty);
+  run_round 1 full_plans empty;
   Metrics.incr m_rounds;
   List.iter
     (fun (pred, col) ->
@@ -486,18 +439,27 @@ let seminaive ?ranks program db =
       | None -> ())
     full_only_cols;
   let delta = ref (close_round 1) in
-  profile_round tasks1 !delta;
   let round = ref 2 in
   while snd !delta > 0 do
     snapshot ();
-    let tasks = Array.map (make_task profiling) delta_plans in
-    round_span !round (fun () -> run_tasks tasks (fst !delta));
+    run_round !round delta_plans (fst !delta);
     Metrics.incr m_rounds;
     delta := close_round !round;
-    profile_round tasks !delta;
     incr round
   done;
-  Option.iter Profile.run_end prof_run;
+  if stats then begin
+    let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
+    let firings = sum (fun t -> t.Profile.r_firings)
+    and probes = sum (fun t -> t.Profile.r_probes) in
+    Metrics.add m_firings firings;
+    Metrics.add m_tasks firings;
+    Metrics.add m_tuples (sum (fun t -> t.Profile.r_tuples));
+    Metrics.add m_probes probes;
+    Metrics.add m_scans (sum (fun t -> t.Profile.r_scans));
+    Metrics.add m_index_probes probes;
+    Metrics.add m_index_hits (sum (fun t -> t.Profile.r_hits))
+  end;
+  Option.iter (fun run -> Profile.run_end run tallies) prof_run;
   (* Ranks, only when asked for: 0 for the database's facts, then each
      relation's derived rows labelled from the recorded round
      boundaries. Callers pass a fresh table ({!Engine.seminaive}'s

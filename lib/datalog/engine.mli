@@ -43,8 +43,10 @@ val seminaive :
     join order ({!Plan.compile}), so the model, the ranks {e and} the
     model's iteration order depend only on [(program, db)].
 
-    When {!Profile.is_enabled} is true at call time, every task of the
-    run additionally records per-rule / per-atom / per-SCC attribution
-    into the accumulated profile (see {!Profile}); each task fills its
-    own buffer and the round folds them in task order, so the counts
-    are identical across runs. *)
+    Every task counts into its rule's {!Profile.tally}; the [eval.*]
+    counters are summed from the tallies after the fixpoint. The enable
+    word is read once per call: when {!Profile.is_enabled} holds, the
+    tallies also record per-atom and emission counts and wall time,
+    and the run merges them, with its per-SCC rounds, into the
+    accumulated profile (see {!Profile}). The engine is sequential, so
+    the counts are identical across runs. *)

@@ -1,135 +1,114 @@
-module Json = Util.Metrics.Json
+module Metrics = Util.Metrics
+module Json = Metrics.Json
 
 (* ------------------------------------------------------------------ *)
-(* Enablement                                                          *)
+(* Enablement: one bit of the shared enable word                       *)
 (* ------------------------------------------------------------------ *)
 
-let enabled = Atomic.make false
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+let set_enabled on = Metrics.set_bit Metrics.profile_bit on
+let is_enabled () = Atomic.get Metrics.enable_word land Metrics.profile_bit <> 0
 
 (* ------------------------------------------------------------------ *)
-(* Engine-side collection                                              *)
+(* Per-rule tallies                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type task = {
-  out : int array;
-  mutable new_rows : int;
-  mutable secs : float;
+(* One type serves the engine's per-fixpoint tally, the accumulated
+   profile and its snapshots. [r_in]/[r_out] are indexed by body
+   position, not join-order position: positions are stable across the
+   full plan and every delta variant of the rule, so the per-atom
+   totals merge whatever order each plan chose. *)
+type tally = {
+  r_rule : Rule.t;
+  r_order : int array;
+  mutable r_firings : int;
+  mutable r_secs : float;
+  mutable r_tuples : int;
+  mutable r_emitted : int;
+  mutable r_derived : int;
+  mutable r_probes : int;
+  mutable r_hits : int;
+  mutable r_scans : int;
+  r_in : int array;
+  r_out : int array;
 }
 
-let task_create n = { out = Array.make (max n 1) 0; new_rows = 0; secs = 0.0 }
-let now_s = Unix.gettimeofday
+let zero rule order =
+  let n = List.length (Rule.body rule) in
+  {
+    r_rule = rule;
+    r_order = order;
+    r_firings = 0;
+    r_secs = 0.0;
+    r_tuples = 0;
+    r_emitted = 0;
+    r_derived = 0;
+    r_probes = 0;
+    r_hits = 0;
+    r_scans = 0;
+    r_in = Array.make n 0;
+    r_out = Array.make n 0;
+  }
 
-(* Per-rule accumulator of one fixpoint run. Arrays are indexed by body
-   position (not join-order position): positions are stable across the
-   full plan and every delta variant of the rule, so the per-atom
-   totals merge cleanly whatever order each plan chose. *)
-type rule_acc = {
-  k_rule : Rule.t;
-  k_preds : Symbol.t array;  (* body predicate per position *)
-  mutable k_order : int array;  (* full-plan join order; [||] until seen *)
-  mutable k_firings : int;
-  mutable k_secs : float;
-  mutable k_tuples : int;
-  mutable k_emitted : int;
-  mutable k_derived : int;
-  mutable k_probes : int;
-  mutable k_hits : int;
-  mutable k_scans : int;
-  k_in : int array;
-  k_out : int array;
+let tally (plan : Plan.t) =
+  zero plan.Plan.p_rule (Array.map (fun i -> i.Plan.i_atom) plan.Plan.p_instrs)
+
+let merge ~into t =
+  into.r_firings <- into.r_firings + t.r_firings;
+  into.r_secs <- into.r_secs +. t.r_secs;
+  into.r_tuples <- into.r_tuples + t.r_tuples;
+  into.r_emitted <- into.r_emitted + t.r_emitted;
+  into.r_derived <- into.r_derived + t.r_derived;
+  into.r_probes <- into.r_probes + t.r_probes;
+  into.r_hits <- into.r_hits + t.r_hits;
+  into.r_scans <- into.r_scans + t.r_scans;
+  Array.iteri (fun i n -> into.r_in.(i) <- into.r_in.(i) + n) t.r_in;
+  Array.iteri (fun i n -> into.r_out.(i) <- into.r_out.(i) + n) t.r_out
+
+let id t = t.r_rule.Rule.id
+let head t = (Rule.head t.r_rule).Atom.pred
+
+(* ------------------------------------------------------------------ *)
+(* Per-SCC rounds                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type scc = {
+  c_preds : Symbol.t list;
+  mutable c_rounds : int;
+  mutable c_derived : int;
 }
 
 type run = {
-  u_rules : rule_acc array;  (* dense, indexed by rule id *)
-  u_sccs : Symbol.t list array;
+  u_sccs : scc array;
   u_scc_of : (Symbol.t, int) Hashtbl.t;
-  u_scc_rounds : int array;
-  u_scc_derived : int array;
+  u_last : int array;  (* the last round each component derived in *)
   mutable u_rounds : int;
 }
 
-let run_begin program sccs =
-  let rules = Array.of_list (Program.rules program) in
-  let u_rules =
-    Array.map
-      (fun r ->
-        let body = Array.of_list (Rule.body r) in
-        let n = Array.length body in
-        {
-          k_rule = r;
-          k_preds = Array.map (fun (a : Atom.t) -> a.Atom.pred) body;
-          k_order = [||];
-          k_firings = 0;
-          k_secs = 0.0;
-          k_tuples = 0;
-          k_emitted = 0;
-          k_derived = 0;
-          k_probes = 0;
-          k_hits = 0;
-          k_scans = 0;
-          k_in = Array.make n 0;
-          k_out = Array.make n 0;
-        })
-      rules
+let run_begin sccs =
+  let u_sccs =
+    Array.of_list
+      (List.map (fun preds -> { c_preds = preds; c_rounds = 0; c_derived = 0 }) sccs)
   in
-  let u_sccs = Array.of_list sccs in
   let u_scc_of = Hashtbl.create 16 in
   Array.iteri
-    (fun i scc -> List.iter (fun p -> Hashtbl.replace u_scc_of p i) scc)
+    (fun i c -> List.iter (fun p -> Hashtbl.replace u_scc_of p i) c.c_preds)
     u_sccs;
-  {
-    u_rules;
-    u_sccs;
-    u_scc_of;
-    u_scc_rounds = Array.make (Array.length u_sccs) 0;
-    u_scc_derived = Array.make (Array.length u_sccs) 0;
-    u_rounds = 0;
-  }
+  { u_sccs; u_scc_of; u_last = Array.make (Array.length u_sccs) 0; u_rounds = 0 }
 
-let record_task run (plan : Plan.t) (t : task) ~probes ~hits ~scans =
-  let id = plan.Plan.p_rule.Rule.id in
-  if id >= 0 && id < Array.length run.u_rules then begin
-    let acc = run.u_rules.(id) in
-    let instrs = plan.Plan.p_instrs in
-    let n = Array.length instrs in
-    acc.k_firings <- acc.k_firings + 1;
-    acc.k_secs <- acc.k_secs +. t.secs;
-    acc.k_derived <- acc.k_derived + t.new_rows;
-    acc.k_probes <- acc.k_probes + probes;
-    acc.k_hits <- acc.k_hits + hits;
-    acc.k_scans <- acc.k_scans + scans;
-    if n > 0 then acc.k_emitted <- acc.k_emitted + t.out.(n - 1);
-    if plan.Plan.p_delta < 0 && Array.length acc.k_order = 0 then
-      acc.k_order <- Array.map (fun i -> i.Plan.i_atom) instrs;
-    for j = 0 to n - 1 do
-      let pos = instrs.(j).Plan.i_atom in
-      let inj = if j = 0 then 1 else t.out.(j - 1) in
-      let outj = t.out.(j) in
-      acc.k_tuples <- acc.k_tuples + outj;
-      if pos >= 0 && pos < Array.length acc.k_in then begin
-        acc.k_in.(pos) <- acc.k_in.(pos) + inj;
-        acc.k_out.(pos) <- acc.k_out.(pos) + outj
-      end
-    done
-  end
-
-let record_round run deltas =
+let record_round run ranges =
   run.u_rounds <- run.u_rounds + 1;
-  let marked = Hashtbl.create 8 in
-  List.iter
-    (fun (pred, n) ->
-      if n > 0 then
-        match Hashtbl.find_opt run.u_scc_of pred with
-        | None -> ()
-        | Some c ->
-          run.u_scc_derived.(c) <- run.u_scc_derived.(c) + n;
-          if not (Hashtbl.mem marked c) then begin
-            Hashtbl.add marked c ();
-            run.u_scc_rounds.(c) <- run.u_scc_rounds.(c) + 1
-          end)
-    deltas
+  Hashtbl.iter
+    (fun pred (lo, hi) ->
+      match Hashtbl.find_opt run.u_scc_of pred with
+      | Some i when hi > lo ->
+        let c = run.u_sccs.(i) in
+        c.c_derived <- c.c_derived + (hi - lo);
+        if run.u_last.(i) < run.u_rounds then begin
+          run.u_last.(i) <- run.u_rounds;
+          c.c_rounds <- c.c_rounds + 1
+        end
+      | _ -> ())
+    ranges
 
 (* ------------------------------------------------------------------ *)
 (* The accumulated profile                                             *)
@@ -138,36 +117,12 @@ let record_round run deltas =
 (* Rule ids are dense per program ({!Program.make} renumbers), so two
    different programs profiled in one process — e.g. two workloads in
    one test run — can reuse an id. The aggregate therefore keys rules
-   by (id, text) and components by their sorted member list; the
-   common single-program case degenerates to plain id keying. *)
-type rule_agg = {
-  g_id : int;
-  g_head : Symbol.t;
-  g_text : string;
-  g_preds : Symbol.t array;
-  mutable g_order : int array;
-  mutable g_firings : int;
-  mutable g_secs : float;
-  mutable g_tuples : int;
-  mutable g_emitted : int;
-  mutable g_derived : int;
-  mutable g_probes : int;
-  mutable g_hits : int;
-  mutable g_scans : int;
-  g_in : int array;
-  g_out : int array;
-}
-
-type scc_agg = {
-  h_ord : int;  (* topological position at first sighting *)
-  h_preds : Symbol.t list;
-  mutable h_rounds : int;
-  mutable h_derived : int;
-}
-
+   by (id, text) and components by their sorted member list, with the
+   topological position of their first sighting; the common
+   single-program case degenerates to plain id keying. *)
 let lock = Mutex.create ()
-let agg_rules : (int * string, rule_agg) Hashtbl.t = Hashtbl.create 32
-let agg_sccs : (string, scc_agg) Hashtbl.t = Hashtbl.create 32
+let agg_rules : (int * string, tally) Hashtbl.t = Hashtbl.create 32
+let agg_sccs : (string, int * scc) Hashtbl.t = Hashtbl.create 32
 let agg_runs = ref 0
 let agg_rounds = ref 0
 
@@ -181,68 +136,36 @@ let reset () =
 
 let scc_key preds = String.concat "," (List.map Symbol.name preds)
 
-let run_end run =
+let run_end run tallies =
   Mutex.lock lock;
   incr agg_runs;
   agg_rounds := !agg_rounds + run.u_rounds;
   Array.iter
-    (fun acc ->
-      let text = Rule.to_string acc.k_rule in
-      let key = (acc.k_rule.Rule.id, text) in
+    (fun t ->
+      let key = (id t, Rule.to_string t.r_rule) in
       let g =
         match Hashtbl.find_opt agg_rules key with
         | Some g -> g
         | None ->
-          let n = Array.length acc.k_preds in
-          let g =
-            {
-              g_id = acc.k_rule.Rule.id;
-              g_head = (Rule.head acc.k_rule).Atom.pred;
-              g_text = text;
-              g_preds = acc.k_preds;
-              g_order = [||];
-              g_firings = 0;
-              g_secs = 0.0;
-              g_tuples = 0;
-              g_emitted = 0;
-              g_derived = 0;
-              g_probes = 0;
-              g_hits = 0;
-              g_scans = 0;
-              g_in = Array.make n 0;
-              g_out = Array.make n 0;
-            }
-          in
+          let g = zero t.r_rule t.r_order in
           Hashtbl.add agg_rules key g;
           g
       in
-      if Array.length g.g_order = 0 then g.g_order <- acc.k_order;
-      g.g_firings <- g.g_firings + acc.k_firings;
-      g.g_secs <- g.g_secs +. acc.k_secs;
-      g.g_tuples <- g.g_tuples + acc.k_tuples;
-      g.g_emitted <- g.g_emitted + acc.k_emitted;
-      g.g_derived <- g.g_derived + acc.k_derived;
-      g.g_probes <- g.g_probes + acc.k_probes;
-      g.g_hits <- g.g_hits + acc.k_hits;
-      g.g_scans <- g.g_scans + acc.k_scans;
-      for i = 0 to Array.length acc.k_in - 1 do
-        g.g_in.(i) <- g.g_in.(i) + acc.k_in.(i);
-        g.g_out.(i) <- g.g_out.(i) + acc.k_out.(i)
-      done)
-    run.u_rules;
+      merge ~into:g t)
+    tallies;
   Array.iteri
-    (fun i preds ->
-      let key = scc_key preds in
-      let h =
+    (fun i c ->
+      let key = scc_key c.c_preds in
+      let _, g =
         match Hashtbl.find_opt agg_sccs key with
-        | Some h -> h
+        | Some e -> e
         | None ->
-          let h = { h_ord = i; h_preds = preds; h_rounds = 0; h_derived = 0 } in
-          Hashtbl.add agg_sccs key h;
-          h
+          let e = (i, { c with c_rounds = 0; c_derived = 0 }) in
+          Hashtbl.add agg_sccs key e;
+          e
       in
-      h.h_rounds <- h.h_rounds + run.u_scc_rounds.(i);
-      h.h_derived <- h.h_derived + run.u_scc_derived.(i))
+      g.c_rounds <- g.c_rounds + c.c_rounds;
+      g.c_derived <- g.c_derived + c.c_derived)
     run.u_sccs;
   Mutex.unlock lock
 
@@ -250,76 +173,24 @@ let run_end run =
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type atom_stat = {
-  a_pos : int;
-  a_pred : Symbol.t;
-  a_in : int;
-  a_out : int;
-}
-
-type rule_stat = {
-  r_id : int;
-  r_head : Symbol.t;
-  r_text : string;
-  r_order : int array;
-  r_firings : int;
-  r_secs : float;
-  r_tuples : int;
-  r_emitted : int;
-  r_derived : int;
-  r_probes : int;
-  r_hits : int;
-  r_scans : int;
-  r_atoms : atom_stat array;
-}
-
-type scc_stat = { c_preds : Symbol.t list; c_rounds : int; c_derived : int }
-
-type t = {
-  runs : int;
-  rounds : int;
-  rules : rule_stat list;
-  sccs : scc_stat list;
-}
+type t = { runs : int; rounds : int; rules : tally list; sccs : scc list }
 
 let snapshot () =
   Mutex.lock lock;
   let rules =
     Hashtbl.fold
-      (fun _ g acc ->
-        {
-          r_id = g.g_id;
-          r_head = g.g_head;
-          r_text = g.g_text;
-          r_order = Array.copy g.g_order;
-          r_firings = g.g_firings;
-          r_secs = g.g_secs;
-          r_tuples = g.g_tuples;
-          r_emitted = g.g_emitted;
-          r_derived = g.g_derived;
-          r_probes = g.g_probes;
-          r_hits = g.g_hits;
-          r_scans = g.g_scans;
-          r_atoms =
-            Array.init (Array.length g.g_preds) (fun i ->
-                {
-                  a_pos = i;
-                  a_pred = g.g_preds.(i);
-                  a_in = g.g_in.(i);
-                  a_out = g.g_out.(i);
-                });
-        }
-        :: acc)
+      (fun key g acc ->
+        let c = zero g.r_rule (Array.copy g.r_order) in
+        merge ~into:c g;
+        (key, c) :: acc)
       agg_rules []
-    |> List.sort (fun a b -> compare (a.r_id, a.r_text) (b.r_id, b.r_text))
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
   in
   let sccs =
-    Hashtbl.fold
-      (fun key h acc -> (h.h_ord, key, h) :: acc)
-      agg_sccs []
-    |> List.sort compare
-    |> List.map (fun (_, _, h) ->
-           { c_preds = h.h_preds; c_rounds = h.h_rounds; c_derived = h.h_derived })
+    Hashtbl.fold (fun key (ord, g) acc -> ((ord, key), g) :: acc) agg_sccs []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map (fun (_, g) -> { g with c_preds = g.c_preds })
   in
   let result = { runs = !agg_runs; rounds = !agg_rounds; rules; sccs } in
   Mutex.unlock lock;
@@ -334,21 +205,21 @@ let schema_version = "whyprov.profile/3"
 let num_i n = Json.Num (float_of_int n)
 
 let to_json ?(times = true) t =
-  let atom_json a =
+  let atom_json r i (a : Atom.t) =
     Json.Obj
       [
-        ("pos", num_i a.a_pos);
-        ("pred", Json.Str (Symbol.name a.a_pred));
-        ("in", num_i a.a_in);
-        ("out", num_i a.a_out);
+        ("pos", num_i i);
+        ("pred", Json.Str (Symbol.name a.Atom.pred));
+        ("in", num_i r.r_in.(i));
+        ("out", num_i r.r_out.(i));
       ]
   in
   let rule_json r =
     Json.Obj
       ([
-         ("id", num_i r.r_id);
-         ("head", Json.Str (Symbol.name r.r_head));
-         ("rule", Json.Str r.r_text);
+         ("id", num_i (id r));
+         ("head", Json.Str (Symbol.name (head r)));
+         ("rule", Json.Str (Rule.to_string r.r_rule));
          ("order", Json.List (Array.to_list (Array.map num_i r.r_order)));
          ("firings", num_i r.r_firings);
        ]
@@ -361,7 +232,7 @@ let to_json ?(times = true) t =
           ("probes", num_i r.r_probes);
           ("hits", num_i r.r_hits);
           ("scans", num_i r.r_scans);
-          ("atoms", Json.List (Array.to_list (Array.map atom_json r.r_atoms)));
+          ("atoms", Json.List (List.mapi (atom_json r) (Rule.body r.r_rule)));
         ])
   in
   let scc_json c =
@@ -396,7 +267,7 @@ let pp ?(top = 5) ppf t =
   let hot =
     List.sort
       (fun a b ->
-        compare (b.r_secs, b.r_tuples, a.r_id) (a.r_secs, a.r_tuples, b.r_id))
+        compare (b.r_secs, b.r_tuples, id a) (a.r_secs, a.r_tuples, id b))
       t.rules
   in
   let rec take n = function
@@ -409,8 +280,8 @@ let pp ?(top = 5) ppf t =
     Format.fprintf ppf "hot rules (by wall time):@.";
     List.iter
       (fun r ->
-        Format.fprintf ppf "  rule %-3d %a  %d tuples, %d derived — %s@." r.r_id
-          pp_secs r.r_secs r.r_tuples r.r_derived r.r_text)
+        Format.fprintf ppf "  rule %-3d %a  %d tuples, %d derived — %s@." (id r)
+          pp_secs r.r_secs r.r_tuples r.r_derived (Rule.to_string r.r_rule))
       hot);
   (* The tree: SCC -> rule -> atom. Rules hang off the component that
      contains their head predicate. *)
@@ -418,7 +289,7 @@ let pp ?(top = 5) ppf t =
     (fun ci c ->
       let rules =
         List.filter
-          (fun r -> List.exists (Symbol.equal r.r_head) c.c_preds)
+          (fun r -> List.exists (Symbol.equal (head r)) c.c_preds)
           t.rules
       in
       if rules <> [] || c.c_derived > 0 then begin
@@ -427,7 +298,7 @@ let pp ?(top = 5) ppf t =
           c.c_rounds c.c_derived;
         List.iter
           (fun r ->
-            Format.fprintf ppf "  rule %d: %s@." r.r_id r.r_text;
+            Format.fprintf ppf "  rule %d: %s@." (id r) (Rule.to_string r.r_rule);
             let dup = r.r_emitted - r.r_derived in
             let dup_pct =
               if r.r_emitted = 0 then 0.0
@@ -442,12 +313,13 @@ let pp ?(top = 5) ppf t =
                dup), %d probes (%.1f%% hit), %d scans@."
               r.r_firings pp_secs r.r_secs r.r_tuples r.r_emitted r.r_derived
               dup_pct r.r_probes hit_pct r.r_scans;
-            Array.iter
-              (fun a ->
+            List.iteri
+              (fun i (a : Atom.t) ->
+                let inn = r.r_in.(i) and out_ = r.r_out.(i) in
                 Format.fprintf ppf
-                  "    atom[%d] %s: in %d, out %d, fan-out %.2f@." a.a_pos
-                  (Symbol.name a.a_pred) a.a_in a.a_out (fanout a.a_out a.a_in))
-              r.r_atoms)
+                  "    atom[%d] %s: in %d, out %d, fan-out %.2f@." i
+                  (Symbol.name a.Atom.pred) inn out_ (fanout out_ inn))
+              (Rule.body r.r_rule))
           rules
       end)
     t.sccs

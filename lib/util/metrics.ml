@@ -305,9 +305,11 @@ type metric =
 
 (* --- Registry --------------------------------------------------------- *)
 
-(* The enable word shared with [Tracing]: one bit per sink. *)
+(* The enable word shared with [Tracing] and the rule profiler: one
+   bit per sink. *)
 let stats_bit = 1
 let trace_bit = 2
+let profile_bit = 4
 let enable_word = Atomic.make 0
 
 let rec set_bit bit on =

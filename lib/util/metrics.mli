@@ -58,12 +58,16 @@ val is_enabled : unit -> bool
     (e.g. building a per-predicate metric name). *)
 
 val enable_word : int Atomic.t
-(** Shared with {!Tracing}: bit {!stats_bit} is {!set_enabled}, bit
-    {!trace_bit} is [Tracing.set_enabled]. Both go through {!set_bit}
-    (compare-and-set); never write the word directly. *)
+(** The one enable word of every sink: bit {!stats_bit} is
+    {!set_enabled}, bit {!trace_bit} is [Tracing.set_enabled] and bit
+    {!profile_bit} is [Datalog.Profile.set_enabled]. All go through
+    {!set_bit} (compare-and-set); never write the word directly. Spans
+    mask it to the stats and trace bits, so the profile bit alone reads
+    no clock; the engine reads the word once per fixpoint. *)
 
 val stats_bit : int
 val trace_bit : int
+val profile_bit : int
 val set_bit : int -> bool -> unit
 
 (** {1 Instruments}

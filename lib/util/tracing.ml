@@ -48,12 +48,18 @@ let dummy_event = { ts_us = 0.; tid = 0; phase = Instant; name = ""; args = [] }
 let set_enabled on = Metrics.set_bit Metrics.trace_bit on
 let is_enabled () = Atomic.get Metrics.enable_word land Metrics.trace_bit <> 0
 
+(* The bits a span serves; the word's other bits (the rule profiler's)
+   must not make a span read the clock. *)
+let span_bits = Metrics.stats_bit lor Metrics.trace_bit
+let span_word () = Atomic.get Metrics.enable_word land span_bits
+
 let capacity = Atomic.make (1 lsl 18)
 let set_capacity n = Atomic.set capacity (max 16 n)
 
 (* Timestamps are whole microseconds since module init, so timer
    totals summed from E−B differences are exact. *)
 let epoch = Unix.gettimeofday ()
+let clock_us () = Float.round ((Unix.gettimeofday () -. epoch) *. 1e6)
 
 let registry_lock = Mutex.create ()
 let registry : state list ref = ref []
@@ -66,7 +72,7 @@ let state_key : state Domain.DLS.key =
 (* Clamped to the domain's last timestamp: per-domain streams are
    non-decreasing even if the wall clock steps backwards. *)
 let now st =
-  let ts = Float.round ((Unix.gettimeofday () -. epoch) *. 1e6) in
+  let ts = clock_us () in
   let ts = if ts < st.last_ts then st.last_ts else ts in
   st.last_ts <- ts;
   ts
@@ -125,7 +131,7 @@ let rec pop fr = function top :: rest -> if top == fr then rest else pop fr rest
 
 let close_span st fr =
   st.stack <- pop fr st.stack;
-  let word = Atomic.get Metrics.enable_word in
+  let word = span_word () in
   if word <> 0 then begin
     let ts =
       if word land Metrics.trace_bit <> 0 then push st End fr.f_name [] else now st
@@ -140,17 +146,17 @@ let close_span st fr =
   end
 
 let begin_span ?(args = []) name =
-  let word = Atomic.get Metrics.enable_word in
+  let word = span_word () in
   if word <> 0 then ignore (open_span (Domain.DLS.get state_key) word args name)
 
 let end_span _name =
-  if Atomic.get Metrics.enable_word <> 0 then begin
+  if span_word () <> 0 then begin
     let st = Domain.DLS.get state_key in
     match st.stack with fr :: _ -> close_span st fr | [] -> ()
   end
 
 let with_span ?(args = []) name f =
-  let word = Atomic.get Metrics.enable_word in
+  let word = span_word () in
   if word = 0 then f ()
   else begin
     let st = Domain.DLS.get state_key in

@@ -14,9 +14,9 @@
     vocabulary and the JSON schemas are in [docs/OBSERVABILITY.md].
 
     {b Cost.} Both sinks are off by default and share one enable word
-    with {!Metrics}, so every entry point with both off is a single
-    atomic load (the [tracing:*] and [metrics:*] kernels in
-    [bench/micro.ml]). An enabled span does one domain-local lookup; a
+    with {!Metrics} and the rule profiler, whose bit spans mask out, so
+    every entry point with both sinks off is a single atomic load (the
+    [tracing:*] and [metrics:*] kernels in [bench/micro.ml]). An enabled span does one domain-local lookup; a
     trace event is one cell write into the recording domain's own ring
     buffer — no locks, no I/O.
 
@@ -85,6 +85,11 @@ val counter : string -> (string * float) list -> unit
 (** [counter name series] samples one or more numeric series under one
     counter track (Chrome phase ["C"]), e.g.
     [counter "sat.progress" [("conflicts", 1.2e4); ("lbd_avg", 3.1)]]. *)
+
+val clock_us : unit -> float
+(** The clock every span reads: whole microseconds since the trace
+    epoch (process start), not clamped. The rule profiler times its
+    tasks with it. *)
 
 (** {1 Inspection} *)
 

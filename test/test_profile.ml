@@ -6,7 +6,10 @@
      per-rule [tuples] to [eval.tuples_matched], on all five paper
      workloads;
    - determinism: the [to_json ~times:false] document is byte-identical
-     across repeated runs of the same instance. *)
+     across repeated runs of the same instance, with the stats sink on
+     or off;
+   - transparency: on random programs, profiling changes no model fact,
+     order, rank or [eval.*] counter, and the per-rule sums reconcile. *)
 
 module D = Datalog
 module W = Workloads
@@ -95,19 +98,17 @@ let test_rule_consistency () =
         (fun r ->
           Alcotest.(check int)
             (Printf.sprintf "%s rule %d: atoms sum to tuples" name
-               r.D.Profile.r_id)
+               r.D.Profile.r_rule.D.Rule.id)
             r.D.Profile.r_tuples
-            (Array.fold_left
-               (fun acc a -> acc + a.D.Profile.a_out)
-               0 r.D.Profile.r_atoms);
+            (Array.fold_left ( + ) 0 r.D.Profile.r_out);
           Alcotest.(check bool)
             (Printf.sprintf "%s rule %d: derived <= emitted" name
-               r.D.Profile.r_id)
+               r.D.Profile.r_rule.D.Rule.id)
             true
             (r.D.Profile.r_derived <= r.D.Profile.r_emitted);
           Alcotest.(check bool)
             (Printf.sprintf "%s rule %d: hits <= probes" name
-               r.D.Profile.r_id)
+               r.D.Profile.r_rule.D.Rule.id)
             true
             (r.D.Profile.r_hits <= r.D.Profile.r_probes))
         prof.D.Profile.rules)
@@ -153,6 +154,91 @@ let test_disabled_is_noop () =
     "no rules recorded when disabled" 0
     (List.length prof.D.Profile.rules)
 
+(* The tallies count whether or not the stats sink is on: with it off,
+   the profile document is the same. *)
+let test_stats_off () =
+  let was = M.is_enabled () in
+  Fun.protect ~finally:(fun () -> M.set_enabled was) @@ fun () ->
+  List.iter
+    (fun (name, program, db) ->
+      M.set_enabled true;
+      let on = canonical (profiled program db) in
+      M.set_enabled false;
+      let off = canonical (profiled program db) in
+      Alcotest.(check string) (name ^ ": same profile with stats off") on off)
+    (workloads ())
+
+(* --- Profiling changes nothing it observes ------------------------------ *)
+
+(* One evaluation with the stats sink on and the profile bit [profile]:
+   the model's facts in order, the ranks, every [eval.*] counter and
+   the profile. *)
+let observe ~profile program db =
+  let was = M.is_enabled () in
+  M.set_enabled true;
+  M.reset ();
+  D.Profile.reset ();
+  D.Profile.set_enabled profile;
+  let ranks = D.Fact.Table.create 64 in
+  let model =
+    Fun.protect
+      ~finally:(fun () ->
+        D.Profile.set_enabled false;
+        M.set_enabled was)
+      (fun () -> D.Engine.seminaive ~ranks program db)
+  in
+  let facts = ref [] in
+  D.Database.iter (fun f -> facts := D.Fact.to_string f :: !facts) model;
+  let ranks =
+    D.Fact.Table.fold (fun f r acc -> (D.Fact.to_string f, r) :: acc) ranks []
+    |> List.sort compare
+  in
+  let counters =
+    List.filter_map
+      (fun (name, e) ->
+        match e with
+        | M.Counter_value n when String.starts_with ~prefix:"eval." name ->
+          Some (name, n)
+        | _ -> None)
+      (M.snapshot ())
+  in
+  (List.rev !facts, ranks, counters, D.Profile.snapshot ())
+
+let prop_profile_transparent =
+  QCheck.Test.make ~count:60
+    ~name:"random programs: profiling changes no fact, rank or counter"
+    Test_engine.arb_program_db (fun t ->
+      (* A fresh database each time: the engine leaves the column
+         indexes it built on the database's relations, so a second
+         evaluation over the same one counts fewer index builds. *)
+      let program = W.Randprog.program t in
+      let facts0, ranks0, counters0, _ =
+        observe ~profile:false program (W.Randprog.database t)
+      in
+      let facts1, ranks1, counters1, prof =
+        observe ~profile:true program (W.Randprog.database t)
+      in
+      let counter name = Option.value ~default:0 (List.assoc_opt name counters1) in
+      let reconcile field total =
+        let s = sum field prof.D.Profile.rules in
+        if s <> counter total then
+          QCheck.Test.fail_reportf "per-rule sum %d <> %s = %d" s total
+            (counter total)
+      in
+      if facts0 <> facts1 then QCheck.Test.fail_report "model facts or order differ";
+      if ranks0 <> ranks1 then QCheck.Test.fail_report "ranks differ";
+      if counters0 <> counters1 then begin
+        let show cs =
+          String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cs)
+        in
+        QCheck.Test.fail_reportf "eval.* counters differ:\n off: %s\n on:  %s"
+          (show counters0) (show counters1)
+      end;
+      reconcile (fun r -> r.D.Profile.r_firings) "eval.rule_firings";
+      reconcile (fun r -> r.D.Profile.r_derived) "eval.facts_derived";
+      reconcile (fun r -> r.D.Profile.r_tuples) "eval.tuples_matched";
+      true)
+
 let suite =
   ( "profile",
     [
@@ -162,4 +248,6 @@ let suite =
       Alcotest.test_case "repeat determinism" `Quick test_repeat_determinism;
       Alcotest.test_case "runs accumulate" `Quick test_accumulation;
       Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
-    ] )
+      Alcotest.test_case "stats off, same profile" `Quick test_stats_off;
+    ]
+    @ List.map QCheck_alcotest.to_alcotest [ prop_profile_transparent ] )
