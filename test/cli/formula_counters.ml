@@ -1,10 +1,11 @@
 (* Prints the counters of a `whyprov --stats-out FILE` dump that pin
    the size of the downward closure and of its CNF encoding — closure
    nodes, rule instances and db facts; encoded hyperedges, variables and
-   clauses per component; fill edges — plus the largest elimination
-   width, one "name value" line each in name order. Timings and solver
-   counters are dropped, so two builds that encode the same formula up
-   to variable renaming print the same thing.
+   clauses per component; fill edges; what the preprocessor did to the
+   formula — plus the largest elimination width, one "name value" line
+   each in name order. Timings and solver counters are dropped, so two
+   builds that encode the same formula up to variable renaming print
+   the same thing.
 
    Usage: formula_counters.exe FILE *)
 
@@ -15,7 +16,7 @@ let kept name =
                   "encode.hyperedges"; "encode.fill_edges" ]
   || List.exists
        (fun prefix -> String.starts_with ~prefix name)
-       [ "encode.vars."; "encode.clauses." ]
+       [ "encode.vars."; "encode.clauses."; "preprocess." ]
 
 let () =
   let path =

@@ -298,6 +298,74 @@ let prop_batch_preprocessed_equals_raw =
              D.Fact.equal f1 f2 && same_families m1 m2)
            pre raw)
 
+(* --- Pinned output ---------------------------------------------------------- *)
+
+(* One simplify run as text: the simplified clauses, every stats field,
+   the [~drat:true] derivation, and [extend_model] of a fixed
+   assignment. The digests below pin all four, so a change to the
+   preprocessor's data structures must leave its output byte-equal. *)
+let pinned_run ~nvars ~frozen clauses =
+  let p = Sat.Preprocess.simplify ~drat:true ~nvars ~frozen clauses in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun c ->
+      List.iter (fun l -> Printf.bprintf b "%d " l) c;
+      Buffer.add_char b '\n')
+    (Sat.Preprocess.clauses p);
+  let s = Sat.Preprocess.stats p in
+  Printf.bprintf b "%d %d %d %d %d %d %d %d %d %d %d %d\n"
+    s.Sat.Preprocess.original_vars s.original_clauses s.original_literals
+    s.clauses s.literals s.eliminated_vars s.fixed_vars s.subsumed_clauses
+    s.strengthened_clauses s.equivalent_vars s.resolvents_added s.rounds;
+  Buffer.add_string b (Sat.Preprocess.proof p);
+  Array.iter
+    (fun x -> Buffer.add_char b (if x then '1' else '0'))
+    (Sat.Preprocess.extend_model p
+       (Array.init nvars (fun v -> ((7 * v) + 3) mod 5 < 2)));
+  Buffer.contents b
+
+let pinned_random () =
+  let rand = Random.State.make [| 30 |] in
+  let small =
+    QCheck.Gen.generate ~rand ~n:300 (QCheck.gen arb_cnf_frozen)
+    |> List.map (fun (nvars, clauses, frozen) ->
+           pinned_run ~nvars ~frozen:(fun v -> v < nvars && frozen.(v)) clauses)
+  in
+  let wide =
+    QCheck.Gen.generate ~rand ~n:100 (QCheck.gen arb_3cnf)
+    |> List.map (fun (nvars, clauses) ->
+           pinned_run ~nvars ~frozen:(fun _ -> false) clauses)
+  in
+  Digest.to_hex (Digest.string (String.concat "" (small @ wide)))
+
+(* The formula [whyprov explain FILE -q PRED -t TUPLE] hands the
+   preprocessor: the analyzer-checked program, its closure, the staged
+   clauses in build order, and the db-fact variables frozen. *)
+let pinned_explain path pred tuple =
+  let raw = D.Parser.parse_raw_file path in
+  let checked = Whyprov_analysis.Check.check_raw ~query:pred raw in
+  let program = Option.get checked.Whyprov_analysis.Check.program in
+  let db = D.Database.of_list checked.Whyprov_analysis.Check.facts in
+  let goal = P.Explain.goal (P.Explain.query program pred) tuple in
+  let closure = P.Closure.build program db goal in
+  let e = P.Encode.make ~capture:true ~preprocess:false closure in
+  let clauses = List.rev (Option.get (P.Encode.captured_clauses e)) in
+  let nvars = (P.Encode.stats e).P.Encode.variables in
+  let frozen = Array.make nvars false in
+  Array.iter (fun v -> frozen.(v) <- true) (P.Encode.db_vars e);
+  Digest.to_hex
+    (Digest.string (pinned_run ~nvars ~frozen:(fun v -> frozen.(v)) clauses))
+
+let test_pinned_output () =
+  Alcotest.(check string) "random CNFs" "caefa04a29f18ad7ea4ea6c70549c1d2"
+    (pinned_random ());
+  Alcotest.(check string) "tc_communities.dl tc(v1,v6)"
+    "1eb40d6a13ebe8ec0b6e590fa2ae03f6"
+    (pinned_explain "cli/tc_communities.dl" "tc" [ "v1"; "v6" ]);
+  Alcotest.(check string) "andersen_families.dl pt(o0_0,o0_1)"
+    "44671a77c9c8cacebc07885344fe63a9"
+    (pinned_explain "cli/andersen_families.dl" "pt" [ "o0_0"; "o0_1" ])
+
 (* --- Unit regressions ----------------------------------------------------- *)
 
 let test_pure_literal () =
@@ -358,4 +426,5 @@ let suite =
         Alcotest.test_case "top-level conflict refutes" `Quick test_unsat_detected;
         Alcotest.test_case "frozen blocks elimination" `Quick
           test_frozen_blocks_elimination;
+        Alcotest.test_case "pinned output" `Quick test_pinned_output;
       ] )
