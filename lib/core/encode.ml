@@ -61,7 +61,9 @@ type t = {
   yvars : int array;
   y_witness : Closure.hyperedge array;  (* rule instance of [yvars.(k)] *)
   root_fact : Fact.t;
-  pre : Sat.Preprocess.t option;
+  (* What [witness_dag] needs of the preprocessor: its reconstruction
+     stack, not the simplified formula, which lives on in the solver. *)
+  recon : Sat.Preprocess.reconstruction option;
 }
 
 (* Pairs of node ids, hashed as a single int (node counts stay well below
@@ -391,7 +393,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
          in the trace, keeping the DRAT proof checkable against the
          original formula. *)
       if proof_logging then Sat.Solver.append_proof solver (Sat.Preprocess.proof p);
-      List.iter (Sat.Solver.add_clause solver) (Sat.Preprocess.clauses p);
+      Sat.Preprocess.iter_clauses p (Sat.Solver.add_clause solver);
       Some p
     end
   in
@@ -403,7 +405,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
     yvars;
     y_witness = hyperedges;
     root_fact = Closure.root closure;
-    pre;
+    recon = Option.map Sat.Preprocess.reconstruction pre;
     stats =
       {
         nodes = n;
@@ -449,6 +451,8 @@ let stats t = t.stats
 
 let captured_clauses t = t.captured
 
+let reconstruction t = t.recon
+
 let witness_dag t model =
   (* Reconstruct the compressed proof DAG chosen by the model: each
      intensional fact's node uses the representative rule instance of
@@ -456,8 +460,8 @@ let witness_dag t model =
      variables it reads may have been eliminated by preprocessing, so
      the model is first re-extended to the original formula. *)
   let model =
-    match t.pre with
-    | Some p -> Sat.Preprocess.extend_model p model
+    match t.recon with
+    | Some r -> Sat.Preprocess.extend r model
     | None -> model
   in
   let chosen : Closure.hyperedge Fact.Table.t = Fact.Table.create 64 in

@@ -75,6 +75,11 @@ val make :
 val captured_clauses : t -> Sat.Lit.t list list option
 (** The clause list when built with [~capture:true]. *)
 
+val reconstruction : t -> Sat.Preprocess.reconstruction option
+(** What the encoding keeps of its preprocessing run ([None] with
+    [~preprocess:false]): the reconstruction stack {!witness_dag}
+    re-extends models with, and nothing of the simplified formula. *)
+
 val witness_dag : t -> bool array -> Proof_dag.t
 (** Reconstructs the compressed proof DAG a satisfying assignment
     describes (Lemma 44): one node per chosen fact, justified by the

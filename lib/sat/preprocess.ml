@@ -1,5 +1,3 @@
-module Vec = Util.Vec
-
 (* Observability (docs/OBSERVABILITY.md, "CNF preprocessor"). One
    simplify run is one preprocess.simplify span; the counters aggregate
    technique hits across runs, and the two histograms record per-run
@@ -57,38 +55,83 @@ type stats = {
   rounds : int;
 }
 
-(* Clauses are sorted deduplicated literal arrays. [csig] is a 62-bit
-   variable signature: a cheap necessary condition for [c ⊆ d] is
-   [csig c land lnot (csig d) = 0]. *)
-type cls = {
-  mutable lits : int array;
-  mutable deleted : bool;
-  mutable csig : int;
-  mutable in_queue : bool;
+(* The reconstruction stack, most recent elimination first, as one flat
+   array of entries [v; k; len_1 .. len_k; lits of clause 1 .. lits of
+   clause k]: the variable and the k clauses in which it occurred
+   positively when it was eliminated (one [v ∨ ¬r] clause for a
+   substitution by r). *)
+type reconstruction = { width : int; stack : int array }
+
+(* What a run leaves: the output clauses as [len; lits] records, unit
+   clauses of the fixed variables first, then the surviving clauses in
+   creation order. *)
+type t = {
+  unsat : bool;
+  output : int array;
+  stats : stats;
+  proof : string;
+  recon : reconstruction;
 }
 
+(* --- Working state of one run ----------------------------------------- *)
+
+(* A growable int array. The clause store, the clause headers, the
+   work lists and the stack are all of this shape, so a run allocates
+   only when one of them has to grow. *)
+type buf = { mutable a : int array; mutable n : int }
+
+let buf cap = { a = Array.make cap 0; n = 0 }
+
+let reserve b k =
+  if b.n + k > Array.length b.a then begin
+    let a' = Array.make (max (b.n + k) (2 * Array.length b.a)) 0 in
+    Array.blit b.a 0 a' 0 b.n;
+    b.a <- a'
+  end
+
+let push b x =
+  if b.n = Array.length b.a then reserve b 1;
+  Array.unsafe_set b.a b.n x;
+  b.n <- b.n + 1
+
+(* Clauses are sorted, deduplicated literal runs in [store], numbered in
+   creation order; a strengthened clause keeps its number and shrinks
+   in place. Clause [c]'s header is [hdr.(4c) .. hdr.(4c+3)]: the
+   offset of its literals, their number, a 62-bit variable signature
+   (a cheap necessary condition for [c ⊆ d] is
+   [csig c land lnot (csig d) = 0]) and flag bits. *)
+let deleted_bit = 1
+let queued_bit = 2
+let shrunk_bit = 4 (* strengthened at least once *)
 let v_undef = -1
 
-type t = {
+type state = {
   cfg : config;
   nvars : int;
   frozen : int -> bool;
-  arena : cls Vec.t;
-  occ : int Vec.t array; (* literal -> indices into arena *)
-  assigns : int array;   (* var -> v_undef | parity of the true literal *)
-  eliminated : bool array;
-  units : Lit.t Vec.t;   (* pending top-level units *)
+  store : buf;
+  hdr : buf;
+  (* literal -> its first [occ_n] entries are clauses that contained it
+     (stale ones are dropped by the next walk) *)
+  occ : int array array;
+  occ_n : int array;
+  assigns : int array;       (* var -> v_undef | parity of the true literal *)
+  eliminated : Bytes.t;
+  (* var -> a clause containing it was added, deleted or strengthened
+     since its last failed elimination attempt (which would fail again) *)
+  dirty : Bytes.t;
+  units : buf;               (* pending top-level units *)
   mutable uhead : int;
-  queue : int Vec.t;     (* subsumption work queue (arena indices) *)
+  queue : buf;               (* subsumption work queue *)
   mutable unsat : bool;
   mutable changed : bool;
-  mutable orig_clauses : int;
-  mutable orig_literals : int;
-  (* Reconstruction stack, most recent elimination first: the variable
-     and copies of the clauses in which it occurred positively. *)
-  mutable stack : (int * int array list) list;
+  stack : buf;               (* reconstruction entries, oldest first *)
+  entries : buf;             (* offset of each entry in [stack] *)
+  scratch : buf;             (* the clause being rewritten *)
+  res : buf;                 (* [len; lits] resolvents of one elimination *)
+  pos : buf;                 (* its clauses with the positive literal *)
+  neg : buf;
   drat : Buffer.t option;
-  (* tallies *)
   mutable n_eliminated : int;
   mutable n_subsumed : int;
   mutable n_strengthened : int;
@@ -97,234 +140,279 @@ type t = {
   mutable n_rounds : int;
 }
 
+let nclauses st = st.hdr.n lsr 2
+let cstart st c = st.hdr.a.(4 * c)
+let clen st c = st.hdr.a.((4 * c) + 1)
+let csig st c = st.hdr.a.((4 * c) + 2)
+let flags st c = st.hdr.a.((4 * c) + 3)
+let set_flags st c f = st.hdr.a.((4 * c) + 3) <- f
+let live st c = flags st c land deleted_bit = 0
+
 (* --- DRAT ------------------------------------------------------------- *)
 
-let log_lits t prefix lits =
-  match t.drat with
+let log_lits st prefix a off n =
+  match st.drat with
   | None -> ()
-  | Some buf ->
-    Buffer.add_string buf prefix;
-    Array.iter
-      (fun l ->
-        Buffer.add_string buf (string_of_int (Lit.to_int l));
-        Buffer.add_char buf ' ')
-      lits;
-    Buffer.add_string buf "0\n"
+  | Some b ->
+    Buffer.add_string b prefix;
+    for i = off to off + n - 1 do
+      Buffer.add_string b (string_of_int (Lit.to_int a.(i)));
+      Buffer.add_char b ' '
+    done;
+    Buffer.add_string b "0\n"
 
-let log_add t lits = log_lits t "" lits
-let log_delete t lits = log_lits t "d " lits
+let log_add st a off n = log_lits st "" a off n
+let log_delete st c = log_lits st "d " st.store.a (cstart st c) (clen st c)
+
+(* Callers building a literal array just to log it test this first. *)
+let proving st = st.drat <> None
 
 (* --- Basics ----------------------------------------------------------- *)
 
-let sig_of lits =
-  Array.fold_left (fun s l -> s lor (1 lsl (Lit.var l mod 62))) 0 lits
-
-let lit_value t l =
-  let a = t.assigns.(Lit.var l) in
+let lit_value st l =
+  let a = st.assigns.(Lit.var l) in
   if a = v_undef then v_undef else if a = l land 1 then 1 else 0
 
-let contains c l =
-  let lits = c.lits in
-  let lo = ref 0 and hi = ref (Array.length lits - 1) in
+let contains st c l =
+  let a = st.store.a in
+  let lo = ref (cstart st c) and hi = ref (cstart st c + clen st c - 1) in
   let found = ref false in
   while (not !found) && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let x = lits.(mid) in
+    let x = a.(mid) in
     if x = l then found := true else if x < l then lo := mid + 1 else hi := mid - 1
   done;
   !found
 
+let touch st c =
+  let a = st.store.a in
+  for i = cstart st c to cstart st c + clen st c - 1 do
+    Bytes.unsafe_set st.dirty (Lit.var a.(i)) '\001'
+  done
+
+let delete st c =
+  touch st c;
+  set_flags st c (flags st c lor deleted_bit)
+
+let enqueue st c =
+  let f = flags st c in
+  if f land queued_bit = 0 then begin
+    set_flags st c (f lor queued_bit);
+    push st.queue c
+  end
+
+let refute st =
+  if not st.unsat then begin
+    st.unsat <- true;
+    log_add st [||] 0 0
+  end
+
+let signature a off n =
+  let s = ref 0 in
+  for i = off to off + n - 1 do
+    s := !s lor (1 lsl (Lit.var a.(i) mod 62))
+  done;
+  !s
+
+let occ_push st l c =
+  let n = st.occ_n.(l) in
+  let a = st.occ.(l) in
+  if n = Array.length a then begin
+    let a' = Array.make (max 4 (2 * n)) 0 in
+    Array.blit a 0 a' 0 n;
+    a'.(n) <- c;
+    st.occ.(l) <- a'
+  end
+  else a.(n) <- c;
+  st.occ_n.(l) <- n + 1
+
 (* Walk the occurrence list of [l], dropping entries whose clause died
-   or no longer contains [l]; [f] may delete or strengthen clauses, in
-   which case their entries go stale and are dropped on the next walk. *)
-let occ_iter t l f =
-  let v = t.occ.(l) in
-  let n = Vec.length v in
+   or no longer contains [l], and call [f st l arg c] on each clause [c]
+   that is kept. [f] may delete or strengthen clauses, in which case
+   their entries go stale and are dropped on the next walk; it never
+   adds to the list being walked. *)
+let occ_iter st l f arg =
+  let a = st.occ.(l) in
+  let n = st.occ_n.(l) in
   let j = ref 0 in
   for i = 0 to n - 1 do
-    let idx = Vec.get v i in
-    let c = Vec.get t.arena idx in
-    if (not c.deleted) && contains c l then begin
-      Vec.set v !j idx;
+    let c = a.(i) in
+    if live st c && (flags st c land shrunk_bit = 0 || contains st c l) then begin
+      a.(!j) <- c;
       incr j;
-      f c
+      f st l arg c
     end
   done;
-  Vec.shrink v !j
+  st.occ_n.(l) <- !j
 
-let enqueue_subsumption t idx =
-  let c = Vec.get t.arena idx in
-  if not c.in_queue then begin
-    c.in_queue <- true;
-    Vec.push t.queue idx
-  end
+(* Appends [a.(off) .. a.(off+n-1)], sorted and deduplicated, to the
+   store as clause number [nclauses st]; [a] is never the store itself. *)
+let append st a off n =
+  reserve st.hdr 4;
+  push st.hdr st.store.n;
+  push st.hdr n;
+  push st.hdr (signature a off n);
+  push st.hdr 0;
+  reserve st.store n;
+  Array.blit a off st.store.a st.store.n n;
+  st.store.n <- st.store.n + n
 
-let push_unit t l = Vec.push t.units l
-
-let refute t =
-  if not t.unsat then begin
-    t.unsat <- true;
-    log_add t [||]
-  end
-
-(* Normalize a literal list: sort, dedup, detect tautologies (adjacent
-   pos/neg of the same variable after sorting). *)
-let normalize lits =
-  let lits = List.sort_uniq compare lits in
-  let arr = Array.of_list lits in
-  let n = Array.length arr in
-  let taut = ref false in
-  for i = 0 to n - 2 do
-    if arr.(i + 1) = arr.(i) lxor 1 then taut := true
+let new_clause st ?(log = false) a off n =
+  if log then log_add st a off n;
+  let c = nclauses st in
+  append st a off n;
+  for i = off to off + n - 1 do
+    occ_push st a.(i) c;
+    Bytes.unsafe_set st.dirty (Lit.var a.(i)) '\001'
   done;
-  if !taut then None else Some arr
+  enqueue st c
 
-let new_clause t ?(log = false) lits =
-  if log then log_add t lits;
-  let idx = Vec.length t.arena in
-  let c = { lits; deleted = false; csig = sig_of lits; in_queue = false } in
-  Vec.push t.arena c;
-  Array.iter (fun l -> Vec.push t.occ.(l) idx) lits;
-  enqueue_subsumption t idx
+(* Sorts [scratch.(0 .. n-1)] and drops duplicates in place: the new
+   length, or -1 when the literals hold both polarities of a variable
+   (complementary literals are adjacent once sorted). *)
+let normalize_scratch st n =
+  let a = st.scratch.a in
+  let gap = ref (n / 2) in
+  while !gap > 0 do
+    for i = !gap to n - 1 do
+      let x = a.(i) in
+      let j = ref i in
+      while !j >= !gap && a.(!j - !gap) > x do
+        a.(!j) <- a.(!j - !gap);
+        j := !j - !gap
+      done;
+      a.(!j) <- x
+    done;
+    gap := !gap / 2
+  done;
+  let k = ref 0 and taut = ref false in
+  for i = 0 to n - 1 do
+    let x = a.(i) in
+    if !k = 0 || a.(!k - 1) <> x then begin
+      if !k > 0 && a.(!k - 1) = x lxor 1 then taut := true;
+      a.(!k) <- x;
+      incr k
+    end
+  done;
+  if !taut then -1 else !k
 
 (* --- Top-level unit propagation --------------------------------------- *)
 
-let strengthen_by_unit t l c =
-  (* Remove the false literal [Lit.negate l] from [c]. *)
-  let keep = Array.of_list (List.filter (fun x -> x <> Lit.negate l) (Array.to_list c.lits)) in
-  match Array.length keep with
+(* Removes literal [x] from clause [c]: a unit result is queued for
+   propagation, anything longer shrinks in place and is queued for
+   subsumption. *)
+let strengthen st c x =
+  touch st c;
+  let s = st.store.a in
+  reserve st.scratch (clen st c);
+  let k = ref 0 in
+  for i = cstart st c to cstart st c + clen st c - 1 do
+    if s.(i) <> x then begin
+      st.scratch.a.(!k) <- s.(i);
+      incr k
+    end
+  done;
+  match !k with
   | 0 ->
-    refute t;
-    c.deleted <- true
+    refute st;
+    delete st c
   | 1 ->
-    log_add t keep;
-    push_unit t keep.(0);
-    c.deleted <- true;
-    log_delete t c.lits
-  | _ ->
-    log_add t keep;
-    log_delete t c.lits;
-    c.lits <- keep;
-    c.csig <- sig_of keep;
-    (* Re-find our own index for the queue: cheaper to re-enqueue via a
-       scan-free path — strengthenings are rare enough that a linear
-       backlink is not worth carrying, so walk the occ list of the
-       first kept literal. *)
-    let v = t.occ.(keep.(0)) in
-    let n = Vec.length v in
-    let rec find i =
-      if i >= n then ()
-      else if Vec.get t.arena (Vec.get v i) == c then enqueue_subsumption t (Vec.get v i)
-      else find (i + 1)
-    in
-    find 0
+    log_add st st.scratch.a 0 1;
+    push st.units st.scratch.a.(0);
+    delete st c;
+    log_delete st c
+  | k ->
+    log_add st st.scratch.a 0 k;
+    log_delete st c;
+    Array.blit st.scratch.a 0 s (cstart st c) k;
+    st.hdr.a.((4 * c) + 1) <- k;
+    st.hdr.a.((4 * c) + 2) <- signature s (cstart st c) k;
+    set_flags st c (flags st c lor shrunk_bit);
+    enqueue st c
 
-let propagate_units t =
-  while (not t.unsat) && t.uhead < Vec.length t.units do
-    let l = Vec.get t.units t.uhead in
-    t.uhead <- t.uhead + 1;
-    match lit_value t l with
+let satisfied st _l _ c =
+  delete st c;
+  log_delete st c
+
+let falsified st l _ c = strengthen st c l
+
+let propagate_units st =
+  while (not st.unsat) && st.uhead < st.units.n do
+    let l = st.units.a.(st.uhead) in
+    st.uhead <- st.uhead + 1;
+    match lit_value st l with
     | 1 -> ()
-    | 0 -> refute t
+    | 0 -> refute st
     | _ ->
-      t.assigns.(Lit.var l) <- l land 1;
-      t.changed <- true;
-      (* Clauses satisfied by [l] disappear. *)
-      occ_iter t l (fun c ->
-          c.deleted <- true;
-          log_delete t c.lits);
-      Vec.clear t.occ.(l);
-      (* Clauses containing the false literal lose it. *)
-      occ_iter t (Lit.negate l) (fun c -> strengthen_by_unit t l c);
-      Vec.clear t.occ.(Lit.negate l)
+      st.assigns.(Lit.var l) <- l land 1;
+      st.changed <- true;
+      (* Clauses satisfied by [l] disappear; clauses containing the
+         false literal lose it. *)
+      occ_iter st l satisfied 0;
+      st.occ_n.(l) <- 0;
+      occ_iter st (Lit.negate l) falsified 0;
+      st.occ_n.(Lit.negate l) <- 0
   done
 
 (* --- Subsumption / self-subsuming resolution --------------------------- *)
 
-(* [subset_flip c d flip]: every literal of [c] — with [flip] replaced
-   by its negation — occurs in [d]. [flip = -1] is plain subsumption.
-   Both literal arrays are sorted, but the flipped literal breaks the
-   order, so membership goes through binary search on [d]. *)
-let subset_flip c d flip =
-  Array.for_all
-    (fun l ->
-      let l = if l = flip then Lit.negate l else l in
-      contains d l)
-    c.lits
+(* Every literal of [c] — with [flip] replaced by its negation — occurs
+   in [d]. [flip = -1] is plain subsumption. *)
+let subset_flip st c d flip =
+  let a = st.store.a in
+  let ok = ref true and i = ref (cstart st c) in
+  let stop = cstart st c + clen st c in
+  while !ok && !i < stop do
+    let l = a.(!i) in
+    ok := contains st d (if l = flip then Lit.negate l else l);
+    incr i
+  done;
+  !ok
 
-let min_occ_lit t c =
-  let best = ref c.lits.(0) in
-  Array.iter
-    (fun l -> if Vec.length t.occ.(l) < Vec.length t.occ.(!best) then best := l)
-    c.lits;
-  !best
+let subsumes st c d =
+  d <> c && live st d
+  && clen st d >= clen st c
+  && csig st c land lnot (csig st d) = 0
 
-let backward_subsume t c =
-  let nc = Array.length c.lits in
-  let pivot = min_occ_lit t c in
-  occ_iter t pivot (fun d ->
-      if d != c && (not d.deleted) && Array.length d.lits >= nc
-         && c.csig land lnot d.csig = 0
-         && subset_flip c d (-1)
-      then begin
-        d.deleted <- true;
-        log_delete t d.lits;
-        t.n_subsumed <- t.n_subsumed + 1;
-        t.changed <- true
-      end)
+let subsumed st _pivot c d =
+  if subsumes st c d && subset_flip st c d (-1) then begin
+    delete st d;
+    log_delete st d;
+    st.n_subsumed <- st.n_subsumed + 1;
+    st.changed <- true
+  end
 
-let self_subsume t c =
-  let nc = Array.length c.lits in
-  Array.iter
-    (fun l ->
-      if not c.deleted then
-        occ_iter t (Lit.negate l) (fun d ->
-            if d != c && (not d.deleted) && Array.length d.lits >= nc
-               && c.csig land lnot d.csig = 0
-               && subset_flip c d l
-            then begin
-              (* d is strengthened by resolving with c on l. *)
-              let keep =
-                Array.of_list
-                  (List.filter (fun x -> x <> Lit.negate l) (Array.to_list d.lits))
-              in
-              t.n_strengthened <- t.n_strengthened + 1;
-              t.changed <- true;
-              match Array.length keep with
-              | 0 ->
-                refute t;
-                d.deleted <- true
-              | 1 ->
-                log_add t keep;
-                push_unit t keep.(0);
-                d.deleted <- true;
-                log_delete t d.lits
-              | _ ->
-                log_add t keep;
-                log_delete t d.lits;
-                d.lits <- keep;
-                d.csig <- sig_of keep;
-                let v = t.occ.(keep.(0)) in
-                let n = Vec.length v in
-                let rec find i =
-                  if i >= n then ()
-                  else if Vec.get t.arena (Vec.get v i) == d then
-                    enqueue_subsumption t (Vec.get v i)
-                  else find (i + 1)
-                in
-                find 0
-            end))
-    c.lits
+(* [d] contains [nl] and resolves with [c] on it to a subset of itself. *)
+let strengthened st nl c d =
+  if subsumes st c d && subset_flip st c d (Lit.negate nl) then begin
+    st.n_strengthened <- st.n_strengthened + 1;
+    st.changed <- true;
+    strengthen st d nl
+  end
 
-let subsumption_pass t =
-  while (not t.unsat) && not (Vec.is_empty t.queue) do
-    let idx = Vec.pop t.queue in
-    let c = Vec.get t.arena idx in
-    c.in_queue <- false;
-    if not c.deleted then begin
-      if t.cfg.subsumption then backward_subsume t c;
-      if t.cfg.self_subsumption && not c.deleted then self_subsume t c;
-      propagate_units t
+let backward_subsume st c =
+  let a = st.store.a in
+  let pivot = ref a.(cstart st c) in
+  for i = cstart st c to cstart st c + clen st c - 1 do
+    if st.occ_n.(a.(i)) < st.occ_n.(!pivot) then pivot := a.(i)
+  done;
+  occ_iter st !pivot subsumed c
+
+let self_subsume st c =
+  for i = 0 to clen st c - 1 do
+    if live st c then
+      occ_iter st (Lit.negate st.store.a.(cstart st c + i)) strengthened c
+  done
+
+let subsumption_pass st =
+  while (not st.unsat) && st.queue.n > 0 do
+    st.queue.n <- st.queue.n - 1;
+    let c = st.queue.a.(st.queue.n) in
+    set_flags st c (flags st c land lnot queued_bit);
+    if live st c then begin
+      if st.cfg.subsumption then backward_subsume st c;
+      if st.cfg.self_subsumption && live st c then self_subsume st c;
+      propagate_units st
     end
   done
 
@@ -342,55 +430,58 @@ let subsumption_pass t =
    r's value back into v). This is the twosat-style simplification the
    roadmap names; it feeds BVE smaller, more connected clauses. *)
 
-(* Iterative Tarjan over the literal graph. Returns the SCC id of each
-   literal (ids assigned in a deterministic order) or [||] when there
-   are no binary clauses at all. *)
-let literal_sccs nlits adj =
+(* Iterative Tarjan over the literal graph in CSR form (the successors
+   of [l] are [succ.(off.(l)) .. succ.(off.(l+1) - 1)]). Returns the SCC
+   id of each visited literal, ids in completion order, and the number
+   of components. *)
+let literal_sccs nlits off succ =
   let index = Array.make nlits (-1) in
   let lowlink = Array.make nlits 0 in
-  let on_stack = Array.make nlits false in
+  let on_stack = Bytes.make nlits '\000' in
   let comp = Array.make nlits (-1) in
-  let stack = Vec.create () in
+  let stack = buf 64 in
+  (* DFS frames: the literal and how many of its successors are done. *)
+  let frame_lit = buf 64 and frame_k = buf 64 in
   let next_index = ref 0 and next_comp = ref 0 in
-  (* Explicit DFS stack of (literal, next-adjacency-offset). *)
-  let frames = Vec.create () in
   let push_lit l =
     index.(l) <- !next_index;
     lowlink.(l) <- !next_index;
     incr next_index;
-    Vec.push stack l;
-    on_stack.(l) <- true;
-    Vec.push frames (l, 0)
+    push stack l;
+    Bytes.set on_stack l '\001';
+    push frame_lit l;
+    push frame_k 0
   in
   for root = 0 to nlits - 1 do
-    if index.(root) = -1 && adj.(root) <> [] then begin
+    if index.(root) = -1 && off.(root + 1) > off.(root) then begin
       push_lit root;
-      while not (Vec.is_empty frames) do
-        let l, k = Vec.pop frames in
-        let succs = adj.(l) in
-        let n = List.length succs in
-        if k < n then begin
-          let s = List.nth succs k in
-          Vec.push frames (l, k + 1);
+      while frame_lit.n > 0 do
+        let top = frame_lit.n - 1 in
+        let l = frame_lit.a.(top) and k = frame_k.a.(top) in
+        if off.(l) + k < off.(l + 1) then begin
+          let s = succ.(off.(l) + k) in
+          frame_k.a.(top) <- k + 1;
           if index.(s) = -1 then push_lit s
-          else if on_stack.(s) then
+          else if Bytes.get on_stack s = '\001' then
             lowlink.(l) <- min lowlink.(l) index.(s)
         end
         else begin
+          frame_lit.n <- top;
+          frame_k.n <- top;
           if lowlink.(l) = index.(l) then begin
             let continue_pop = ref true in
             while !continue_pop do
-              let w = Vec.pop stack in
-              on_stack.(w) <- false;
+              stack.n <- stack.n - 1;
+              let w = stack.a.(stack.n) in
+              Bytes.set on_stack w '\000';
               comp.(w) <- !next_comp;
               if w = l then continue_pop := false
             done;
             incr next_comp
           end;
-          if not (Vec.is_empty frames) then begin
-            let p, pk = Vec.pop frames in
-            lowlink.(p) <- min lowlink.(p) lowlink.(l);
-            Vec.push frames (p, pk)
+          if top > 0 then begin
+            let p = frame_lit.a.(top - 1) in
+            lowlink.(p) <- min lowlink.(p) lowlink.(l)
           end
         end
       done
@@ -398,257 +489,402 @@ let literal_sccs nlits adj =
   done;
   (comp, !next_comp)
 
-(* Substitute literal [from_l] by [to_l] in every clause that contains
-   it (and symmetrically ¬from_l by ¬to_l). The rewritten clause is RUP
-   against the original plus the equivalence binary (¬from_l ∨ to_l) /
-   (from_l ∨ ¬to_l), which the caller has already logged. *)
-let substitute_literal t from_l to_l =
-  List.iter
-    (fun (src, dst) ->
-      occ_iter t src (fun c ->
-          let rewritten =
-            Array.to_list c.lits
-            |> List.map (fun x -> if x = src then dst else x)
-          in
-          (match normalize rewritten with
-          | None -> () (* tautology: the original just disappears *)
-          | Some [||] -> refute t
-          | Some [| u |] ->
-            log_add t [| u |];
-            push_unit t u
-          | Some arr -> new_clause t ~log:true arr);
-          c.deleted <- true;
-          log_delete t c.lits);
-      Vec.clear t.occ.(src))
-    [ (from_l, to_l); (Lit.negate from_l, Lit.negate to_l) ]
+(* Rewrites clause [c], which contains [src], with [src] replaced by
+   [dst]. The rewritten clause is RUP against the original plus the
+   equivalence binaries, which the caller has already logged. *)
+let rewritten st src dst c =
+  let n = clen st c in
+  reserve st.scratch n;
+  let s = st.store.a in
+  for i = 0 to n - 1 do
+    let x = s.(cstart st c + i) in
+    st.scratch.a.(i) <- (if x = src then dst else x)
+  done;
+  (match normalize_scratch st n with
+  | -1 -> () (* tautology: the original just disappears *)
+  | 0 -> refute st
+  | 1 ->
+    log_add st st.scratch.a 0 1;
+    push st.units st.scratch.a.(0)
+  | k -> new_clause st ~log:true st.scratch.a 0 k);
+  delete st c;
+  log_delete st c
 
-let big_pass t =
-  let nlits = 2 * t.nvars in
-  if nlits = 0 then ()
-  else begin
-    (* Adjacency lists from the live binary clauses, in arena order so
-       the SCC decomposition (and hence the substitution choices) is
-       deterministic. *)
-    let adj = Array.make nlits [] in
-    let any = ref false in
-    Vec.iter
-      (fun c ->
-        if (not c.deleted) && Array.length c.lits = 2 then begin
-          let a = c.lits.(0) and b = c.lits.(1) in
-          adj.(Lit.negate a) <- b :: adj.(Lit.negate a);
-          adj.(Lit.negate b) <- a :: adj.(Lit.negate b);
-          any := true
-        end)
-      t.arena;
-    if !any then begin
-      for l = 0 to nlits - 1 do
-        adj.(l) <- List.rev adj.(l)
-      done;
-      let comp, ncomp = literal_sccs nlits adj in
-      if ncomp > 0 then begin
-        (* Group the literals of each component, in literal order. *)
-        let members = Array.make ncomp [] in
-        for l = nlits - 1 downto 0 do
-          if comp.(l) >= 0 then members.(comp.(l)) <- l :: members.(comp.(l))
-        done;
-        (* A component holding both polarities of one variable refutes
-           the formula: both units are RUP along the implication cycle,
-           and together they give the empty clause. *)
-        let contradicted = ref false in
-        Array.iter
-          (fun lits ->
-            if not !contradicted then
-              List.iter
-                (fun l ->
-                  if (not !contradicted) && List.mem (Lit.negate l) lits
-                  then begin
-                    contradicted := true;
-                    log_add t [| Lit.negate l |];
-                    log_add t [| l |];
-                    refute t
-                  end)
-                lits)
-          members;
-        if not !contradicted then begin
-          (* Plan the substitutions component by component: the
-             representative is the smallest frozen literal when the
-             component has one (frozen variables must survive), the
-             smallest literal otherwise. Each variable is handled at
-             its positive literal only — the mirror component repeats
-             the same equivalences negated. *)
-          let plan = ref [] in
-          Array.iter
-            (fun lits ->
-              match lits with
-              | [] | [ _ ] -> ()
-              | _ ->
-                let live l =
-                  let v = Lit.var l in
-                  t.assigns.(v) = v_undef && not t.eliminated.(v)
-                in
-                let lits = List.filter live lits in
-                let frozen_lits = List.filter (fun l -> t.frozen (Lit.var l)) lits in
-                let rep =
-                  match frozen_lits with f :: _ -> f | [] -> (
-                    match lits with r :: _ -> r | [] -> -1)
-                in
-                if rep >= 0 then
-                  List.iter
-                    (fun l ->
-                      if
-                        Lit.sign l (* positive occurrence: var handled once *)
-                        && l <> rep
-                        && Lit.var l <> Lit.var rep
-                        && not (t.frozen (Lit.var l))
-                      then plan := (l, rep) :: !plan)
-                    lits)
-            members;
-          let plan = List.rev !plan in
-          (* Log every equivalence binary first, while the implication
-             chains justifying them are all still present; then rewrite
-             clause by clause (each rewrite is RUP against its original
-             plus the pre-logged binaries). *)
-          List.iter
-            (fun (l, r) ->
-              log_add t [| Lit.negate l; r |];
-              log_add t [| l; Lit.negate r |])
-            plan;
-          List.iter
-            (fun (l, r) ->
-              if not t.unsat then begin
-                let v = Lit.var l in
-                (* v's value is r's under the replay of [extend_model]:
-                   the saved positive-occurrence clause [v ∨ ¬r] forces
-                   v exactly when r is true. *)
-                t.stack <- (v, [ [| l; Lit.negate r |] ]) :: t.stack;
-                substitute_literal t l r;
-                t.eliminated.(v) <- true;
-                t.n_equivalent <- t.n_equivalent + 1;
-                t.changed <- true;
-                propagate_units t
-              end)
-            plan
-        end
+(* Substitute literal [from_l] by [to_l] in every clause that contains
+   it, and symmetrically ¬from_l by ¬to_l. *)
+let substitute_literal st from_l to_l =
+  occ_iter st from_l rewritten to_l;
+  st.occ_n.(from_l) <- 0;
+  occ_iter st (Lit.negate from_l) rewritten (Lit.negate to_l);
+  st.occ_n.(Lit.negate from_l) <- 0
+
+let push_entry st v =
+  push st.entries st.stack.n;
+  push st.stack v
+
+let big_pass st =
+  let nlits = 2 * st.nvars in
+  (* Adjacency from the live binary clauses, in clause order so the SCC
+     decomposition (and hence the substitution choices) is
+     deterministic. *)
+  let off = Array.make (nlits + 1) 0 in
+  let nedges = ref 0 in
+  let s = st.store.a in
+  for c = 0 to nclauses st - 1 do
+    if live st c && clen st c = 2 then begin
+      let a = s.(cstart st c) and b = s.(cstart st c + 1) in
+      off.(Lit.negate a + 1) <- off.(Lit.negate a + 1) + 1;
+      off.(Lit.negate b + 1) <- off.(Lit.negate b + 1) + 1;
+      nedges := !nedges + 2
+    end
+  done;
+  if !nedges > 0 then begin
+    for l = 1 to nlits do
+      off.(l) <- off.(l) + off.(l - 1)
+    done;
+    let succ = Array.make !nedges 0 in
+    let fill = Array.sub off 0 nlits in
+    for c = 0 to nclauses st - 1 do
+      if live st c && clen st c = 2 then begin
+        let a = s.(cstart st c) and b = s.(cstart st c + 1) in
+        succ.(fill.(Lit.negate a)) <- b;
+        fill.(Lit.negate a) <- fill.(Lit.negate a) + 1;
+        succ.(fill.(Lit.negate b)) <- a;
+        fill.(Lit.negate b) <- fill.(Lit.negate b) + 1
       end
+    done;
+    let comp, ncomp = literal_sccs nlits off succ in
+    (* The literals of each component, in literal order (CSR again). *)
+    let moff = Array.make (ncomp + 1) 0 in
+    Array.iter (fun k -> if k >= 0 then moff.(k + 1) <- moff.(k + 1) + 1) comp;
+    for k = 1 to ncomp do
+      moff.(k) <- moff.(k) + moff.(k - 1)
+    done;
+    let members = Array.make nlits 0 in
+    let mfill = Array.sub moff 0 (max ncomp 1) in
+    for l = 0 to nlits - 1 do
+      let k = comp.(l) in
+      if k >= 0 then begin
+        members.(mfill.(k)) <- l;
+        mfill.(k) <- mfill.(k) + 1
+      end
+    done;
+    (* A component holding both polarities of one variable refutes the
+       formula: both units are RUP along the implication cycle, and
+       together they give the empty clause. *)
+    let contradiction = ref (-1) in
+    let i = ref 0 in
+    while !contradiction < 0 && !i < moff.(ncomp) do
+      let l = members.(!i) in
+      if comp.(Lit.negate l) = comp.(l) then contradiction := l;
+      incr i
+    done;
+    if !contradiction >= 0 then begin
+      let l = !contradiction in
+      if proving st then begin
+        log_add st [| Lit.negate l |] 0 1;
+        log_add st [| l |] 0 1
+      end;
+      refute st
+    end
+    else begin
+      (* Plan the substitutions component by component: the
+         representative is the smallest frozen literal when the
+         component has one (frozen variables must survive), the
+         smallest literal otherwise. Each variable is handled at its
+         positive literal only — the mirror component repeats the same
+         equivalences negated. The plan is a list of (l, rep) pairs. *)
+      let plan = buf 16 in
+      let live_lit l =
+        let v = Lit.var l in
+        st.assigns.(v) = v_undef && Bytes.get st.eliminated v = '\000'
+      in
+      for k = 0 to ncomp - 1 do
+        if moff.(k + 1) - moff.(k) >= 2 then begin
+          let rep = ref (-1) and first = ref (-1) in
+          for i = moff.(k + 1) - 1 downto moff.(k) do
+            let l = members.(i) in
+            if live_lit l then begin
+              first := l;
+              if st.frozen (Lit.var l) then rep := l
+            end
+          done;
+          let rep = if !rep >= 0 then !rep else !first in
+          if rep >= 0 then
+            for i = moff.(k) to moff.(k + 1) - 1 do
+              let l = members.(i) in
+              if
+                live_lit l && Lit.sign l && l <> rep
+                && Lit.var l <> Lit.var rep
+                && not (st.frozen (Lit.var l))
+              then begin
+                push plan l;
+                push plan rep
+              end
+            done
+        end
+      done;
+      (* Log every equivalence binary first, while the implication
+         chains justifying them are all still present; then rewrite
+         clause by clause (each rewrite is RUP against its original
+         plus the pre-logged binaries). *)
+      let i = ref 0 in
+      while proving st && !i < plan.n do
+        let l = plan.a.(!i) and r = plan.a.(!i + 1) in
+        log_add st [| Lit.negate l; r |] 0 2;
+        log_add st [| l; Lit.negate r |] 0 2;
+        i := !i + 2
+      done;
+      let i = ref 0 in
+      while !i < plan.n do
+        let l = plan.a.(!i) and r = plan.a.(!i + 1) in
+        if not st.unsat then begin
+          let v = Lit.var l in
+          (* v's value is r's under the replay of [extend_model]: the
+             saved positive-occurrence clause [v ∨ ¬r] forces v exactly
+             when r is true. *)
+          push_entry st v;
+          push st.stack 1;
+          push st.stack 2;
+          push st.stack l;
+          push st.stack (Lit.negate r);
+          substitute_literal st l r;
+          Bytes.set st.eliminated v '\001';
+          st.n_equivalent <- st.n_equivalent + 1;
+          st.changed <- true;
+          propagate_units st
+        end;
+        i := !i + 2
+      done
     end
   end
 
 (* --- Bounded variable elimination -------------------------------------- *)
 
-let resolve_on v c d =
-  (* Resolvent of [c] (contains pos v) and [d] (contains neg v); [None]
-     on tautology. Both inputs are sorted, so merge. *)
-  let keep = ref [] in
+(* Appends the resolvent of [c] (contains pos v) and [d] (contains
+   neg v) to [res] as [len; lits], merging the two sorted clauses;
+   false, with [res] untouched, when it is a tautology. *)
+let resolve st v c d =
+  let s = st.store.a in
+  reserve st.res (1 + clen st c + clen st d);
+  let r = st.res.a in
+  let at = st.res.n in
+  let k = ref (at + 1) in
+  let i = ref (cstart st c) and j = ref (cstart st d) in
+  let ci = cstart st c + clen st c and dj = cstart st d + clen st d in
   let taut = ref false in
-  let add l =
-    if l <> Lit.pos v && l <> Lit.neg v then keep := l :: !keep
-  in
-  Array.iter add c.lits;
-  Array.iter add d.lits;
-  let arr = Array.of_list (List.sort_uniq compare !keep) in
-  for i = 0 to Array.length arr - 2 do
-    if arr.(i + 1) = arr.(i) lxor 1 then taut := true
+  while (not !taut) && (!i < ci || !j < dj) do
+    let x =
+      if !j >= dj || (!i < ci && s.(!i) <= s.(!j)) then begin
+        let x = s.(!i) in
+        incr i;
+        x
+      end
+      else begin
+        let x = s.(!j) in
+        incr j;
+        x
+      end
+    in
+    if Lit.var x <> v && (!k = at + 1 || r.(!k - 1) <> x) then begin
+      if !k > at + 1 && r.(!k - 1) = x lxor 1 then taut := true;
+      r.(!k) <- x;
+      incr k
+    end
   done;
-  if !taut then None else Some arr
+  if not !taut then begin
+    r.(at) <- !k - at - 1;
+    st.res.n <- !k
+  end;
+  not !taut
 
-let try_eliminate t v =
+let collect_pos st _l _ c = push st.pos c
+let collect_neg st _l _ c = push st.neg c
+
+let try_eliminate st v =
   if
-    t.frozen v || t.eliminated.(v) || t.assigns.(v) <> v_undef
-    || t.n_eliminated >= t.cfg.bve_max_elim
+    st.frozen v
+    || Bytes.get st.eliminated v <> '\000'
+    || st.assigns.(v) <> v_undef
+    || st.n_eliminated >= st.cfg.bve_max_elim
+    || Bytes.get st.dirty v = '\000'
   then ()
   else begin
-    let pos = ref [] and neg = ref [] in
-    occ_iter t (Lit.pos v) (fun c -> pos := c :: !pos);
-    occ_iter t (Lit.neg v) (fun c -> neg := c :: !neg);
-    let pos = !pos and neg = !neg in
-    let np = List.length pos and nn = List.length neg in
+    st.pos.n <- 0;
+    st.neg.n <- 0;
+    occ_iter st (Lit.pos v) collect_pos 0;
+    occ_iter st (Lit.neg v) collect_neg 0;
+    let np = st.pos.n and nn = st.neg.n in
     let total = np + nn in
-    if total = 0 || total > t.cfg.bve_max_occ then ()
+    (* Distribute: the elimination is admitted when the resolvent set
+       is no larger than the clause set it replaces. The clauses are
+       taken latest first on both sides, the positive side outermost. *)
+    let bound = total + st.cfg.bve_growth in
+    let count = ref 0 in
+    st.res.n <- 0;
+    if total > 0 && total <= st.cfg.bve_max_occ then begin
+      let i = ref (np - 1) in
+      while !count <= bound && !i >= 0 do
+        let j = ref (nn - 1) in
+        while !count <= bound && !j >= 0 do
+          if resolve st v st.pos.a.(!i) st.neg.a.(!j) then incr count;
+          decr j
+        done;
+        decr i
+      done
+    end;
+    if total = 0 || total > st.cfg.bve_max_occ || !count > bound then
+      Bytes.set st.dirty v '\000'
     else begin
-      (* Distribute: the elimination is admitted when the resolvent set
-         is no larger than the clause set it replaces. *)
-      let bound = total + t.cfg.bve_growth in
-      let resolvents = ref [] in
-      let count = ref 0 in
-      let aborted = ref false in
-      List.iter
-        (fun c ->
-          if not !aborted then
-            List.iter
-              (fun d ->
-                if not !aborted then
-                  match resolve_on v c d with
-                  | None -> ()
-                  | Some r ->
-                    incr count;
-                    if !count > bound then aborted := true
-                    else resolvents := r :: !resolvents)
-              neg)
-        pos;
-      if not !aborted then begin
-        (* Additions before deletions, so every resolvent checks as RUP
-           against the clauses it was distributed from. *)
-        List.iter
-          (fun r ->
-            t.n_resolvents <- t.n_resolvents + 1;
-            match Array.length r with
-            | 1 ->
-              log_add t r;
-              push_unit t r.(0)
-            | _ -> new_clause t ~log:true r)
-          (List.rev !resolvents);
-        t.stack <-
-          (v, List.map (fun c -> Array.copy c.lits) pos) :: t.stack;
-        List.iter
-          (fun c ->
-            c.deleted <- true;
-            log_delete t c.lits)
-          pos;
-        List.iter
-          (fun c ->
-            c.deleted <- true;
-            log_delete t c.lits)
-          neg;
-        Vec.clear t.occ.(Lit.pos v);
-        Vec.clear t.occ.(Lit.neg v);
-        t.eliminated.(v) <- true;
-        t.n_eliminated <- t.n_eliminated + 1;
-        t.changed <- true;
-        propagate_units t
-      end
+      (* Additions before deletions, so every resolvent checks as RUP
+         against the clauses it was distributed from. *)
+      let p = ref 0 in
+      while !p < st.res.n do
+        let n = st.res.a.(!p) in
+        st.n_resolvents <- st.n_resolvents + 1;
+        if n = 1 then begin
+          log_add st st.res.a (!p + 1) 1;
+          push st.units st.res.a.(!p + 1)
+        end
+        else new_clause st ~log:true st.res.a (!p + 1) n;
+        p := !p + 1 + n
+      done;
+      push_entry st v;
+      push st.stack np;
+      for i = np - 1 downto 0 do
+        push st.stack (clen st st.pos.a.(i))
+      done;
+      for i = np - 1 downto 0 do
+        let c = st.pos.a.(i) in
+        for q = cstart st c to cstart st c + clen st c - 1 do
+          push st.stack st.store.a.(q)
+        done
+      done;
+      for i = np - 1 downto 0 do
+        delete st st.pos.a.(i);
+        log_delete st st.pos.a.(i)
+      done;
+      for i = nn - 1 downto 0 do
+        delete st st.neg.a.(i);
+        log_delete st st.neg.a.(i)
+      done;
+      st.occ_n.(Lit.pos v) <- 0;
+      st.occ_n.(Lit.neg v) <- 0;
+      Bytes.set st.eliminated v '\001';
+      st.n_eliminated <- st.n_eliminated + 1;
+      st.changed <- true;
+      propagate_units st
     end
   end
 
-let bve_pass t =
+let bve_pass st =
   (* Cheapest variables first: elimination cost (and likelihood of
      admission) grows with the occurrence count. *)
-  let order = Array.init t.nvars (fun v -> v) in
-  let cost v = Vec.length t.occ.(Lit.pos v) + Vec.length t.occ.(Lit.neg v) in
+  let order = Array.init st.nvars (fun v -> v) in
+  let cost v = st.occ_n.(Lit.pos v) + st.occ_n.(Lit.neg v) in
   Array.sort (fun a b -> Int.compare (cost a) (cost b)) order;
-  Array.iter (fun v -> if not t.unsat then try_eliminate t v) order
+  Array.iter (fun v -> if not st.unsat then try_eliminate st v) order
 
 (* --- Driver ------------------------------------------------------------ *)
+
+(* Loads the input: tautologies vanish, units feed the propagation
+   queue, everything else enters the store, then the occurrence lists
+   (sized from the loaded clauses) and the subsumption queue, both in
+   clause order. *)
+let load st clauses =
+  List.iter
+    (fun lits ->
+      let n = List.length lits in
+      reserve st.scratch n;
+      List.iteri (fun i l -> st.scratch.a.(i) <- l) lits;
+      match normalize_scratch st n with
+      | -1 -> ()
+      | 0 -> refute st
+      | 1 -> push st.units st.scratch.a.(0)
+      | k -> append st st.scratch.a 0 k)
+    clauses;
+  let s = st.store.a in
+  for i = 0 to st.store.n - 1 do
+    st.occ_n.(s.(i)) <- st.occ_n.(s.(i)) + 1
+  done;
+  Array.iteri
+    (fun l n ->
+      if n > 0 then st.occ.(l) <- Array.make n 0;
+      st.occ_n.(l) <- 0)
+    st.occ_n;
+  for c = 0 to nclauses st - 1 do
+    for i = cstart st c to cstart st c + clen st c - 1 do
+      occ_push st s.(i) c
+    done;
+    enqueue st c
+  done
+
+(* The output records, [words] of them in all: one unit clause per
+   fixed variable, then the live clauses in creation order; the empty
+   clause alone when the formula was refuted. *)
+let output st words =
+  if st.unsat then [| 0 |]
+  else begin
+    let out = buf words in
+    Array.iteri
+      (fun v a ->
+        if a <> v_undef then begin
+          push out 1;
+          push out (Lit.make v (a = 0))
+        end)
+      st.assigns;
+    for c = 0 to nclauses st - 1 do
+      if live st c then begin
+        push out (clen st c);
+        for i = cstart st c to cstart st c + clen st c - 1 do
+          push out st.store.a.(i)
+        done
+      end
+    done;
+    assert (out.n = words);
+    out.a
+  end
+
+(* The stack entries, most recent first. *)
+let reversed_stack st =
+  let stack = Array.make st.stack.n 0 in
+  let at = ref 0 in
+  for e = st.entries.n - 1 downto 0 do
+    let lo = st.entries.a.(e) in
+    let hi = if e + 1 < st.entries.n then st.entries.a.(e + 1) else st.stack.n in
+    Array.blit st.stack.a lo stack !at (hi - lo);
+    at := !at + hi - lo
+  done;
+  stack
 
 let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
   Tracing.with_span "preprocess.simplify" @@ fun () ->
   Metrics.incr m_runs;
-  let t =
+  let orig_clauses = List.length clauses in
+  let orig_literals = List.fold_left (fun acc c -> acc + List.length c) 0 clauses in
+  let st =
     {
       cfg = config;
       nvars;
       frozen;
-      arena = Vec.create ();
-      occ = Array.init (2 * nvars) (fun _ -> Vec.create ());
+      store = buf orig_literals;
+      hdr = buf (4 * orig_clauses);
+      occ = Array.make (2 * nvars) [||];
+      occ_n = Array.make (2 * nvars) 0;
       assigns = Array.make (max 1 nvars) v_undef;
-      eliminated = Array.make (max 1 nvars) false;
-      units = Vec.create ();
+      eliminated = Bytes.make (max 1 nvars) '\000';
+      dirty = Bytes.make (max 1 nvars) '\001';
+      units = buf 64;
       uhead = 0;
-      queue = Vec.create ();
+      queue = buf orig_clauses;
       unsat = false;
       changed = false;
-      orig_clauses = 0;
-      orig_literals = 0;
-      stack = [];
+      stack = buf 64;
+      entries = buf 16;
+      scratch = buf 64;
+      res = buf 64;
+      pos = buf 16;
+      neg = buf 16;
       drat = (if drat then Some (Buffer.create 1024) else None);
       n_eliminated = 0;
       n_subsumed = 0;
@@ -658,113 +894,131 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
       n_rounds = 0;
     }
   in
-  t.orig_clauses <- List.length clauses;
-  t.orig_literals <- List.fold_left (fun acc c -> acc + List.length c) 0 clauses;
-  Metrics.add m_clauses_in t.orig_clauses;
-  (* Load: tautologies vanish, units feed the propagation queue,
-     everything else enters the arena (and the subsumption queue). *)
-  List.iter
-    (fun lits ->
-      match normalize lits with
-      | None -> ()
-      | Some [||] -> refute t
-      | Some [| l |] -> push_unit t l
-      | Some arr -> new_clause t arr)
-    clauses;
-  propagate_units t;
-  let continue_ = ref (not t.unsat) in
-  while !continue_ && t.n_rounds < t.cfg.max_rounds do
-    t.n_rounds <- t.n_rounds + 1;
-    t.changed <- false;
-    if t.cfg.subsumption || t.cfg.self_subsumption then subsumption_pass t;
-    if (not t.unsat) && t.cfg.big then big_pass t;
-    if (not t.unsat) && t.cfg.bve then bve_pass t;
-    propagate_units t;
-    continue_ := t.changed && not t.unsat
+  Metrics.add m_clauses_in orig_clauses;
+  load st clauses;
+  propagate_units st;
+  let continue_ = ref (not st.unsat) in
+  while !continue_ && st.n_rounds < st.cfg.max_rounds do
+    st.n_rounds <- st.n_rounds + 1;
+    st.changed <- false;
+    if st.cfg.subsumption || st.cfg.self_subsumption then subsumption_pass st;
+    if (not st.unsat) && st.cfg.big then big_pass st;
+    if (not st.unsat) && st.cfg.bve then bve_pass st;
+    propagate_units st;
+    continue_ := st.changed && not st.unsat
   done;
-  Metrics.add m_eliminated t.n_eliminated;
-  Metrics.add m_subsumed t.n_subsumed;
-  Metrics.add m_strengthened t.n_strengthened;
-  Metrics.add m_equivalent t.n_equivalent;
-  Metrics.add m_resolvents t.n_resolvents;
-  Metrics.observe_int m_rounds t.n_rounds;
-  Metrics.observe_int m_stack_depth t.n_eliminated;
   let fixed = ref 0 in
-  Array.iter (fun a -> if a <> v_undef then incr fixed) t.assigns;
-  Metrics.add m_fixed !fixed;
-  let out = ref 0 in
-  Vec.iter (fun c -> if not c.deleted then incr out) t.arena;
-  Metrics.add m_clauses_out (if t.unsat then 1 else !out + !fixed);
-  t
-
-let unsat t = t.unsat
-let nvars t = t.nvars
-let is_eliminated t v = v >= 0 && v < t.nvars && t.eliminated.(v)
-
-let clauses t =
-  if t.unsat then [ [] ]
-  else begin
-    let acc = ref [] in
-    Vec.iter
-      (fun c -> if not c.deleted then acc := Array.to_list c.lits :: !acc)
-      t.arena;
-    let acc = List.rev !acc in
-    let units = ref [] in
-    for v = t.nvars - 1 downto 0 do
-      if t.assigns.(v) <> v_undef then
-        units := [ Lit.make v (t.assigns.(v) = 0) ] :: !units
-    done;
-    !units @ acc
-  end
-
-let extend_model t m =
-  let m =
-    if Array.length m >= t.nvars then Array.copy m
-    else Array.init t.nvars (fun v -> v < Array.length m && m.(v))
-  in
-  let lit_true l = if Lit.sign l then m.(Lit.var l) else not m.(Lit.var l) in
-  (* Reverse elimination order (stack head = last eliminated): a saved
-     clause mentions only variables still live at its elimination time,
-     so each step only depends on values fixed before it. *)
-  List.iter
-    (fun (v, pos_clauses) ->
-      let needs_true =
-        List.exists
-          (fun cl ->
-            not (Array.exists (fun l -> Lit.var l <> v && lit_true l) cl))
-          pos_clauses
-      in
-      m.(v) <- needs_true)
-    t.stack;
-  m
-
-let stats t =
+  Array.iter (fun a -> if a <> v_undef then incr fixed) st.assigns;
   let clauses_out = ref 0 and literals_out = ref 0 in
-  Vec.iter
-    (fun c ->
-      if not c.deleted then begin
-        incr clauses_out;
-        literals_out := !literals_out + Array.length c.lits
-      end)
-    t.arena;
-  let fixed = ref 0 in
-  Array.iter (fun a -> if a <> v_undef then incr fixed) t.assigns;
+  for c = 0 to nclauses st - 1 do
+    if live st c then begin
+      incr clauses_out;
+      literals_out := !literals_out + clen st c
+    end
+  done;
+  Metrics.add m_eliminated st.n_eliminated;
+  Metrics.add m_subsumed st.n_subsumed;
+  Metrics.add m_strengthened st.n_strengthened;
+  Metrics.add m_equivalent st.n_equivalent;
+  Metrics.add m_resolvents st.n_resolvents;
+  Metrics.observe_int m_rounds st.n_rounds;
+  Metrics.observe_int m_stack_depth (st.n_eliminated + st.n_equivalent);
+  Metrics.add m_fixed !fixed;
+  Metrics.add m_clauses_out (if st.unsat then 1 else !clauses_out + !fixed);
   {
-    original_vars = t.nvars;
-    original_clauses = t.orig_clauses;
-    original_literals = t.orig_literals;
-    clauses = (if t.unsat then 1 else !clauses_out + !fixed);
-    literals = (if t.unsat then 0 else !literals_out + !fixed);
-    eliminated_vars = t.n_eliminated;
-    fixed_vars = !fixed;
-    subsumed_clauses = t.n_subsumed;
-    strengthened_clauses = t.n_strengthened;
-    equivalent_vars = t.n_equivalent;
-    resolvents_added = t.n_resolvents;
-    rounds = t.n_rounds;
+    unsat = st.unsat;
+    output = output st ((2 * !fixed) + !clauses_out + !literals_out);
+    stats =
+      {
+        original_vars = nvars;
+        original_clauses = orig_clauses;
+        original_literals = orig_literals;
+        clauses = (if st.unsat then 1 else !clauses_out + !fixed);
+        literals = (if st.unsat then 0 else !literals_out + !fixed);
+        eliminated_vars = st.n_eliminated;
+        fixed_vars = !fixed;
+        subsumed_clauses = st.n_subsumed;
+        strengthened_clauses = st.n_strengthened;
+        equivalent_vars = st.n_equivalent;
+        resolvents_added = st.n_resolvents;
+        rounds = st.n_rounds;
+      };
+    proof = (match st.drat with Some b -> Buffer.contents b | None -> "");
+    recon = { width = nvars; stack = reversed_stack st };
   }
 
-let proof t = match t.drat with Some b -> Buffer.contents b | None -> ""
+let unsat (t : t) = t.unsat
+let nvars t = t.recon.width
+let stats t = t.stats
+let proof t = t.proof
+let reconstruction t = t.recon
+let stack_words (r : reconstruction) = Array.length r.stack
+
+let iter_clauses t f =
+  let o = t.output in
+  let p = ref 0 in
+  while !p < Array.length o do
+    let n = o.(!p) in
+    let rec lits i = if i > n then [] else o.(!p + i) :: lits (i + 1) in
+    f (lits 1);
+    p := !p + 1 + n
+  done
+
+let clauses t =
+  let acc = ref [] in
+  iter_clauses t (fun c -> acc := c :: !acc);
+  List.rev !acc
+
+(* Calls [f v k p] on each stack entry, most recent first, where the
+   entry's clause lengths start at [p] and its literals at [p + k]. *)
+let iter_entries (r : reconstruction) f =
+  let s = r.stack in
+  let p = ref 0 in
+  while !p < Array.length s do
+    let v = s.(!p) and k = s.(!p + 1) in
+    let lens = !p + 2 in
+    f v k lens;
+    let lits = ref 0 in
+    for i = 0 to k - 1 do
+      lits := !lits + s.(lens + i)
+    done;
+    p := lens + k + !lits
+  done
+
+let is_eliminated t v =
+  let found = ref false in
+  iter_entries t.recon (fun u _ _ -> if u = v then found := true);
+  !found
+
+let extend (r : reconstruction) m =
+  let m =
+    if Array.length m >= r.width then Array.copy m
+    else Array.init r.width (fun v -> v < Array.length m && m.(v))
+  in
+  let s = r.stack in
+  let lit_true l = if Lit.sign l then m.(Lit.var l) else not m.(Lit.var l) in
+  (* Reverse elimination order: a saved clause mentions only variables
+     still live at its elimination time, so each step only depends on
+     values fixed before it. [v] must be true when one of its saved
+     clauses has no other true literal. *)
+  iter_entries r (fun v k lens ->
+      let needs_true = ref false in
+      let q = ref (lens + k) in
+      for i = 0 to k - 1 do
+        let n = s.(lens + i) in
+        if not !needs_true then begin
+          let other = ref false in
+          for x = !q to !q + n - 1 do
+            if Lit.var s.(x) <> v && lit_true s.(x) then other := true
+          done;
+          if not !other then needs_true := true
+        end;
+        q := !q + n
+      done;
+      m.(v) <- !needs_true);
+  m
+
+let extend_model t m = extend t.recon m
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -50,7 +50,24 @@
     this trace to the solver's own proof (see
     {!Solver.append_proof}) makes an UNSAT answer on the simplified
     formula checkable by {!Drat.check} against the {e original}
-    clauses. *)
+    clauses.
+
+    {b Cost.} A run works on flat [int] arrays: one clause store
+    (strengthened clauses shrink in place), per-literal occurrence
+    arrays sized from the input, and reusable work lists. BVE counts a
+    variable's non-tautological resolvents before it builds any, and a
+    variable is tried again only after a clause containing it was
+    added, deleted or strengthened. On the 50 explain-dense formulas of
+    the whybench benchmark (3,893 clauses, 8,643 literals each) a run
+    allocates about 0.1 Mwords.
+
+    {b Retention.} The working state is dropped when {!simplify}
+    returns. A [t] holds the simplified clauses as one flat array, the
+    stats, the DRAT text, and the reconstruction stack as one flat
+    array; on those formulas that is about 1.3 words per input literal.
+    The stack alone ({!reconstruction}, what {!Encode} keeps for the
+    rest of a request) is 2 words per eliminated variable plus one per
+    saved clause and per saved literal. *)
 
 type config = {
   subsumption : bool;       (** backward subsumption *)
@@ -108,6 +125,10 @@ val clauses : t -> Lit.t list list
 (** The simplified clause set, including one unit clause per top-level
     fixed variable and the empty clause if the set was refuted. *)
 
+val iter_clauses : t -> (Lit.t list -> unit) -> unit
+(** [iter_clauses t f] calls [f] on each clause of {!clauses}, in the
+    same order, without building the list of them. *)
+
 val unsat : t -> bool
 (** The preprocessor refuted the formula outright. *)
 
@@ -121,6 +142,20 @@ val extend_model : t -> bool array -> bool array
     clause set whenever [m] satisfies the simplified one. [m] may be
     longer than [nvars] (auxiliary variables allocated after
     preprocessing keep their values). *)
+
+type reconstruction
+(** The reconstruction stack alone: what {!extend_model} reads. A caller
+    that keeps it instead of [t] lets the simplified clauses, the stats
+    and the proof go once they are loaded. *)
+
+val reconstruction : t -> reconstruction
+
+val extend : reconstruction -> bool array -> bool array
+(** [extend (reconstruction t) m = extend_model t m]. *)
+
+val stack_words : reconstruction -> int
+(** Length of the flat stack, in words: per eliminated variable 2, plus
+    per saved clause 1 and its literals. *)
 
 val stats : t -> stats
 

@@ -341,13 +341,16 @@ let pinned_random () =
 (* The formula [whyprov explain FILE -q PRED -t TUPLE] hands the
    preprocessor: the analyzer-checked program, its closure, the staged
    clauses in build order, and the db-fact variables frozen. *)
-let pinned_explain path pred tuple =
+let explain_closure path pred tuple =
   let raw = D.Parser.parse_raw_file path in
   let checked = Whyprov_analysis.Check.check_raw ~query:pred raw in
   let program = Option.get checked.Whyprov_analysis.Check.program in
   let db = D.Database.of_list checked.Whyprov_analysis.Check.facts in
   let goal = P.Explain.goal (P.Explain.query program pred) tuple in
-  let closure = P.Closure.build program db goal in
+  P.Closure.build program db goal
+
+let pinned_explain path pred tuple =
+  let closure = explain_closure path pred tuple in
   let e = P.Encode.make ~capture:true ~preprocess:false closure in
   let clauses = List.rev (Option.get (P.Encode.captured_clauses e)) in
   let nvars = (P.Encode.stats e).P.Encode.variables in
@@ -365,6 +368,24 @@ let test_pinned_output () =
   Alcotest.(check string) "andersen_families.dl pt(o0_0,o0_1)"
     "44671a77c9c8cacebc07885344fe63a9"
     (pinned_explain "cli/andersen_families.dl" "pt" [ "o0_0"; "o0_1" ])
+
+(* Once the solver is loaded, an encoding keeps of its preprocessing run
+   only the reconstruction stack that [witness_dag] re-extends models
+   with: no clause store, occurrence lists or simplified formula, whose
+   size follows the input literals. *)
+let test_retention () =
+  let closure = explain_closure "cli/tc_communities.dl" "tc" [ "v1"; "v6" ] in
+  let e = P.Encode.make closure in
+  let s = Option.get (P.Encode.stats e).P.Encode.preprocess in
+  let r = Option.get (P.Encode.reconstruction e) in
+  let words = Obj.reachable_words (Obj.repr r) in
+  let bound = Sat.Preprocess.stack_words r + s.Sat.Preprocess.original_vars in
+  if words > bound then
+    Alcotest.failf "%d words retained, more than the stack (%d) plus nvars (%d)"
+      words (Sat.Preprocess.stack_words r) s.Sat.Preprocess.original_vars;
+  if words >= s.Sat.Preprocess.original_literals then
+    Alcotest.failf "%d words retained for %d input literals" words
+      s.Sat.Preprocess.original_literals
 
 (* --- Unit regressions ----------------------------------------------------- *)
 
@@ -427,4 +448,5 @@ let suite =
         Alcotest.test_case "frozen blocks elimination" `Quick
           test_frozen_blocks_elimination;
         Alcotest.test_case "pinned output" `Quick test_pinned_output;
+        Alcotest.test_case "encoding retains only the stack" `Quick test_retention;
       ] )
