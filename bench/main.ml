@@ -15,12 +15,13 @@ let usage () =
     "usage: main.exe [--scale F] [--tuples N] [--limit N] [--timeout S] \
      [--budget N] [--seed N] [--jobs N] [--stats-out FILE.json] \
      [--trace-out FILE.json] [--rev LABEL] [--check BASELINE.json] \
-     [--check-tol R] \
+     [--check-tol R] [--only PREFIX] \
      [table1|fig1|fig2|fig3|fig4|fig5|hardness|ablation|combined|batch|analysis|engine|preprocess|tracing|corpus|micro|all]...";
   exit 1
 
 let () =
   let experiments = ref [] in
+  let micro_only = ref "" in
   let rec parse args =
     match args with
     | [] -> ()
@@ -79,6 +80,10 @@ let () =
       Harness.config.Harness.check <- Some v;
       Util.Metrics.set_enabled true;
       parse rest
+    | "--only" :: v :: rest ->
+      (* micro: run only the kernels whose name starts with [v]. *)
+      micro_only := v;
+      parse rest
     | "--check-tol" :: v :: rest ->
       Harness.config.Harness.check_tol <- float_of_string v;
       parse rest
@@ -107,7 +112,7 @@ let () =
     | "preprocess" -> Experiments.preprocess ()
     | "tracing" -> Experiments.tracing ()
     | "corpus" -> Experiments.corpus ()
-    | "micro" -> Micro.run ()
+    | "micro" -> Micro.run ~only:!micro_only ()
     | "all" ->
       Experiments.table1 ();
       Experiments.fig3 ();  (* includes Figure 1 (the Andersen rows) *)

@@ -43,20 +43,51 @@ let doctors_fixture =
      let goal = List.hd (W.Scenario.pick_answers ~seed:3 scenario db 1) in
      (program, db, model, goal))
 
+(* A tc-shaped closure: one dense cyclic community of 16 nodes (the
+   edge i -> i+1 and every other edge with probability 1/2), the shape
+   of one explain-dense request of the whybench benchmark, where BVE
+   and equivalent-literal substitution remove the most. *)
+let tc_fixture =
+  lazy
+    (let rng = Util.Rng.create 1 in
+     let node i = Printf.sprintf "v%d" i in
+     let size = 16 in
+     let edges = ref [] in
+     for i = 0 to size - 1 do
+       for j = 0 to size - 1 do
+         if i <> j && (j = (i + 1) mod size || Util.Rng.bool rng) then
+           edges := D.Fact.of_strings "edge" [ node i; node j ] :: !edges
+       done
+     done;
+     let program = (W.Transclosure.scenario ()).W.Scenario.program in
+     let db = D.Database.of_list (List.rev !edges) in
+     let model = D.Eval.seminaive program db in
+     let goal = D.Fact.of_strings "tc" [ node 0; node 5 ] in
+     P.Closure.build_with_model program ~model db goal)
+
+(* The staged formula of [closure] and the variables [Encode.make]
+   freezes, as the preprocessor receives them. *)
+let captured closure =
+  let encoding = P.Encode.make ~capture:true ~preprocess:false closure in
+  let clauses =
+    match P.Encode.captured_clauses encoding with
+    | Some clauses -> List.rev clauses
+    | None -> assert false
+  in
+  let nvars = (P.Encode.stats encoding).P.Encode.variables in
+  let frozen = Array.make nvars false in
+  Array.iter (fun v -> frozen.(v) <- true) (P.Encode.db_vars encoding);
+  (nvars, (fun v -> v < nvars && frozen.(v)), clauses)
+
 (* Preprocessing kernels on the captured Andersen formula: the raw
    occurrence-list build (every technique off, so load + top-level
    propagation only), one backward subsumption + self-subsumption
    pass, and the resolvent distribution of a single bounded variable
    elimination (bve_max_elim=1 isolates one occurrence-sorted pivot on
-   top of the build). *)
+   top of the build); and one whole default run on the tc-shaped
+   formula, frozen as in the pipeline. *)
 let preprocess_tests closure =
-  let encoding = P.Encode.make ~capture:true ~preprocess:false closure in
-  let raw_clauses =
-    match P.Encode.captured_clauses encoding with
-    | Some clauses -> clauses
-    | None -> assert false
-  in
-  let nvars = (P.Encode.stats encoding).P.Encode.variables in
+  let nvars, _, raw_clauses = captured closure in
   let none _ = false in
   let cfg ~subsumption ~bve ?(bve_max_elim = max_int) () =
     {
@@ -78,6 +109,10 @@ let preprocess_tests closure =
     Test.make ~name:"preprocess:bve-one-var"
       (Staged.stage
          (kernel (cfg ~subsumption:false ~bve:true ~bve_max_elim:1 ())));
+    Test.make ~name:"preprocess:simplify-tc"
+      (Staged.stage
+         (let nvars, frozen, clauses = captured (Lazy.force tc_fixture) in
+          fun () -> ignore (Sat.Preprocess.simplify ~nvars ~frozen clauses)));
   ]
 
 let tests () =
@@ -221,28 +256,40 @@ let tests () =
            ignore (P.Encode.make ~acyclicity:P.Encode.Transitive_closure closure)));
   ]
 
-let run () =
+let words_str w =
+  if w >= 1e6 then Printf.sprintf "%.2f Mw" (w /. 1e6)
+  else if w >= 1e3 then Printf.sprintf "%.1f kw" (w /. 1e3)
+  else Printf.sprintf "%.0f w" w
+
+(* Runs the kernels whose name starts with [only] (all of them by
+   default) and prints each one's time and minor-heap words per run. *)
+let run ?(only = "") () =
   Harness.header "Micro-benchmarks (Bechamel; one kernel per table/figure)";
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let instance = Instance.monotonic_clock in
+  let clock = Instance.monotonic_clock and words = Instance.minor_allocated in
   let cfg =
     Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None ()
   in
+  let selected =
+    List.filter (fun t -> String.starts_with ~prefix:only (Test.name t)) (tests ())
+  in
+  if selected = [] then begin
+    Printf.eprintf "micro: no kernel name starts with %S\n" only;
+    exit 1
+  end;
   List.iter
     (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ estimate ] ->
-            Printf.printf "  %-28s %12s/run\n"
-              (match String.index_opt name '/' with
-              | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-              | None -> name)
-              (Harness.time_str (estimate /. 1e9))
-          | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-        analyzed)
-    (tests ())
+      let results = Benchmark.all cfg [ clock; words ] test in
+      let estimate instance =
+        match Analyze.OLS.estimates (Hashtbl.find (Analyze.all ols instance results) (Test.name test)) with
+        | Some [ e ] -> Some e
+        | _ -> None
+      in
+      match (estimate clock, estimate words) with
+      | Some ns, Some w ->
+        Printf.printf "  %-28s %12s/run %12s/run\n" (Test.name test)
+          (Harness.time_str (ns /. 1e9)) (words_str w)
+      | _ -> Printf.printf "  %-28s (no estimate)\n" (Test.name test))
+    selected

@@ -285,6 +285,17 @@ PY
   fi
 fi
 
+echo "== micro smoke (bench/main.exe micro --only preprocess:)"
+# The kernel filter and the preprocessing kernels keep building and
+# running: each prints its time and minor-heap words per run, and a
+# prefix that selects no kernel is an error.
+dune exec --no-build bench/main.exe -- micro --only preprocess: > /dev/null
+if dune exec --no-build bench/main.exe -- micro --only no-such-kernel \
+     > /dev/null 2>&1; then
+  echo "dev-check: micro --only should fail when it selects no kernel" >&2
+  exit 1
+fi
+
 echo "== hardening smoke (whyfuzz corpus + seeded fuzz, docs/HARDENING.md)"
 # Every committed corpus instance, across the default config matrix
 # (three solver configs x preprocessing on/off), with every answer

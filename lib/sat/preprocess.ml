@@ -55,11 +55,11 @@ type stats = {
   rounds : int;
 }
 
-(* The reconstruction stack, most recent elimination first, as one flat
-   array of entries [v; k; len_1 .. len_k; lits of clause 1 .. lits of
-   clause k]: the variable and the k clauses in which it occurred
-   positively when it was eliminated (one [v ∨ ¬r] clause for a
-   substitution by r). *)
+(* The reconstruction stack as one flat array of entries, oldest first,
+   each [lits of clause 1 .. lits of clause k; len_1 .. len_k; k; v]:
+   the k clauses in which variable v occurred positively when it was
+   eliminated (one [v ∨ ¬r] clause for a substitution by r). An entry
+   ends in its variable, so the stack is read from the end. *)
 type reconstruction = { width : int; stack : int array }
 
 (* What a run leaves: the output clauses as [len; lits] records, unit
@@ -94,12 +94,13 @@ let push b x =
   Array.unsafe_set b.a b.n x;
   b.n <- b.n + 1
 
-(* Clauses are sorted, deduplicated literal runs in [store], numbered in
-   creation order; a strengthened clause keeps its number and shrinks
-   in place. Clause [c]'s header is [hdr.(4c) .. hdr.(4c+3)]: the
-   offset of its literals, their number, a 62-bit variable signature
-   (a cheap necessary condition for [c ⊆ d] is
-   [csig c land lnot (csig d) = 0]) and flag bits. *)
+(* Clauses are sorted, deduplicated literal runs in [store], numbered
+   and laid out in creation order; a strengthened clause keeps its
+   number and shrinks in place, and the runs of deleted clauses are
+   squeezed out when the store fills. Per clause [c]: the offset of its
+   literals, their number, a 62-bit variable signature (a cheap
+   necessary condition for [c ⊆ d] is [csig c land lnot (csig d) = 0])
+   and flag bits. *)
 let deleted_bit = 1
 let queued_bit = 2
 let shrunk_bit = 4 (* strengthened at least once *)
@@ -110,7 +111,10 @@ type state = {
   nvars : int;
   frozen : int -> bool;
   store : buf;
-  hdr : buf;
+  start : buf;
+  len : buf;
+  csig : buf;
+  flags : buf;
   (* literal -> its first [occ_n] entries are clauses that contained it
      (stale ones are dropped by the next walk) *)
   occ : int array array;
@@ -125,12 +129,16 @@ type state = {
   queue : buf;               (* subsumption work queue *)
   mutable unsat : bool;
   mutable changed : bool;
-  stack : buf;               (* reconstruction entries, oldest first *)
-  entries : buf;             (* offset of each entry in [stack] *)
+  stack : buf;               (* the reconstruction stack *)
   scratch : buf;             (* the clause being rewritten *)
   res : buf;                 (* [len; lits] resolvents of one elimination *)
   pos : buf;                 (* its clauses with the positive literal *)
   neg : buf;
+  (* Tarjan's per-literal arrays, allocated by the first SCC pass and
+     reused by later rounds *)
+  mutable index : int array;
+  mutable lowlink : int array;
+  mutable comp : int array;
   drat : Buffer.t option;
   mutable n_eliminated : int;
   mutable n_subsumed : int;
@@ -140,12 +148,12 @@ type state = {
   mutable n_rounds : int;
 }
 
-let nclauses st = st.hdr.n lsr 2
-let cstart st c = st.hdr.a.(4 * c)
-let clen st c = st.hdr.a.((4 * c) + 1)
-let csig st c = st.hdr.a.((4 * c) + 2)
-let flags st c = st.hdr.a.((4 * c) + 3)
-let set_flags st c f = st.hdr.a.((4 * c) + 3) <- f
+let nclauses st = st.start.n
+let cstart st c = st.start.a.(c)
+let clen st c = st.len.a.(c)
+let csig st c = st.csig.a.(c)
+let flags st c = st.flags.a.(c)
+let set_flags st c f = st.flags.a.(c) <- f
 let live st c = flags st c land deleted_bit = 0
 
 (* --- DRAT ------------------------------------------------------------- *)
@@ -237,7 +245,8 @@ let occ_iter st l f arg =
   let j = ref 0 in
   for i = 0 to n - 1 do
     let c = a.(i) in
-    if live st c && (flags st c land shrunk_bit = 0 || contains st c l) then begin
+    let fl = flags st c in
+    if fl land deleted_bit = 0 && (fl land shrunk_bit = 0 || contains st c l) then begin
       a.(!j) <- c;
       incr j;
       f st l arg c
@@ -245,15 +254,37 @@ let occ_iter st l f arg =
   done;
   st.occ_n.(l) <- !j
 
+(* Makes room for [n] more literals in the store: squeezes out the runs
+   of deleted clauses when they would leave it at most half full, and
+   grows it otherwise. *)
+let reserve_store st n =
+  let b = st.store in
+  if b.n + n > Array.length b.a then begin
+    let used = ref 0 in
+    for c = 0 to nclauses st - 1 do
+      if live st c then used := !used + clen st c
+    done;
+    if 2 * (!used + n) > Array.length b.a then reserve b n
+    else begin
+      b.n <- 0;
+      for c = 0 to nclauses st - 1 do
+        if live st c then begin
+          Array.blit b.a (cstart st c) b.a b.n (clen st c);
+          st.start.a.(c) <- b.n;
+          b.n <- b.n + clen st c
+        end
+      done
+    end
+  end
+
 (* Appends [a.(off) .. a.(off+n-1)], sorted and deduplicated, to the
    store as clause number [nclauses st]; [a] is never the store itself. *)
 let append st a off n =
-  reserve st.hdr 4;
-  push st.hdr st.store.n;
-  push st.hdr n;
-  push st.hdr (signature a off n);
-  push st.hdr 0;
-  reserve st.store n;
+  reserve_store st n;
+  push st.start st.store.n;
+  push st.len n;
+  push st.csig (signature a off n);
+  push st.flags 0;
   Array.blit a off st.store.a st.store.n n;
   st.store.n <- st.store.n + n
 
@@ -325,8 +356,8 @@ let strengthen st c x =
     log_add st st.scratch.a 0 k;
     log_delete st c;
     Array.blit st.scratch.a 0 s (cstart st c) k;
-    st.hdr.a.((4 * c) + 1) <- k;
-    st.hdr.a.((4 * c) + 2) <- signature s (cstart st c) k;
+    st.len.a.(c) <- k;
+    st.csig.a.(c) <- signature s (cstart st c) k;
     set_flags st c (flags st c lor shrunk_bit);
     enqueue st c
 
@@ -431,14 +462,19 @@ let subsumption_pass st =
    roadmap names; it feeds BVE smaller, more connected clauses. *)
 
 (* Iterative Tarjan over the literal graph in CSR form (the successors
-   of [l] are [succ.(off.(l)) .. succ.(off.(l+1) - 1)]). Returns the SCC
-   id of each visited literal, ids in completion order, and the number
-   of components. *)
-let literal_sccs nlits off succ =
-  let index = Array.make nlits (-1) in
-  let lowlink = Array.make nlits 0 in
+   of [l] are [succ.(off.(l)) .. succ.(off.(l+1) - 1)]). Leaves in
+   [st.comp] the SCC id of each visited literal (-1 for the others), ids
+   in completion order, and returns the number of components. *)
+let literal_sccs st nlits off succ =
+  if Array.length st.comp = 0 then begin
+    st.index <- Array.make nlits 0;
+    st.lowlink <- Array.make nlits 0;
+    st.comp <- Array.make nlits 0
+  end;
+  let index = st.index and lowlink = st.lowlink and comp = st.comp in
+  Array.fill index 0 nlits (-1);
+  Array.fill comp 0 nlits (-1);
   let on_stack = Bytes.make nlits '\000' in
-  let comp = Array.make nlits (-1) in
   let stack = buf 64 in
   (* DFS frames: the literal and how many of its successors are done. *)
   let frame_lit = buf 64 and frame_k = buf 64 in
@@ -487,7 +523,7 @@ let literal_sccs nlits off succ =
       done
     end
   done;
-  (comp, !next_comp)
+  !next_comp
 
 (* Rewrites clause [c], which contains [src], with [src] replaced by
    [dst]. The rewritten clause is RUP against the original plus the
@@ -518,63 +554,51 @@ let substitute_literal st from_l to_l =
   occ_iter st (Lit.negate from_l) rewritten (Lit.negate to_l);
   st.occ_n.(Lit.negate from_l) <- 0
 
-let push_entry st v =
-  push st.entries st.stack.n;
-  push st.stack v
+(* Buckets [0 .. n-1] in CSR form: bucket [b] holds
+   [vals.(off.(b)) .. vals.(off.(b+1) - 1)], the values [pairs emit]
+   emits for it, in emission order. [pairs] runs twice. *)
+let csr n pairs =
+  let off = Array.make (n + 1) 0 in
+  pairs (fun b _ -> off.(b + 1) <- off.(b + 1) + 1);
+  for b = 1 to n do
+    off.(b) <- off.(b) + off.(b - 1)
+  done;
+  let vals = Array.make off.(n) 0 in
+  let fill = Array.sub off 0 n in
+  pairs (fun b x ->
+      vals.(fill.(b)) <- x;
+      fill.(b) <- fill.(b) + 1);
+  (off, vals)
 
 let big_pass st =
   let nlits = 2 * st.nvars in
   (* Adjacency from the live binary clauses, in clause order so the SCC
      decomposition (and hence the substitution choices) is
      deterministic. *)
-  let off = Array.make (nlits + 1) 0 in
-  let nedges = ref 0 in
-  let s = st.store.a in
-  for c = 0 to nclauses st - 1 do
-    if live st c && clen st c = 2 then begin
-      let a = s.(cstart st c) and b = s.(cstart st c + 1) in
-      off.(Lit.negate a + 1) <- off.(Lit.negate a + 1) + 1;
-      off.(Lit.negate b + 1) <- off.(Lit.negate b + 1) + 1;
-      nedges := !nedges + 2
-    end
-  done;
-  if !nedges > 0 then begin
-    for l = 1 to nlits do
-      off.(l) <- off.(l) + off.(l - 1)
-    done;
-    let succ = Array.make !nedges 0 in
-    let fill = Array.sub off 0 nlits in
-    for c = 0 to nclauses st - 1 do
-      if live st c && clen st c = 2 then begin
-        let a = s.(cstart st c) and b = s.(cstart st c + 1) in
-        succ.(fill.(Lit.negate a)) <- b;
-        fill.(Lit.negate a) <- fill.(Lit.negate a) + 1;
-        succ.(fill.(Lit.negate b)) <- a;
-        fill.(Lit.negate b) <- fill.(Lit.negate b) + 1
-      end
-    done;
-    let comp, ncomp = literal_sccs nlits off succ in
-    (* The literals of each component, in literal order (CSR again). *)
-    let moff = Array.make (ncomp + 1) 0 in
-    Array.iter (fun k -> if k >= 0 then moff.(k + 1) <- moff.(k + 1) + 1) comp;
-    for k = 1 to ncomp do
-      moff.(k) <- moff.(k) + moff.(k - 1)
-    done;
-    let members = Array.make nlits 0 in
-    let mfill = Array.sub moff 0 (max ncomp 1) in
-    for l = 0 to nlits - 1 do
-      let k = comp.(l) in
-      if k >= 0 then begin
-        members.(mfill.(k)) <- l;
-        mfill.(k) <- mfill.(k) + 1
-      end
-    done;
+  let off, succ =
+    csr nlits (fun emit ->
+        for c = 0 to nclauses st - 1 do
+          if live st c && clen st c = 2 then begin
+            let a = st.store.a.(cstart st c) and b = st.store.a.(cstart st c + 1) in
+            emit (Lit.negate a) b;
+            emit (Lit.negate b) a
+          end
+        done)
+  in
+  if Array.length succ > 0 then begin
+    let ncomp = literal_sccs st nlits off succ in
+    let comp = st.comp in
+    (* The literals of each component, in literal order. *)
+    let moff, members =
+      csr ncomp (fun emit ->
+          Array.iteri (fun l k -> if k >= 0 then emit k l) comp)
+    in
     (* A component holding both polarities of one variable refutes the
        formula: both units are RUP along the implication cycle, and
        together they give the empty clause. *)
     let contradiction = ref (-1) in
     let i = ref 0 in
-    while !contradiction < 0 && !i < moff.(ncomp) do
+    while !contradiction < 0 && !i < Array.length members do
       let l = members.(!i) in
       if comp.(Lit.negate l) = comp.(l) then contradiction := l;
       incr i
@@ -643,11 +667,11 @@ let big_pass st =
           (* v's value is r's under the replay of [extend_model]: the
              saved positive-occurrence clause [v ∨ ¬r] forces v exactly
              when r is true. *)
-          push_entry st v;
-          push st.stack 1;
-          push st.stack 2;
           push st.stack l;
           push st.stack (Lit.negate r);
+          push st.stack 2;
+          push st.stack 1;
+          push st.stack v;
           substitute_literal st l r;
           Bytes.set st.eliminated v '\001';
           st.n_equivalent <- st.n_equivalent + 1;
@@ -749,17 +773,17 @@ let try_eliminate st v =
         else new_clause st ~log:true st.res.a (!p + 1) n;
         p := !p + 1 + n
       done;
-      push_entry st v;
-      push st.stack np;
-      for i = np - 1 downto 0 do
-        push st.stack (clen st st.pos.a.(i))
-      done;
       for i = np - 1 downto 0 do
         let c = st.pos.a.(i) in
         for q = cstart st c to cstart st c + clen st c - 1 do
           push st.stack st.store.a.(q)
         done
       done;
+      for i = np - 1 downto 0 do
+        push st.stack (clen st st.pos.a.(i))
+      done;
+      push st.stack np;
+      push st.stack v;
       for i = np - 1 downto 0 do
         delete st st.pos.a.(i);
         log_delete st st.pos.a.(i)
@@ -845,18 +869,6 @@ let output st words =
     out.a
   end
 
-(* The stack entries, most recent first. *)
-let reversed_stack st =
-  let stack = Array.make st.stack.n 0 in
-  let at = ref 0 in
-  for e = st.entries.n - 1 downto 0 do
-    let lo = st.entries.a.(e) in
-    let hi = if e + 1 < st.entries.n then st.entries.a.(e + 1) else st.stack.n in
-    Array.blit st.stack.a lo stack !at (hi - lo);
-    at := !at + hi - lo
-  done;
-  stack
-
 let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
   Tracing.with_span "preprocess.simplify" @@ fun () ->
   Metrics.incr m_runs;
@@ -868,7 +880,10 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
       nvars;
       frozen;
       store = buf orig_literals;
-      hdr = buf (4 * orig_clauses);
+      start = buf orig_clauses;
+      len = buf orig_clauses;
+      csig = buf orig_clauses;
+      flags = buf orig_clauses;
       occ = Array.make (2 * nvars) [||];
       occ_n = Array.make (2 * nvars) 0;
       assigns = Array.make (max 1 nvars) v_undef;
@@ -880,11 +895,13 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
       unsat = false;
       changed = false;
       stack = buf 64;
-      entries = buf 16;
       scratch = buf 64;
       res = buf 64;
       pos = buf 16;
       neg = buf 16;
+      index = [||];
+      lowlink = [||];
+      comp = [||];
       drat = (if drat then Some (Buffer.create 1024) else None);
       n_eliminated = 0;
       n_subsumed = 0;
@@ -944,7 +961,7 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
         rounds = st.n_rounds;
       };
     proof = (match st.drat with Some b -> Buffer.contents b | None -> "");
-    recon = { width = nvars; stack = reversed_stack st };
+    recon = { width = nvars; stack = Array.sub st.stack.a 0 st.stack.n };
   }
 
 let unsat (t : t) = t.unsat
@@ -969,25 +986,26 @@ let clauses t =
   iter_clauses t (fun c -> acc := c :: !acc);
   List.rev !acc
 
-(* Calls [f v k p] on each stack entry, most recent first, where the
-   entry's clause lengths start at [p] and its literals at [p + k]. *)
+(* Calls [f v k lens lits] on each stack entry, most recent first,
+   where the entry's clause lengths start at [lens] and its literals at
+   [lits]. *)
 let iter_entries (r : reconstruction) f =
   let s = r.stack in
-  let p = ref 0 in
-  while !p < Array.length s do
-    let v = s.(!p) and k = s.(!p + 1) in
-    let lens = !p + 2 in
-    f v k lens;
-    let lits = ref 0 in
-    for i = 0 to k - 1 do
-      lits := !lits + s.(lens + i)
+  let p = ref (Array.length s) in
+  while !p > 0 do
+    let v = s.(!p - 1) and k = s.(!p - 2) in
+    let lens = !p - 2 - k in
+    let lits = ref lens in
+    for i = lens to lens + k - 1 do
+      lits := !lits - s.(i)
     done;
-    p := lens + k + !lits
+    f v k lens !lits;
+    p := !lits
   done
 
 let is_eliminated t v =
   let found = ref false in
-  iter_entries t.recon (fun u _ _ -> if u = v then found := true);
+  iter_entries t.recon (fun u _ _ _ -> if u = v then found := true);
   !found
 
 let extend (r : reconstruction) m =
@@ -1001,9 +1019,9 @@ let extend (r : reconstruction) m =
      still live at its elimination time, so each step only depends on
      values fixed before it. [v] must be true when one of its saved
      clauses has no other true literal. *)
-  iter_entries r (fun v k lens ->
+  iter_entries r (fun v k lens lits ->
       let needs_true = ref false in
-      let q = ref (lens + k) in
+      let q = ref lits in
       for i = 0 to k - 1 do
         let n = s.(lens + i) in
         if not !needs_true then begin

@@ -66,8 +66,8 @@
     stats, the DRAT text, and the reconstruction stack as one flat
     array; on those formulas that is about 1.3 words per input literal.
     The stack alone ({!reconstruction}, what {!Encode} keeps for the
-    rest of a request) is 2 words per eliminated variable plus one per
-    saved clause and per saved literal. *)
+    rest of a request) is 2 words per eliminated or substituted
+    variable plus one per saved clause and per saved literal. *)
 
 type config = {
   subsumption : bool;       (** backward subsumption *)
@@ -98,7 +98,9 @@ type stats = {
   original_literals : int;
   clauses : int;            (** clauses in the simplified formula *)
   literals : int;           (** literals in the simplified formula *)
-  eliminated_vars : int;    (** BVE eliminations (= reconstruction depth) *)
+  eliminated_vars : int;
+      (** BVE eliminations (with [equivalent_vars], the reconstruction
+          stack's depth) *)
   fixed_vars : int;         (** variables assigned at top level *)
   subsumed_clauses : int;
   strengthened_clauses : int;  (** self-subsumption hits *)
@@ -154,8 +156,8 @@ val extend : reconstruction -> bool array -> bool array
 (** [extend (reconstruction t) m = extend_model t m]. *)
 
 val stack_words : reconstruction -> int
-(** Length of the flat stack, in words: per eliminated variable 2, plus
-    per saved clause 1 and its literals. *)
+(** Length of the flat stack, in words: 2 per eliminated or substituted
+    variable, plus 1 per saved clause and 1 per saved literal. *)
 
 val stats : t -> stats
 
