@@ -396,7 +396,12 @@ let cmd_repl () path =
   Format.printf "whyprov repl — %d rules, %d facts. Type 'help' for commands.@."
     (List.length (D.Program.rules program))
     (D.Database.size db);
-  let model = lazy (D.Eval.seminaive program db) in
+  (* One recorded fixpoint serves every command. *)
+  let trace = lazy (P.Trace.record program db) in
+  let model () = P.Trace.model (Lazy.force trace) in
+  let enumeration fact =
+    P.Enumerate.of_closure (P.Closure.build_with_model program ~model:(model ()) db fact)
+  in
   let help () =
     print_string
       "  p(a,b).        explain the ground fact p(a,b)\n\
@@ -409,21 +414,19 @@ let cmd_repl () path =
   let handle_atom ?(mode = `Explain) (atom : D.Atom.t) =
     if D.Atom.is_ground atom then begin
       let fact = D.Atom.to_fact atom in
-      if not (D.Database.mem (Lazy.force model) fact) then
+      if not (D.Database.mem (model ()) fact) then
         Format.printf "not derivable.@."
       else
         match mode with
         | `Tree -> (
-          let trace = P.Trace.record program db in
-          match P.Trace.proof_tree trace fact with
+          match P.Trace.proof_tree (Lazy.force trace) fact with
           | Some tree -> Format.printf "%a@." P.Proof_tree.pp tree
           | None -> Format.printf "not derivable.@.")
         | `Count ->
-          let e = P.Enumerate.create program db fact in
-          let n = List.length (P.Enumerate.to_list ~limit:10_000 e) in
+          let n = List.length (P.Enumerate.to_list ~limit:10_000 (enumeration fact)) in
           Format.printf "%d member(s)%s@." n (if n = 10_000 then " (capped)" else "")
         | `Explain ->
-          let e = P.Enumerate.create program db fact in
+          let e = enumeration fact in
           List.iteri
             (fun i m -> Format.printf "%2d. %a@." (i + 1) D.Fact.pp_set m)
             (P.Enumerate.to_list ~limit:20 e)
@@ -432,7 +435,7 @@ let cmd_repl () path =
       (* A pattern: intensional ones match the model, extensional ones
          the database; [match_atom] honours repeated variables. *)
       let idb = D.Program.is_idb program atom.D.Atom.pred in
-      let source = if idb then Lazy.force model else db in
+      let source = if idb then model () else db in
       let acc = ref [] in
       D.Eval.match_atom source (Hashtbl.create 8) atom (fun f ->
           acc := f :: !acc);
@@ -449,7 +452,7 @@ let cmd_repl () path =
     | "quit" | "exit" -> ()
     | "help" -> help (); loop ()
     | "stats" ->
-      let m = Lazy.force model in
+      let m = model () in
       Format.printf "model: %d facts over %d predicates@." (D.Database.size m)
         (List.length (D.Database.preds m));
       List.iter
@@ -587,7 +590,7 @@ let format_arg =
     & info [ "format" ] ~docv:"FORMAT"
         ~doc:
           "Report format: $(b,human) (one gcc-style line per diagnostic) or \
-           $(b,json) (the whyprov.check/1 document of docs/ANALYSIS.md).")
+           $(b,json) (the whyprov.check/3 document of docs/ANALYSIS.md).")
 
 let deny_warnings_arg =
   Arg.(

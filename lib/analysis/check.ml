@@ -677,11 +677,10 @@ let selection_json (s : Selection.t) =
   Json.Obj
     [
       ("skip_acyclicity", Json.Bool s.Selection.skip_acyclicity);
-      ("fo_eligible", Json.Bool s.Selection.fo_eligible);
       ("reason", Json.Str s.Selection.reason);
     ]
 
-let json_schema_version = "whyprov.check/2"
+let json_schema_version = "whyprov.check/3"
 
 let to_json ?file r =
   Json.Obj

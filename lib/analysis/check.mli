@@ -68,6 +68,6 @@ val pp_human : Format.formatter -> result -> unit
     built, then a [N error(s), ...] summary line. *)
 
 val json_schema_version : string
-(** The ["schema"] field of {!to_json} output: ["whyprov.check/1"]. *)
+(** The ["schema"] field of {!to_json} output: ["whyprov.check/3"]. *)
 
 val to_json : ?file:string -> result -> Util.Metrics.Json.t

@@ -4,49 +4,25 @@ module Metrics = Util.Metrics
 let m_plans = Metrics.counter "analysis.plans"
 let m_skip_acyclic = Metrics.counter "analysis.selection.skip_acyclicity"
 let m_keep_acyclic = Metrics.counter "analysis.selection.keep_acyclicity"
-let m_fo_eligible = Metrics.counter "analysis.selection.fo_eligible"
 
 type t = {
   classification : Classify.t;
   skip_acyclicity : bool;
-  fo_eligible : bool;
   reason : string;
 }
-
-(* The FO rewriting (Fo_rewrite) unfolds the program into a union of
-   conjunctive queries; it requires a non-recursive, constant-free
-   program and its size is exponential in the unfolding depth, so gate
-   it on a small rule count. *)
-let max_fo_rules = 16
-
-let constant_free program =
-  let atom_ok (a : Atom.t) =
-    Array.for_all
-      (fun t -> match t with Term.Var _ -> true | Term.Const _ -> false)
-      a.Atom.args
-  in
-  List.for_all
-    (fun r -> atom_ok (Rule.head r) && List.for_all atom_ok (Rule.body r))
-    (Program.rules program)
 
 let compute program =
   let classification = Classify.classify program in
   let skip_acyclicity = not classification.Classify.recursive in
-  let fo_eligible =
-    skip_acyclicity && constant_free program
-    && List.length (Program.rules program) <= max_fo_rules
-  in
   let reason =
     if skip_acyclicity then
-      Printf.sprintf
-        "%s: every proof DAG is acyclic, acyclicity clauses dropped%s"
+      Printf.sprintf "%s: every proof DAG is acyclic, acyclicity clauses dropped"
         (Classify.cls_name classification.Classify.cls)
-        (if fo_eligible then "; FO-rewrite eligible" else "")
     else
       Printf.sprintf "%s: recursive, acyclicity encoding required"
         (Classify.cls_name classification.Classify.cls)
   in
-  { classification; skip_acyclicity; fo_eligible; reason }
+  { classification; skip_acyclicity; reason }
 
 (* Encode.make consults the plan once per CNF build and batch workers
    encode on separate domains, so memoize per program by physical
@@ -72,78 +48,6 @@ let plan program =
   in
   if result.skip_acyclicity then Metrics.incr m_skip_acyclic
   else Metrics.incr m_keep_acyclic;
-  if result.fo_eligible then Metrics.incr m_fo_eligible;
   result
 
 let skip_acyclicity program = (plan program).skip_acyclicity
-let fo_eligible program = (plan program).fo_eligible
-
-(* --- Query-cone widening -------------------------------------------- *)
-
-let m_fo_cone = Metrics.counter "analysis.selection.fo_cone"
-
-(* Rules whose head predicate is backward-reachable from the query.
-   Every derivation of a query fact uses only such rules (the cone is
-   backward-closed), so the cone subprogram derives exactly the same
-   query facts from any database — with exactly the same proof trees. *)
-let cone_rules program query =
-  let relevant : (Symbol.t, unit) Hashtbl.t = Hashtbl.create 16 in
-  let rec visit p =
-    if not (Hashtbl.mem relevant p) then begin
-      Hashtbl.replace relevant p ();
-      List.iter
-        (fun r ->
-          List.iter (fun (a : Atom.t) -> visit a.Atom.pred) (Rule.body r))
-        (Program.rules_for program p)
-    end
-  in
-  visit query;
-  List.filter
-    (fun r -> Hashtbl.mem relevant (Rule.head r).Atom.pred)
-    (Program.rules program)
-
-(* Memoized per (program, query) by physical identity on the program:
-   callers key further caches (Explain's compiled rewritings) on the
-   returned cone, so it must be physically stable across calls. *)
-let cone_cache : (Program.t * Symbol.t * Program.t option) list Atomic.t =
-  Atomic.make []
-
-let fo_cone program query =
-  let result =
-    match
-      List.find_opt
-        (fun (p, q, _) -> p == program && Symbol.equal q query)
-        (Atomic.get cone_cache)
-    with
-    | Some (_, _, res) -> res
-    | None ->
-      let res =
-        if not (Program.is_idb program query) then None
-        else begin
-          let rules = cone_rules program query in
-          if List.length rules = List.length (Program.rules program) then
-            (* The cone is the whole program: the whole-program
-               [fo_eligible] gate has already decided. *)
-            None
-          else
-            let cone = Program.make rules in
-            let cls = Classify.classify cone in
-            if
-              (not cls.Classify.recursive)
-              && constant_free cone
-              && List.length rules <= max_fo_rules
-            then Some cone
-            else None
-        end
-      in
-      let entries = (program, query, res) :: Atomic.get cone_cache in
-      let entries =
-        if List.length entries > cache_limit then
-          List.filteri (fun i _ -> i < cache_limit) entries
-        else entries
-      in
-      Atomic.set cone_cache entries;
-      res
-  in
-  if result <> None then Metrics.incr m_fo_cone;
-  result

@@ -5,9 +5,6 @@
     non-recursive program the rule-instance graph of {e any} database is
     already a DAG, so every candidate model is acyclic and those clauses
     are tautological — the planner tells the encoder to drop them.
-    Similarly, small constant-free non-recursive programs admit the
-    first-order rewriting of {!Provenance.Fo_rewrite}, which decides
-    membership without a solver at all.
 
     Plans are memoized per program (by physical identity); consulting
     the planner from every [Encode.make] is cheap. Decisions are counted
@@ -19,29 +16,8 @@ type t = {
   classification : Classify.t;
   skip_acyclicity : bool;
       (** sound to omit acyclicity clauses for every database *)
-  fo_eligible : bool;
-      (** non-recursive, constant-free and small enough to FO-unfold *)
   reason : string;  (** one-line justification, for logs and JSON *)
 }
 
 val plan : Program.t -> t
 val skip_acyclicity : Program.t -> bool
-val fo_eligible : Program.t -> bool
-
-val fo_cone : Program.t -> Symbol.t -> Program.t option
-(** Query-cone widening of {!fo_eligible}: even when the whole program
-    fails the FO gates, the backward cone of one query predicate may be
-    non-recursive, constant-free and small. Returns the cone subprogram
-    to FO-rewrite in that case — every derivation of a query fact uses
-    only cone rules, so the rewriting over the cone decides membership
-    for the full program. [None] when the query is not intensional, the
-    cone is the whole program (the whole-program gate already decided),
-    or a gate fails. Memoized per (program, query) by physical identity;
-    the returned cone is physically stable across calls, so callers may
-    key further caches on it. Counted as [analysis.selection.fo_cone]. *)
-
-val constant_free : Program.t -> bool
-(** No constants in any rule atom (facts live in the database). *)
-
-val max_fo_rules : int
-(** Rule-count gate on FO eligibility (the unfolding is exponential). *)

@@ -1,8 +1,4 @@
 open Datalog
-module Metrics = Util.Metrics
-
-let m_member_fo = Metrics.counter "explain.member.fo"
-let m_member_sat = Metrics.counter "explain.member.general"
 
 type query = {
   program : Program.t;
@@ -45,84 +41,14 @@ let explain_of_closure ?(limit = 100) closure =
 let explain ?limit q db fact =
   explain_of_closure ?limit (Closure.build q.program db fact)
 
-(* FO fast path: for analysis-approved programs (non-recursive,
-   constant-free, small), membership for the Any / Non_recursive /
-   Unambiguous variants is decided by the compiled first-order rewriting
-   on the candidate alone — no solver. Minimal_depth always goes through
-   [Membership.why_md]: its depth threshold is relative to the full
-   database, which the rewriting cannot see (see Fo_rewrite). Compiled
-   rewritings are memoized per (program, predicate, variant); the cache
-   is an atomic so concurrent lookups at worst recompile. *)
-let fo_cache :
-    (Program.t * Symbol.t * Fo_rewrite.variant * Fo_rewrite.t) list Atomic.t =
-  Atomic.make []
-
-let fo_cache_limit = 16
-
-let compiled_rewriting program pred variant =
-  let hit =
-    List.find_opt
-      (fun (p, s, v, _) ->
-        p == program && Symbol.equal s pred && v = variant)
-      (Atomic.get fo_cache)
-  in
-  match hit with
-  | Some (_, _, _, rw) -> Some rw
-  | None -> (
-    match Fo_rewrite.compile ~variant program pred with
-    | rw ->
-      let entries = (program, pred, variant, rw) :: Atomic.get fo_cache in
-      let entries =
-        if List.length entries > fo_cache_limit then
-          List.filteri (fun i _ -> i < fo_cache_limit) entries
-        else entries
-      in
-      Atomic.set fo_cache entries;
-      Some rw
-    | exception Invalid_argument _ -> None)
-
 let why_provenance ~variant q db fact candidate =
-  let fo_variant =
-    match variant with
-    | `Any -> Some Fo_rewrite.Any
-    | `Non_recursive -> Some Fo_rewrite.Non_recursive
-    | `Unambiguous -> Some Fo_rewrite.Unambiguous
-    | `Minimal_depth -> None
-  in
-  let fast =
-    match fo_variant with
-    | Some fo when Symbol.equal (Fact.pred fact) q.answer_pred -> (
-      (* Whole-program eligibility first; otherwise the query-cone
-         widening: the cone subprogram has exactly the query fact's
-         derivations, so its rewriting decides the same membership. *)
-      let target =
-        if Whyprov_analysis.Selection.fo_eligible q.program then
-          Some q.program
-        else Whyprov_analysis.Selection.fo_cone q.program q.answer_pred
-      in
-      match target with
-      | None -> None
-      | Some fo_program ->
-        if Fact.Set.for_all (Database.mem db) candidate then
-          Option.map
-            (fun rw -> Fo_rewrite.member rw candidate (Fact.args fact))
-            (compiled_rewriting fo_program q.answer_pred fo)
-        else Some false (* candidates must be sub-databases of [db] *))
-    | _ -> None
-  in
-  match fast with
-  | Some answer ->
-    Metrics.incr m_member_fo;
-    answer
-  | None ->
-    Metrics.incr m_member_sat;
-    (match variant with
-    | `Any -> Membership.why q.program db fact candidate
-    | `Unambiguous -> Membership.why_un q.program db fact candidate
-    | `Non_recursive -> Membership.why_nr q.program db fact candidate
-    | `Minimal_depth -> Membership.why_md q.program db fact candidate)
+  match variant with
+  | `Any -> Membership.why q.program db fact candidate
+  | `Unambiguous -> Membership.why_un q.program db fact candidate
+  | `Non_recursive -> Membership.why_nr q.program db fact candidate
+  | `Minimal_depth -> Membership.why_md q.program db fact candidate
 
-let proof_tree q db fact = Naive.some_tree q.program db fact
+let proof_tree q db fact = Trace.proof_tree (Trace.record q.program db) fact
 
 let pp_explanation ppf e =
   let count =

@@ -41,17 +41,12 @@ val why_provenance :
   Fact.t ->
   Fact.Set.t ->
   bool
-(** Membership in the chosen why-provenance variant. When the static
-    analyzer approves the program ({!Whyprov_analysis.Selection.fo_eligible}:
-    non-recursive, constant-free, small), the [`Any], [`Non_recursive]
-    and [`Unambiguous] variants are decided by the compiled first-order
-    rewriting ({!Fo_rewrite}) on the candidate alone — no solver;
-    otherwise, and always for [`Minimal_depth], it dispatches to
-    {!Membership}. The two paths agree on every input (covered by a
-    differential test); the decision is counted under
-    [explain.member.fo] / [explain.member.general]. *)
+(** Membership in the chosen why-provenance variant: dispatches to the
+    matching {!Membership} procedure. *)
 
 val proof_tree : query -> Database.t -> Fact.t -> Proof_tree.t option
-(** A minimal-depth proof tree witnessing the answer, if derivable. *)
+(** A minimal-depth proof tree witnessing the answer, if derivable:
+    {!Trace.proof_tree} over {!Trace.record}, which descends by
+    immediate-consequence rank (Prop. 28), one rule instance per fact. *)
 
 val pp_explanation : Format.formatter -> explanation -> unit

@@ -28,7 +28,12 @@
     in the paper's Lemma 37.
 
     Restriction: the program must be non-recursive and constant-free
-    (the paper's rule format). *)
+    (the paper's rule format).
+
+    No command decides membership with it: [whyprov member] runs
+    {!Membership}, which is faster on every measured query. It stays as
+    a reference that the tests check {!Membership} against and that
+    bench's [combined] experiment times. *)
 
 open Datalog
 

@@ -13,8 +13,8 @@ let why program db goal candidate =
 let why_un program db goal candidate =
   candidate_ok db candidate
   &&
-  let enumeration = Enumerate.create program db goal in
-  Enumerate.member enumeration candidate
+  let db' = Database.of_set candidate in
+  Enumerate.member (Enumerate.create program db' goal) candidate
 
 let why_nr program db goal candidate =
   candidate_ok db candidate

@@ -42,4 +42,7 @@ val non_recursive_trees : Program.t -> Database.t -> Fact.t -> Proof_tree.t list
 (** Every non-recursive proof tree of the fact. *)
 
 val some_tree : Program.t -> Database.t -> Fact.t -> Proof_tree.t option
-(** One minimal-depth proof tree, or [None] if not derivable. *)
+(** One minimal-depth proof tree, or [None] if not derivable: the first
+    tree of {!trees_up_to_depth} at the minimal depth, so exponential.
+    The reference the tests hold {!Trace.proof_tree}'s rank descent
+    (what [whyprov tree] runs) against. *)

@@ -1,9 +1,9 @@
 (* Tests for the static analyzer (lib/analysis): diagnostic codes, the
    classifier lattice, analysis-driven encoding selection, and the
    differential guarantees the selection layer rests on — dropping the
-   acyclicity clauses or taking the FO-rewrite fast path (whole-program
-   or over the query's cone) must never change the enumerated
-   why-provenance. *)
+   acyclicity clauses must never change the enumerated why-provenance —
+   plus differentials of the paper's FO rewriting (whole program or the
+   query's cone) against the SAT-backed membership procedures. *)
 
 module D = Datalog
 module P = Provenance
@@ -182,7 +182,6 @@ let test_selection () =
   let plan = A.Selection.plan nonrec_program in
   Alcotest.(check bool) "non-recursive skips acyclicity" true
     plan.A.Selection.skip_acyclicity;
-  Alcotest.(check bool) "fo eligible" true plan.A.Selection.fo_eligible;
   (* memoized by physical identity *)
   Alcotest.(check bool) "plan memoized" true
     (A.Selection.plan nonrec_program == plan);
@@ -191,16 +190,10 @@ let test_selection () =
   in
   Alcotest.(check bool) "recursive keeps acyclicity" false
     (A.Selection.skip_acyclicity rec_program);
-  Alcotest.(check bool) "recursive not fo" false
-    (A.Selection.fo_eligible rec_program);
-  (* constants in a rule body block the FO rewriting, not the skip *)
+  (* constants in a rule body do not block the skip *)
   let const_program = parse_program "p(X) :- e(X, a)." in
   Alcotest.(check bool) "constants: still skips" true
-    (A.Selection.skip_acyclicity const_program);
-  Alcotest.(check bool) "constants: not fo" false
-    (A.Selection.fo_eligible const_program);
-  Alcotest.(check bool) "constant_free detects" false
-    (A.Selection.constant_free const_program)
+    (A.Selection.skip_acyclicity const_program)
 
 (* --- Differential: encoding choice never changes why_UN ------------------ *)
 
@@ -348,7 +341,13 @@ let prop_auto_encoding_equals_powerset =
           && List.for_all2 D.Fact.Set.equal members oracle)
         answers)
 
-(* --- Differential: FO fast path vs Membership --------------------------- *)
+(* --- Differential: FO rewriting vs Membership --------------------------- *)
+
+let parse src =
+  let program, facts = D.Parser.program_of_string src in
+  (program, D.Database.of_list facts)
+
+let sym = D.Symbol.intern
 
 let gen_candidate db =
   QCheck.Gen.(
@@ -359,29 +358,34 @@ let gen_candidate db =
          (fun acc f k -> if k then D.Fact.Set.add f acc else acc)
          D.Fact.Set.empty facts keep))
 
-let prop_fo_path_equals_membership =
-  QCheck.Test.make ~count:60 ~name:"fo fast path = membership procedures"
+(* The paper's FO rewriting (Thm. 9, 14(2), 25) decides membership on
+   the candidate alone; it must agree with the procedures [whyprov
+   member] runs. *)
+let fo_rewritings program pred =
+  List.map
+    (fun (variant, reference) ->
+      (P.Fo_rewrite.compile ~variant program (sym pred), reference))
+    [
+      (P.Fo_rewrite.Any, P.Membership.why);
+      (P.Fo_rewrite.Unambiguous, P.Membership.why_un);
+      (P.Fo_rewrite.Non_recursive, P.Membership.why_nr);
+    ]
+
+let prop_fo_rewriting_equals_membership =
+  let rewritings = lazy (fo_rewritings nonrec_program "p") in
+  QCheck.Test.make ~count:60 ~name:"FO rewriting = membership procedures"
     arb_nonrec_db
     (fun facts ->
       let db = D.Database.of_list facts in
-      let q = P.Explain.query nonrec_program "p" in
-      Alcotest.(check bool) "program is fo-eligible" true
-        (A.Selection.fo_eligible nonrec_program);
-      let candidate =
-        QCheck.Gen.generate1 (gen_candidate db)
-      in
+      let candidate = QCheck.Gen.generate1 (gen_candidate db) in
       List.for_all
         (fun goal ->
           List.for_all
-            (fun (variant, reference) ->
-              P.Explain.why_provenance ~variant q db goal candidate
+            (fun (rw, reference) ->
+              P.Fo_rewrite.member rw candidate (D.Fact.args goal)
               = reference nonrec_program db goal candidate)
-            [
-              (`Any, P.Membership.why);
-              (`Unambiguous, P.Membership.why_un);
-              (`Non_recursive, P.Membership.why_nr);
-            ])
-        (P.Explain.answers q db))
+            (Lazy.force rewritings))
+        (D.Eval.answers nonrec_program (sym "p") db))
 
 let test_fo_path_rejects_non_subset () =
   let db =
@@ -397,16 +401,95 @@ let test_fo_path_rejects_non_subset () =
   Alcotest.(check bool) "candidate outside the database rejected" false
     (P.Explain.why_provenance ~variant:`Any q db goal candidate)
 
-let parse src =
-  let program, facts = D.Parser.program_of_string src in
-  (program, D.Database.of_list facts)
+(* --- why_UN decided on the candidate -------------------------------------- *)
 
-let sym = D.Symbol.intern
+(* [Membership.why_un] encodes over [Database.of_set candidate]; on
+   recursive programs it must decide what [Enumerate.member] decides
+   over the full database. Candidates: the first members of each answer
+   (over the full database), each with one fact removed, and one random
+   subset of the database. *)
+let candidate_db_agrees program db =
+  let model = D.Eval.seminaive program db in
+  let goals =
+    List.concat_map
+      (fun p ->
+        let acc = ref [] in
+        D.Database.iter_pred model p (fun f -> acc := f :: !acc);
+        List.sort D.Fact.compare !acc)
+      (D.Program.idb program)
+    |> List.filteri (fun i _ -> i < 4)
+  in
+  let rng = Util.Rng.create (D.Database.size db) in
+  let facts = D.Database.to_list db in
+  List.for_all
+    (fun goal ->
+      let members =
+        P.Enumerate.to_list ~limit:3 (P.Enumerate.create program db goal)
+      in
+      let random =
+        List.filter (fun _ -> Util.Rng.bool rng) facts |> D.Fact.Set.of_list
+      in
+      let candidates =
+        random
+        :: List.concat_map
+             (fun m -> m :: List.map (fun f -> D.Fact.Set.remove f m) (D.Fact.Set.elements m))
+             members
+      in
+      let fresh = P.Enumerate.create program db goal in
+      List.for_all
+        (fun c ->
+          P.Membership.why_un program db goal c = P.Enumerate.member fresh c)
+        candidates)
+    goals
 
-(* --- The cone-widened FO path ------------------------------------------ *)
+(* Randprog databases sometimes assert intensional facts, which the
+   analyzer rejects (WP004) and the paper's databases never hold; they
+   are dropped here, since the full-database encoding then treats such a
+   fact as a leaf only and disagrees with both exhaustive oracles. *)
+let extensional_instance seed =
+  let t = W.Randprog.generate ~max_facts:12 (Util.Rng.create seed) in
+  let program = W.Randprog.program t in
+  {
+    t with
+    W.Randprog.facts =
+      List.filter
+        (fun f -> not (D.Program.is_idb program (D.Fact.pred f)))
+        t.W.Randprog.facts;
+  }
 
-(* Recursive program whose q-cone is non-recursive and constant-free:
-   the whole-program gate refuses, the cone gate accepts. *)
+let prop_why_un_candidate_randprog =
+  QCheck.Test.make ~count:40
+    ~name:"why_un on the candidate = member over the database (random programs)"
+    (QCheck.make
+       ~print:(fun seed -> W.Randprog.to_string (extensional_instance seed))
+       QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let t = extensional_instance seed in
+      candidate_db_agrees (W.Randprog.program t) (W.Randprog.database t))
+
+let tc_program = parse_program "tc(X,Y) :- e(X,Y). tc(X,Z) :- tc(X,Y), e(Y,Z)."
+
+let prop_why_un_candidate_tc =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 8 in
+      list_repeat n
+        (let* x = oneofa const_pool in
+         let* y = oneofa const_pool in
+         return (D.Fact.of_strings "e" [ x; y ])))
+  in
+  QCheck.Test.make ~count:60
+    ~name:"why_un on the candidate = member over the database (tc)"
+    (QCheck.make gen ~print:(fun facts ->
+         String.concat " " (List.map D.Fact.to_string facts)))
+    (fun facts -> candidate_db_agrees tc_program (D.Database.of_list facts))
+
+(* --- FO rewriting over a query cone ------------------------------------ *)
+
+(* A recursive program whose q-cone (the rules backward-reachable from
+   q) is non-recursive and constant-free: every derivation of a q fact
+   uses only cone rules, so the FO rewriting of the cone decides q's
+   why_UN for the whole program. *)
 let cone_src =
   {|
   p(X,Y) :- e(X,Y).
@@ -415,24 +498,14 @@ let cone_src =
   tc(X,Z) :- tc(X,Y), e(Y,Z).
 |}
 
-let test_fo_cone_gate () =
-  let program, _ = parse (cone_src ^ "e(a,b). f(b).") in
-  Alcotest.(check bool)
-    "whole program refused" false
-    (A.Selection.fo_eligible program);
-  (match A.Selection.fo_cone program (sym "q") with
-  | Some cone ->
-    Alcotest.(check bool) "cone non-recursive" false (D.Program.is_recursive cone);
-    Alcotest.(check bool)
-      "cone omits tc" false
-      (List.mem (sym "tc") (D.Program.idb cone))
-  | None -> Alcotest.fail "expected a q-cone");
-  Alcotest.(check bool)
-    "tc cone refused (recursive)" true
-    (A.Selection.fo_cone program (sym "tc") = None)
+let q_cone_src = {|
+  p(X,Y) :- e(X,Y).
+  q(X) :- p(X,Y), f(Y).
+|}
 
-(* The cone-widened FO membership path decides exactly what the general
-   SAT-backed path decides, on random databases and candidates. *)
+(* The FO rewriting of the q-cone decides exactly what the SAT-backed
+   [Membership.why_un] decides over the full program, on random
+   databases and candidates. *)
 let prop_cone_fo =
   let gen =
     QCheck.Gen.(
@@ -459,11 +532,16 @@ let prop_cone_fo =
           (String.concat " " (List.map D.Fact.to_string facts))
           mask)
   in
+  let program = lazy (fst (parse cone_src)) in
+  let rewriting =
+    lazy
+      (P.Fo_rewrite.compile ~variant:P.Fo_rewrite.Unambiguous
+         (parse_program q_cone_src) (sym "q"))
+  in
   QCheck.Test.make ~count:60 ~name:"cone FO membership = SAT membership" arb
     (fun (facts, mask) ->
-      let program, _ = parse cone_src in
+      let program = Lazy.force program in
       let db = D.Database.of_list facts in
-      let q = P.Explain.query program "q" in
       let candidate =
         List.filteri (fun i _ -> mask land (1 lsl i) <> 0) facts
         |> D.Fact.Set.of_list
@@ -471,8 +549,8 @@ let prop_cone_fo =
       D.Eval.answers program (sym "q") db
       |> List.for_all (fun goal ->
              let fo =
-               P.Explain.why_provenance ~variant:`Unambiguous q db goal
-                 candidate
+               P.Fo_rewrite.member (Lazy.force rewriting) candidate
+                 (D.Fact.args goal)
              in
              let sat = P.Membership.why_un program db goal candidate in
              fo = sat))
@@ -497,8 +575,9 @@ let suite =
       tc "differential encodings (workloads)" `Quick
         test_differential_encodings_workloads;
       QCheck_alcotest.to_alcotest prop_auto_encoding_equals_powerset;
-      QCheck_alcotest.to_alcotest prop_fo_path_equals_membership;
+      QCheck_alcotest.to_alcotest prop_fo_rewriting_equals_membership;
       tc "fo path rejects non-subset" `Quick test_fo_path_rejects_non_subset;
-      tc "fo_cone gate" `Quick test_fo_cone_gate;
+      QCheck_alcotest.to_alcotest prop_why_un_candidate_randprog;
+      QCheck_alcotest.to_alcotest prop_why_un_candidate_tc;
       QCheck_alcotest.to_alcotest prop_cone_fo;
     ] )

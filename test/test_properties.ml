@@ -170,17 +170,23 @@ let prop_rank_is_min_depth =
   QCheck.Test.make ~count:80 ~name:"rank = minimal proof tree depth"
     arb_acc_db (fun facts ->
       let db = D.Database.of_list facts in
+      let q = P.Explain.query acc_program "a" in
       let model = D.Eval.seminaive acc_program db in
       let ok = ref true in
       D.Database.iter_pred model (D.Symbol.intern "a") (fun goal ->
           match P.Naive.min_depth acc_program db goal with
           | None -> ok := false
           | Some d -> (
-            (* There is a tree of depth d and none of depth < d. *)
-            match P.Naive.some_tree acc_program db goal with
-            | None -> ok := false
-            | Some tree ->
+            (* There is a tree of depth d and none of depth < d; the
+               rank descent of [Explain.proof_tree] finds one. *)
+            match
+              ( P.Naive.some_tree acc_program db goal,
+                P.Explain.proof_tree q db goal )
+            with
+            | None, _ | _, None -> ok := false
+            | Some tree, Some descent ->
               if P.Proof_tree.depth tree <> d then ok := false;
+              if P.Proof_tree.depth descent <> d then ok := false;
               if d > 0 && P.Naive.count_trees acc_program db goal ~depth:(d - 1) > 0
               then ok := false));
       !ok)

@@ -103,6 +103,42 @@ let test_on_workload () =
             (P.Membership.why_un program db goal support)))
     answers
 
+(* A layered tc graph: s, [layers] layers of [width] nodes with
+   complete bipartite edges between neighbouring layers, and t. tc(s,t)
+   has width^layers proof trees of minimal depth, so [whyprov tree] must
+   descend by rank instead of listing trees. *)
+let layered_db ~width ~layers =
+  let node l i = Printf.sprintf "n%d_%d" l i in
+  let edge x y = D.Fact.of_strings "edge" [ x; y ] in
+  let inner =
+    List.init (layers - 1) (fun l ->
+        List.init width (fun i ->
+            List.init width (fun j -> edge (node l i) (node (l + 1) j))))
+    |> List.concat |> List.concat
+  in
+  D.Database.of_list
+    (List.init width (fun i -> edge "s" (node 0 i))
+    @ inner
+    @ List.init width (fun i -> edge (node (layers - 1) i) "t"))
+
+let test_layered_tree () =
+  let program =
+    parse_program "tc(X,Y) :- edge(X,Y). tc(X,Z) :- tc(X,Y), edge(Y,Z)."
+  in
+  let db = layered_db ~width:5 ~layers:10 in
+  Alcotest.(check int) "edges" 235 (D.Database.size db);
+  let q = P.Explain.query program "tc" in
+  let goal = P.Explain.goal q [ "s"; "t" ] in
+  match P.Explain.proof_tree q db goal with
+  | None -> Alcotest.fail "tc(s,t) must have a proof tree"
+  | Some tree ->
+    Alcotest.(check bool) "valid" true (P.Proof_tree.check program db tree = Ok ());
+    Alcotest.(check (option int))
+      "minimal depth" (P.Naive.min_depth program db goal)
+      (Some (P.Proof_tree.depth tree));
+    Alcotest.(check bool) "member of why_un" true
+      (P.Membership.why_un program db goal (P.Proof_tree.support tree))
+
 let suite =
   let tc = Alcotest.test_case in
   ( "trace",
@@ -111,4 +147,5 @@ let suite =
       tc "db facts are leaves" `Quick test_db_facts_are_leaves;
       tc "underivable" `Quick test_underivable;
       tc "workload witnesses" `Quick test_on_workload;
+      tc "layered graph tree" `Quick test_layered_tree;
     ] )
