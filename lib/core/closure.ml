@@ -109,15 +109,34 @@ let build_from ~derivations program db root_fact ~derivable =
   { program; root = root_fact; nodes; ids; edges; db_ids; derivable;
     n_edges = !n_edges }
 
-let build_with_model program ~model db root_fact =
+(* The analyzer rejects a fact of an intensional predicate (WP004), and
+   so does every entry point here: a proof tree uses such a fact either
+   as a leaf or as a derived node, never both, and the encoding cannot
+   tell which. *)
+let check_extensional program db =
+  List.iter
+    (fun p ->
+      if Database.count_pred db p > 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Closure: the database asserts the intensional predicate %s \
+              (facts must use extensional predicates)"
+             (Symbol.name p)))
+    (Program.idb program)
+
+let build_checked program ~model db root_fact =
   build_from
     ~derivations:(fun fact -> Eval.derivations program model fact)
     program db root_fact
     ~derivable:(Database.mem model root_fact)
 
+let build_with_model program ~model db root_fact =
+  check_extensional program db;
+  build_checked program ~model db root_fact
+
 let build program db root_fact =
-  let model = Eval.seminaive program db in
-  build_with_model program ~model db root_fact
+  check_extensional program db;
+  build_checked program ~model:(Eval.seminaive program db) db root_fact
 
 (* --- Shared grounded-instance cache ------------------------------------ *)
 
@@ -159,6 +178,7 @@ let cached_derivations cache fact =
     ds
 
 let build_cached cache db root_fact =
+  check_extensional cache.ic_program db;
   build_from
     ~derivations:(cached_derivations cache)
     cache.ic_program db root_fact

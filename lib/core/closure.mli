@@ -30,10 +30,14 @@ val build : Program.t -> Database.t -> Fact.t -> t
     downward closure of [root]. If [root ∉ Σ(D)], the closure contains
     the root node only and no hyperedges. The materialization honours
     {!Datalog.Profile} when enabled — [whyprov explain --profile]
-    reaches the profiler through this call. *)
+    reaches the profiler through this call.
+    @raise Invalid_argument naming the predicate when [db] holds a fact
+    of an intensional predicate of [program], as the analyzer's WP004
+    does: such a fact would be both a leaf and a derived node. *)
 
 val build_with_model : Program.t -> model:Database.t -> Database.t -> Fact.t -> t
-(** Same, reusing an already materialized model. *)
+(** Same, reusing an already materialized model; [db] is checked as in
+    {!build}. *)
 
 (** {2 Shared grounded-instance cache}
 
@@ -54,7 +58,9 @@ val instance_cache : Program.t -> model:Database.t -> instance_cache
 
 val build_cached : instance_cache -> Database.t -> Fact.t -> t
 (** Like {!build_with_model} (against the cache's model), memoizing the
-    rule instances of every reached fact in the cache. *)
+    rule instances of every reached fact in the cache. [db] is checked
+    as in {!build}: {!instance_cache} takes no database, so this is
+    where a batch's database meets the check. *)
 
 val cache_model : instance_cache -> Database.t
 (** The materialized model the cache was created with. *)

@@ -29,21 +29,55 @@ let relation t p ~arity =
   match find t p arity with
   | Some rel -> rel
   | None ->
-    let rel = Flatrel.create ~arity in
+    let rel = Flatrel.create ~arity ~rows:0 in
     t.rels <- KeyMap.add (p, arity) rel t.rels;
     rel
 
 let add t f = Flatrel.add (relation t (Fact.pred f) ~arity:(Fact.arity f)) (Fact.args f) 0
 
-let of_list l =
-  let t = create () in
-  List.iter (fun f -> ignore (add t f)) l;
+(* Two passes over the facts [iter] visits: the first counts each
+   key's facts and the second fills relations created at those counts.
+   Both work run by run of equal keys, as a file's facts arrive block
+   by block and a set's in key order, so a fact costs two int
+   comparisons and no allocation beyond its row. Duplicates collapse,
+   leaving room for rows that never came; the trim returns it. *)
+let load iter =
+  let pred = ref (-1) and arity = ref (-1) in
+  let same f = Symbol.equal (Fact.pred f) !pred && Fact.arity f = !arity in
+  let start f =
+    pred := Fact.pred f;
+    arity := Fact.arity f
+  in
+  let counts = ref KeyMap.empty and run = ref 0 in
+  let flush () =
+    if !run > 0 then
+      counts :=
+        KeyMap.update (!pred, !arity)
+          (fun n -> Some (!run + Option.value n ~default:0))
+          !counts
+  in
+  iter (fun f ->
+      if same f then incr run
+      else begin
+        flush ();
+        start f;
+        run := 1
+      end);
+  flush ();
+  let t = { rels = KeyMap.mapi (fun (_, arity) rows -> Flatrel.create ~arity ~rows) !counts } in
+  pred := -1;
+  let rel = ref (Flatrel.create ~arity:0 ~rows:0) in
+  iter (fun f ->
+      if not (same f) then begin
+        start f;
+        rel := KeyMap.find (!pred, !arity) t.rels
+      end;
+      ignore (Flatrel.add !rel (Fact.args f) 0));
+  KeyMap.iter (fun _ rel -> Flatrel.trim rel) t.rels;
   t
 
-let of_set s =
-  let t = create () in
-  Fact.Set.iter (fun f -> ignore (add t f)) s;
-  t
+let of_list l = load (fun f -> List.iter f l)
+let of_set s = load (fun f -> Fact.Set.iter f s)
 
 let mem t f =
   match find t (Fact.pred f) (Fact.arity f) with
@@ -170,7 +204,7 @@ let extend t ~writable =
       let rel =
         match find t p arity with
         | Some rel -> Flatrel.copy rel
-        | None -> Flatrel.create ~arity
+        | None -> Flatrel.create ~arity ~rows:0
       in
       { rels = KeyMap.add (p, arity) rel acc.rels })
     { rels = t.rels } writable

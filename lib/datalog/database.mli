@@ -19,13 +19,19 @@ val create : unit -> t
 (** An empty database. *)
 
 val of_list : Fact.t list -> t
-(** Database of the listed facts (duplicates collapse). *)
+(** Database of the listed facts (duplicates collapse). Each relation
+    holds exactly its rows ({!Flatrel}'s capacity contract): the facts
+    are counted per (predicate, arity) first, a run of equal keys at a
+    time, and each relation is created at its count. *)
 
 val of_set : Fact.Set.t -> t
-(** Database of the set's facts. *)
+(** Database of the set's facts, each relation at its size, as
+    {!of_list}. *)
 
 val add : t -> Fact.t -> bool
-(** [add db f] inserts [f]; returns [true] iff [f] was not already present. *)
+(** [add db f] inserts [f]; returns [true] iff [f] was not already
+    present. A relation filled this way grows by doubling and is not at
+    its size. *)
 
 val relation : t -> Symbol.t -> arity:int -> Flatrel.t
 (** [relation db p ~arity] is the relation holding the facts of [p] of

@@ -1,9 +1,9 @@
 module Metrics = Util.Metrics
 module Tracing = Util.Tracing
 
-(* The "Datalog evaluation" instruments of docs/OBSERVABILITY.md. The
-   registry is idempotent: [eval.tuples_matched] is the same counter
-   the backward joins of [Eval.match_atom] tick. *)
+(* The "Datalog evaluation" instruments of docs/OBSERVABILITY.md.
+   [eval.tuples_matched] counts the fixpoint's joins only; the backward
+   joins of [Eval.match_atom] tick [closure.tuples_matched]. *)
 let m_runs = Metrics.counter "eval.seminaive.runs"
 let m_rounds = Metrics.counter "eval.rounds"
 let m_derived = Metrics.counter "eval.facts_derived"
@@ -447,6 +447,10 @@ let seminaive ?ranks program db =
     delta := close_round !round;
     incr round
   done;
+  (* The model is read from here on, for as long as it lives: the
+     relations the rules appended to give back the room doubling left
+     past their last rows. *)
+  List.iter (fun p -> Flatrel.trim (Hashtbl.find model p)) (Program.idb program);
   if stats then begin
     let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
     let firings = sum (fun t -> t.Profile.r_firings)

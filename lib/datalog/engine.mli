@@ -36,7 +36,10 @@ val seminaive :
     their order are left unchanged; the engine only builds and drops
     column indexes on its relations, and the model's shared relations
     must stay read-only. Each predicate's facts in the model start with
-    its [db] facts, in [db] order. If [ranks] is given it must be fresh
+    its [db] facts, in [db] order. Capacity: after the last round each
+    relation the rules appended to is {!Flatrel.trim}med, so it holds
+    exactly its rows, and the shared relations keep [db]'s capacity
+    (exact for a {!Database.of_list} or {!Database.of_set} load). If [ranks] is given it must be fresh
     (empty) and is filled with the first-derivation round of every
     model fact (0 for database facts); each fact is recorded exactly
     once, with no membership pre-check. Every rule has one compiled

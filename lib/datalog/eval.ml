@@ -1,11 +1,12 @@
 type binding = (Symbol.t, Symbol.t) Hashtbl.t
 
-(* Observability (docs/OBSERVABILITY.md, "Datalog evaluation"). The
-   tuple counter is engine-wide: it also ticks when the closure layer
-   replays rules backwards through [derivations]. *)
+(* Observability (docs/OBSERVABILITY.md, "Downward closure"). These
+   structural joins are the closure layer's backward ones, reached
+   through [derivations], so their tuples tick a counter of their own:
+   [eval.tuples_matched] counts the fixpoint's joins only. *)
 module Metrics = Util.Metrics
 
-let m_tuples = Metrics.counter "eval.tuples_matched"
+let m_tuples = Metrics.counter "closure.tuples_matched"
 
 let bound_positions (b : binding) (atom : Atom.t) =
   let bound = ref [] in

@@ -43,12 +43,15 @@ let compare f1 f2 =
   end
 
 let hash f =
-  (* FNV-style mix over interned ids; cheap and well distributed. *)
+  (* FNV-style mix over interned ids. A product's low bits depend only
+     on its factors' low bits, and [Table]'s power-of-two bucket arrays
+     keep the low bits, so the high half is folded down, as in
+     [Flatrel]'s row hash. *)
   let h = ref (f.pred * 0x01000193 + 0x811c9dc5) in
   for i = 0 to Array.length f.args - 1 do
     h := (!h lxor f.args.(i)) * 0x01000193
   done;
-  !h land max_int
+  (!h lxor (!h lsr 32)) land max_int
 
 let pp ppf f =
   if Array.length f.args = 0 then Symbol.pp ppf f.pred

@@ -29,14 +29,22 @@ type t = {
   indexes : index option array;
 }
 
-let create ~arity =
+(* The row table for [rows] rows: the smallest power of two that holds
+   them at a load of at most 3/4, the size doubling would reach. *)
+let table_size rows =
+  let rec up s = if 4 * rows > 3 * s then up (2 * s) else s in
+  up 1
+
+let create ~arity ~rows =
   if arity < 0 then invalid_arg "Flatrel.create: negative arity";
+  if rows < 0 then invalid_arg "Flatrel.create: negative row count";
+  let size = table_size rows in
   {
     arity;
-    data = (if arity = 0 then [||] else Array.make (16 * arity) 0);
+    data = Array.make (rows * arity) 0;
     nrows = 0;
-    table = Array.make 32 0;
-    mask = 31;
+    table = Array.make size 0;
+    mask = size - 1;
     indexes = Array.make (max arity 1) None;
   }
 
@@ -105,6 +113,8 @@ let rehash t =
     place (h land t.mask)
   done
 
+(* Doubles from any capacity, including the exact one a sized
+   [create] or a [trim] leaves. *)
 let grow_data t =
   let needed = (t.nrows + 1) * t.arity in
   if needed > Array.length t.data then begin
@@ -269,6 +279,21 @@ let find t buf off = lookup t (hash_at t buf off) buf off (ref 0)
 let mem t buf off = find t buf off >= 0
 
 let fact t ~pred row = Fact.make pred (Array.sub t.data (row * t.arity) t.arity)
+
+(* Only arrays with room past the last row are copied: a relation
+   already at its size is left as it is. *)
+let trim t =
+  let used = t.nrows * t.arity in
+  if Array.length t.data > used then t.data <- Array.sub t.data 0 used;
+  Array.iter
+    (function
+      | Some idx when Array.length idx.next > t.nrows ->
+        idx.next <- Array.sub idx.next 0 t.nrows
+      | _ -> ())
+    t.indexes
+
+let capacity t = Array.length t.data
+let index_capacity t col = Array.length (index_exn t col).next
 
 (* Rows keep their ids, so the row table is copied as is. Column
    indexes are not copied. *)

@@ -12,7 +12,7 @@
     to the row ids holding it, kept up to date by {!add} once built.
 
     Words per row, without column indexes: [k] to [2k] in the backing
-    array (it grows by doubling), plus 4/3 to 8/3 in the row table,
+    array while it grows by doubling, plus 4/3 to 8/3 in the row table,
     one word per slot at a load factor between 3/8 and 3/4 (the table
     doubles when an insertion takes it past 3/4). A slot packs the row
     id with 31 bits of the row's hash, so a lookup reads row data only
@@ -22,7 +22,16 @@
     constant's last row and row count (2 to 4 words per distinct
     constant at a load factor of at most 1/2), and a per-row chain
     linking each row to the next row holding the same constant (1 to 2
-    words per row, the array grows by doubling).
+    words per row while the array grows by doubling).
+
+    Capacity contract: a relation holds exactly its rows when it was
+    created with its final row count ({!create}'s [rows]) or has been
+    {!trim}med since its last insertion. Then the backing array has
+    [k] words per row and every live column index's chain one word per
+    row; the row table and the slot tables keep their load factors.
+    Sizing never changes row ids, row order, hashing or what an index
+    answers, and a relation at its size stays growable: the next
+    insertion doubles from there.
 
     A relation is not domain-safe for writes: only reads ({!find},
     {!mem}, {!get}, {!fact}, and {!bucket}, {!bucket_length} and {!iter_bucket}
@@ -31,8 +40,12 @@
 type t
 (** A relation: a bag-free set of same-arity rows over interned ints. *)
 
-val create : arity:int -> t
-(** An empty relation whose rows have [arity] columns ([arity >= 0]). *)
+val create : arity:int -> rows:int -> t
+(** An empty relation whose rows have [arity] columns ([arity >= 0]),
+    sized for [rows] rows ([rows >= 0]): its backing array holds
+    [rows * arity] words and its row table is the smallest power of
+    two that holds [rows] rows at a load of at most 3/4. It grows past
+    that by doubling; [~rows:0] starts it as small as it gets. *)
 
 val arity : t -> int
 (** Number of columns of every row. *)
@@ -104,7 +117,22 @@ val mem : t -> int array -> int -> bool
 val fact : t -> pred:Symbol.t -> int -> Fact.t
 (** Materializes row [row] as a {!Fact.t} of predicate [pred]. *)
 
+val trim : t -> unit
+(** [trim rel] shrinks the backing array to [length rel * arity rel]
+    words and the row chain of every live column index to [length rel]
+    cells, copying only the arrays that have room past the last row.
+    Rows, ids, the row table and the indexes' answers are unchanged. *)
+
+val capacity : t -> int
+(** Words in the backing array: [length rel * arity rel] when the
+    relation is at its size. *)
+
+val index_capacity : t -> int -> int
+(** Cells in the row chain of column [col]'s index: [length rel] when
+    the relation is at its size.
+    @raise Invalid_argument if the index is not built. *)
+
 val copy : t -> t
 (** An independent relation with the same rows under the same ids, so
-    in the same order. Column indexes are not copied; they are rebuilt
-    on demand by {!ensure_index}. *)
+    in the same order, its backing array at its size. Column indexes
+    are not copied; they are rebuilt on demand by {!ensure_index}. *)

@@ -85,8 +85,10 @@ val check_model_order : Datalog.Database.t -> Datalog.Database.t -> (unit, strin
 val check_engine : Workloads.Randprog.t -> (unit, string) result
 val check_provenance : Workloads.Randprog.t -> (unit, string) result
 (** The Datalog differentials. [check_engine] also checks both models
-    with {!check_model_order}. [check_provenance] expects the
-    (deduplicated) database within the powerset oracle's reach.
+    with {!check_model_order}. [check_provenance] drops the database's
+    intensional facts ({!Workloads.Randprog.extensional}), which the
+    provenance layer rejects, and expects the (deduplicated) rest
+    within the powerset oracle's reach.
     @raise Invalid_argument beyond 9 facts ([check_provenance] only). *)
 
 val parser_template : Util.Rng.t -> string

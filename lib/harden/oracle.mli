@@ -25,7 +25,8 @@ val seminaive :
     first-derivation round of every model fact, 0 for database facts)
     and each predicate's database-fact prefix must agree with it on
     every program. Records no trace events or profile; of the metrics,
-    only [eval.tuples_matched] ticks, through {!Datalog.Eval.match_atom}. *)
+    only [closure.tuples_matched] ticks, through {!Datalog.Eval.match_atom},
+    the closure layer's structural join. *)
 
 val parse_raw : ?file:string -> string -> Datalog.Parser.raw_clause list
 (** The token-tuple reference parser: every clause, facts included, as a

@@ -81,6 +81,10 @@ let generate ?(min_rules = 2) ?(max_rules = 6) ?(min_facts = 4)
 let program t = D.Program.make t.rules
 let database t = D.Database.of_list t.facts
 
+let extensional t =
+  let program = program t in
+  { t with facts = List.filter (fun f -> not (D.Program.is_idb program (D.Fact.pred f))) t.facts }
+
 let to_string t =
   String.concat ""
     (List.map (fun r -> D.Rule.to_string r ^ "\n") t.rules

@@ -30,6 +30,11 @@ val program : t -> Datalog.Program.t
 
 val database : t -> Datalog.Database.t
 
+val extensional : t -> t
+(** The instance without its intensional facts (those of a predicate
+    some rule derives), which the provenance layer rejects as the
+    analyzer does (see [Closure.build]). *)
+
 val to_string : t -> string
 (** Parseable [.dl] text: rules first, then facts — the reproducer
     format the fuzzer writes. Inverse of {!of_string}. *)

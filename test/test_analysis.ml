@@ -443,19 +443,10 @@ let candidate_db_agrees program db =
     goals
 
 (* Randprog databases sometimes assert intensional facts, which the
-   analyzer rejects (WP004) and the paper's databases never hold; they
-   are dropped here, since the full-database encoding then treats such a
-   fact as a leaf only and disagrees with both exhaustive oracles. *)
+   analyzer rejects (WP004), the provenance layer rejects too and the
+   paper's databases never hold; they are dropped here. *)
 let extensional_instance seed =
-  let t = W.Randprog.generate ~max_facts:12 (Util.Rng.create seed) in
-  let program = W.Randprog.program t in
-  {
-    t with
-    W.Randprog.facts =
-      List.filter
-        (fun f -> not (D.Program.is_idb program (D.Fact.pred f)))
-        t.W.Randprog.facts;
-  }
+  W.Randprog.extensional (W.Randprog.generate ~max_facts:12 (Util.Rng.create seed))
 
 let prop_why_un_candidate_randprog =
   QCheck.Test.make ~count:40

@@ -295,6 +295,32 @@ let test_closure_multi_rule_heads () =
     [ support_set [ ("e", [ "a" ]) ]; support_set [ ("f", [ "a" ]) ] ]
     family
 
+(* A database asserting an intensional fact (the analyzer's WP004) is
+   rejected by every closure entry point, naming the predicate. Before,
+   the goal p(c1,c0) was enumerated with member {p(c1,c0), e(c1,c0)},
+   while Naive.why_un and the powerset oracle give {e(c1,c0)}. *)
+let test_intensional_fact_rejected () =
+  let program = parse_program "p(Y,W) :- e(Y,W)." in
+  let db =
+    D.Database.of_list (facts_of_strings [ ("p", [ "c1"; "c0" ]); ("e", [ "c1"; "c0" ]) ])
+  in
+  let goal = D.Fact.of_strings "p" [ "c1"; "c0" ] in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted an intensional fact" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) what
+        "Closure: the database asserts the intensional predicate p (facts must use \
+         extensional predicates)"
+        msg
+  in
+  let model = D.Eval.seminaive program (D.Database.of_list (facts_of_strings [ ("e", [ "c1"; "c0" ]) ])) in
+  rejects "build" (fun () -> P.Closure.build program db goal);
+  rejects "build_with_model" (fun () -> P.Closure.build_with_model program ~model db goal);
+  rejects "build_cached" (fun () ->
+      P.Closure.build_cached (P.Closure.instance_cache program ~model) db goal);
+  rejects "Enumerate.create" (fun () -> P.Enumerate.create program db goal)
+
 let test_duplicate_body_fact () =
   (* A rule instance whose body repeats a fact: support has it once, the
      hyperedge target set is deduplicated, the full body keeps both. *)
@@ -585,6 +611,7 @@ let suite =
       tc "closure stats consistency" `Quick test_closure_stats_consistency;
       tc "closure multi-rule heads" `Quick test_closure_multi_rule_heads;
       tc "duplicate body fact" `Quick test_duplicate_body_fact;
+      tc "intensional database fact rejected" `Quick test_intensional_fact_rejected;
       tc "random: sat vs naive un" `Quick test_random_sat_vs_naive_un;
       tc "random: acyclicity encodings" `Quick test_random_acyclicity_encodings_agree;
       tc "random: elimination orders" `Quick test_elimination_orders_agree;
