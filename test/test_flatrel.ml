@@ -322,8 +322,8 @@ let test_model_at_size () =
     (D.Program.schema program);
   let model = D.Eval.seminaive program db in
   List.iter (fun p -> at_size (D.Symbol.name p) (rel model p)) (D.Program.idb program);
-  (* 32,858 facts. The parent of the sized loads and the trim reached
-     179,815 words; at size the model takes 163,611. *)
+  (* 32,858 facts: 179,815 words before sized loads and the trim,
+     163,611 at size. *)
   let words = Obj.reachable_words (Obj.repr model) in
   if words > 170_000 then fail "TC model of %d facts: %d words" (D.Database.size model) words
 
